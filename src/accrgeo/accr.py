@@ -16,8 +16,8 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import (FrameEval, cov_deriv_tensor11, cov_deriv_vector,
-                       eval_expr_table, expr_vector, signature)
-from .jets import Jet, JetSpace, jet_space, scalar_from, tmul, tvalue
+                       eval_expr_table, signature)
+from .jets import JetSpace, jet_space, scalar_from, tminv, tmul, tsym, tvalue
 
 # tolerance ladder: structural identities, first-derivative identities,
 # class verdicts (relative), absolute floor for near-zero tensors
@@ -52,11 +52,6 @@ class StructureProvider:
     def structure_at(self, point, order: int) -> StructureJets:
         raise NotImplementedError
 
-    def coordinate_bindings(self, point, order: int) -> dict[str, Jet]:
-        space = jet_space(self.dim, order)
-        return {name: space.var(i, float(point[i]))
-                for i, name in enumerate(self.coords)}
-
 
 def canonical_flat_fields(n: int):
     """Constant component arrays of the canonical flat model:
@@ -81,24 +76,21 @@ def canonical_flat_fields(n: int):
 class ChartStructure(StructureProvider):
     """Structure fields given as expression tables over the chart."""
 
-    def __init__(self, n: int, coords, g, phi, xi, eta, name: str = "chart",
-                 default_box=None):
+    def __init__(self, n: int, coords, g, phi, xi, eta, name: str = "chart"):
         self.n = n
         self.coords = list(coords)
         if len(self.coords) != self.dim:
             raise ValueError("coordinate count must be 2n+1")
         d = self.dim
-        self.g_expr = _table(g, (d, d))
-        self.phi_expr = _table(phi, (d, d))
-        self.xi_expr = expr_vector(xi)
-        self.eta_expr = expr_vector(eta)
+        self.g_expr = ex.expr_table(g, (d, d))
+        self.phi_expr = ex.expr_table(phi, (d, d))
+        self.xi_expr = ex.expr_table(xi, (d,))
+        self.eta_expr = ex.expr_table(eta, (d,))
         self.name = name
-        self.default_box = default_box
 
     def structure_at(self, point, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
-        g = eval_expr_table(self.g_expr, self.coords, point, order)
-        g = 0.5 * (g + np.einsum("pij->pji", g))
+        g = tsym(eval_expr_table(self.g_expr, self.coords, point, order))
         phi = eval_expr_table(self.phi_expr, self.coords, point, order)
         xi = eval_expr_table(self.xi_expr, self.coords, point, order)
         eta = eval_expr_table(self.eta_expr, self.coords, point, order)
@@ -119,13 +111,12 @@ class FrameStructure(StructureProvider):
         self.n = n
         self.coords = list(coords)
         d = self.dim
-        self.frame_expr = _table(frame, (d, d))
+        self.frame_expr = ex.expr_table(frame, (d, d))
         self.name = name
         (self._ghat, self._phihat,
          self._xihat, self._etahat) = canonical_flat_fields(n)
 
     def structure_at(self, point, order: int) -> StructureJets:
-        from .jets import tminv
         space = jet_space(self.dim, order)
         a = eval_expr_table(self.frame_expr, self.coords, point, order)
         ainv = tminv(space, a)
@@ -133,26 +124,10 @@ class FrameStructure(StructureProvider):
         phi = tmul(space, phi, ainv, "ab,bc->ac")
         xi = np.einsum("pab,b->pa", a, self._xihat)
         eta = np.einsum("b,pba->pa", self._etahat, ainv)
-        g = tmul(space, np.einsum("pba,bc->pac", ainv, self._ghat),
-                 ainv, "ab,bc->ac")
-        g = 0.5 * (g + np.einsum("pij->pji", g))
+        g = tsym(tmul(space, np.einsum("pba,bc->pac", ainv, self._ghat),
+                      ainv, "ab,bc->ac"))
         return StructureJets(space, np.asarray(point, dtype=float),
                              g, phi, xi, eta)
-
-
-def _table(entries, shape) -> np.ndarray:
-    out = np.empty(shape, dtype=object)
-    arr = np.asarray(entries, dtype=object)
-    if arr.shape != shape:
-        raise ValueError(f"expected table of shape {shape}")
-    for idx in np.ndindex(shape):
-        e = arr[idx]
-        if isinstance(e, str):
-            e = ex.parse(e)
-        elif not isinstance(e, ex.Expr):
-            e = ex.Const(float(e))
-        out[idx] = e
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +140,35 @@ class AccrEval:
 
     S: StructureJets
     frame: FrameEval
-    nabla_phi: np.ndarray = None   # values, [i, k, j] = (nabla_i phi)^k_j
     F: np.ndarray = None           # values, F[i, j, k] = F(e_i, e_j, e_k)
     gtilde: np.ndarray = None      # values
     theta: np.ndarray = None
     theta_star: np.ndarray = None
     omega: np.ndarray = None
+
+    @classmethod
+    def from_jets(cls, S: StructureJets,
+                  curvature: bool = False) -> "AccrEval":
+        """Derived tensors of already evaluated structure jets; curvature
+        needs jets of order >= 2."""
+        frame = FrameEval.from_metric(
+            S.space, S.g, curvature=curvature and S.space.order >= 2)
+        ev = cls(S=S, frame=frame)
+        g0 = ev.g0
+        ev.gtilde = g0 @ ev.phi0 + np.outer(ev.eta0, ev.eta0)
+        if S.space.order >= 1:
+            _, nphi = cov_deriv_tensor11(S.space, frame.gamma, S.phi)
+            # F_ijk = g_kl (nabla_i phi)^l_j, nphi[i, l, j] = (nabla_i phi)^l_j
+            ev.F = np.einsum("ilj,kl->ijk", tvalue(nphi), g0)
+            gi = ev.ginv0
+            ev.omega = np.einsum("i,j,ijk->k", ev.xi0, ev.xi0, ev.F)
+            # the traces defining theta and theta* run over a basis of the
+            # contact distribution ker eta, completed by xi; invariantly
+            # that subtracts the xi-xi term (which vanishes for theta* as
+            # phi xi = 0)
+            ev.theta = np.einsum("ij,ijk->k", gi, ev.F) - ev.omega
+            ev.theta_star = np.einsum("ij,mj,imk->k", gi, ev.phi0, ev.F)
+        return ev
 
     @property
     def n(self) -> int:
@@ -199,26 +197,7 @@ class AccrEval:
 
 def structure_eval(provider: StructureProvider, point, order: int = 1,
                    curvature: bool = False) -> AccrEval:
-    S = provider.structure_at(point, order)
-    frame = FrameEval.from_metric(S.space, S.g, point,
-                                  curvature=curvature and order >= 2)
-    ev = AccrEval(S=S, frame=frame)
-    g0 = ev.g0
-    ev.gtilde = g0 @ ev.phi0 + np.outer(ev.eta0, ev.eta0)
-    if order >= 1:
-        _, nphi = cov_deriv_tensor11(S.space, frame.gamma, S.phi)
-        ev.nabla_phi = tvalue(nphi)
-        # F_ijk = g_kl (nabla_i phi)^l_j
-        ev.F = np.einsum("ilj,kl->ijk", ev.nabla_phi, g0)
-        gi = ev.ginv0
-        ev.omega = np.einsum("i,j,ijk->k", ev.xi0, ev.xi0, ev.F)
-        # the traces defining theta and theta* run over a basis of the
-        # contact distribution ker eta, completed by xi; invariantly that
-        # subtracts the xi-xi term (which vanishes for theta* as
-        # phi xi = 0)
-        ev.theta = np.einsum("ij,ijk->k", gi, ev.F) - ev.omega
-        ev.theta_star = np.einsum("ij,mj,imk->k", gi, ev.phi0, ev.F)
-    return ev
+    return AccrEval.from_jets(provider.structure_at(point, order), curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +206,26 @@ def structure_eval(provider: StructureProvider, point, order: int = 1,
 
 def _maxabs(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
+
+
+def worst_of(families) -> dict[str, float]:
+    """Key-wise worst (largest) residual over per-point families, keys in
+    first-seen order.  ``max(previous, new)`` keeps the previous value
+    against a NaN, so an undefined residual never masks a defined one."""
+    worst = {}
+    for fam in families:
+        for k, v in fam.items():
+            worst[k] = max(worst.get(k, 0.0), v)
+    return worst
+
+
+def all_of(verdicts) -> dict[str, bool]:
+    """Key-wise AND of per-point verdict dicts."""
+    merged = {}
+    for ver in verdicts:
+        for k, ok in ver.items():
+            merged[k] = merged.get(k, True) and ok
+    return merged
 
 
 def check_axioms(ev: AccrEval) -> dict[str, float]:
@@ -245,8 +244,8 @@ def check_axioms(ev: AccrEval) -> dict[str, float]:
                               - np.outer(eta0, eta0))
     res["gtilde_symmetric"] = _maxabs(ev.gtilde - ev.gtilde.T)
     res["g_signature_ok"] = 0.0 if signature(g0) == (n + 1, n) else 1.0
-    gts = 0.5 * (ev.gtilde + ev.gtilde.T)
-    res["gtilde_signature_ok"] = 0.0 if signature(gts) == (n + 1, n) else 1.0
+    res["gtilde_signature_ok"] = (0.0 if signature(ev.gtilde) == (n + 1, n)
+                                  else 1.0)
     return res
 
 
@@ -264,19 +263,6 @@ def f_prop_residual(ev: AccrEval) -> float:
     return max(sym, _maxabs(F - rhs))
 
 
-def fxi_prop_residuals(ev: AccrEval) -> dict[str, float]:
-    """Symmetries of F(.,.,xi) that characterise the classes reachable
-    with a vertical torse-forming field."""
-    F, phi0, xi0 = ev.F, ev.phi0, ev.xi0
-    fxi = np.einsum("ija,a->ij", F, xi0)
-    phi2 = phi0 @ phi0
-    return {
-        "fxi_symmetric": _maxabs(fxi - fxi.T),
-        "fxi_phi_phi": _maxabs(fxi + phi0.T @ fxi @ phi0),
-        "fxi_phi2_phi2": _maxabs(fxi - phi2.T @ fxi @ phi2),
-    }
-
-
 def lee_identities_residual(ev: AccrEval) -> dict[str, float]:
     """General Lee-form identities: theta* o phi = -theta o phi^2 and
     omega(xi) = 0."""
@@ -286,13 +272,6 @@ def lee_identities_residual(ev: AccrEval) -> dict[str, float]:
         "theta_star_phi": _maxabs(ev.theta_star @ phi0 + ev.theta @ phi2),
         "omega_xi": abs(float(ev.omega @ xi0)),
     }
-
-
-def tensor_norm_g(ginv0: np.ndarray, T: np.ndarray) -> float:
-    """Norm induced by the (indefinite) metric on (0,3)-tensors:
-    sqrt(|g^ip g^jq g^kr T_ijk T_pqr|)."""
-    val = np.einsum("ip,jq,kr,ijk,pqr->", ginv0, ginv0, ginv0, T, T)
-    return float(np.sqrt(abs(val)))
 
 
 def tensor_norm_e(T: np.ndarray) -> float:
@@ -327,16 +306,13 @@ def f5_component(ev: AccrEval) -> np.ndarray:
 
 @dataclass
 class ClassResiduals:
-    """Distance of F from the closed-form class components, in both the
-    g-induced and the Euclidean component norm."""
+    """Euclidean component distance of F from the closed-form class
+    components; ``res_F0`` is the norm of F itself."""
 
-    norm_F_g: float
-    norm_F_e: float
     res_F0: float
     res_F1: float
     res_F5: float
     res_F1_plus_F5: float
-    fxi_prop: dict[str, float]
     is_F0: bool
     is_F1: bool
     is_F5: bool
@@ -352,17 +328,13 @@ def class_residuals(ev: AccrEval, tol: float = TOL_CLASS) -> ClassResiduals:
     F = ev.F
     F1 = f1_component(ev)
     F5 = f5_component(ev)
-    ne = tensor_norm_e(F)
-    denom = max(ne, CLASS_FLOOR)
     r0 = tensor_norm_e(F)
+    denom = max(r0, CLASS_FLOOR)
     r1 = tensor_norm_e(F - F1)
     r5 = tensor_norm_e(F - F5)
     r15 = tensor_norm_e(F - F1 - F5)
     return ClassResiduals(
-        norm_F_g=tensor_norm_g(ev.ginv0, F),
-        norm_F_e=ne,
         res_F0=r0, res_F1=r1, res_F5=r5, res_F1_plus_F5=r15,
-        fxi_prop=fxi_prop_residuals(ev),
         is_F0=r0 <= tol * denom + CLASS_FLOOR,
         is_F1=r1 <= tol * denom + CLASS_FLOOR,
         is_F5=r5 <= tol * denom + CLASS_FLOOR,
@@ -394,7 +366,6 @@ class TorseFormingReport:
     lee_theta_xi: float
     lee_theta_star_xi_residual: float   # theta*(xi) - 2n f/k
     lee_omega: float
-    eta_consistency: float         # eta(theta_field) - g(theta_field, xi)
 
 
 def torse_forming_analyze(provider: StructureProvider, theta_field, point,
@@ -404,15 +375,16 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     candidate torse-forming field by least squares on
     nabla theta = f*id + theta (x) gamma.
 
-    ``theta_field`` is a sequence of component expressions (or numbers)
-    over the chart coordinates.
+    ``theta_field`` is a sequence of component expressions (Expr, text or
+    numbers) over the chart coordinates; pass Expr to avoid parsing text
+    at every point.
     """
     ev = structure_eval(provider, point, order=max(order, 1))
     S = ev.S
     space = S.space
     d = S.g.shape[1]
     n = ev.n
-    vf = eval_expr_table(expr_vector(theta_field), provider.coords,
+    vf = eval_expr_table(ex.expr_table(theta_field, (d,)), provider.coords,
                          point, space.order)
     v0 = tvalue(vf)
     if np.max(np.abs(v0)) < 1e-14:
@@ -420,15 +392,11 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     child, nv = cov_deriv_vector(space, ev.frame.gamma, vf)
     A = tvalue(nv)                            # A[i, k] = (nabla_i v)^k
     # A^k_i = f delta^k_i + v^k gamma_i  ->  lstsq in (f, gamma)
-    rows = np.zeros((d * d, d + 1))
-    rhs = np.zeros(d * d)
-    r = 0
-    for i in range(d):
-        for k in range(d):
-            rows[r, 0] = 1.0 if i == k else 0.0
-            rows[r, 1 + i] = v0[k]
-            rhs[r] = A[i, k]
-            r += 1
+    rows = np.zeros((d, d, d + 1))            # one row per (i, k)
+    rows[:, :, 0] = np.eye(d)
+    rows[np.arange(d), :, 1 + np.arange(d)] = v0
+    rows = rows.reshape(d * d, d + 1)
+    rhs = A.reshape(d * d)
     sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     f = float(sol[0])
     gamma_form = sol[1:]
@@ -469,5 +437,4 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
         dk_residual=dk_residual, nabla_xi_residual=nxi_res,
         f_xyxi_residual=f_res, lee_theta_xi=th_xi,
         lee_theta_star_xi_residual=ts_res, lee_omega=om,
-        eta_consistency=abs(k_val - float(v0 @ g0 @ xi0)),
     )

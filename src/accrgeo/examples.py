@@ -33,8 +33,9 @@ from . import expr as ex
 from .accr import (ChartStructure, FrameStructure, StructureJets,
                    StructureProvider, canonical_flat_fields, structure_eval,
                    _maxabs)
-from .jets import (jet_space, jcos, jcosh, jsin, jsinh, scalar_from, tgrad,
-                   tminv, tmul, tscale, ttrunc, tvalue)
+from .geometry import coordinate_bindings
+from .jets import (jet_space, jcos, jcosh, jsin, jsinh, tgrad, tminv, tmul,
+                   tscale, tsym, tvalue)
 
 DEFAULT_BOX = (0.5, 1.5)
 
@@ -247,10 +248,8 @@ class EmbeddedSphere(StructureProvider):
         complex ambient index and c in {0: Re, 1: Im}."""
         d = self.dim
         space = jet_space(d, order)
-        pt = np.asarray(point, dtype=float)
-        a = [space.var(i, pt[i]) for i in range(self.n)]
-        b = [space.var(self.n + i, pt[self.n + i]) for i in range(self.n)]
-        t = space.var(d - 1, pt[d - 1])
+        x = list(coordinate_bindings(self.coords, point, order).values())
+        a, b, t = x[:self.n], x[self.n:d - 1], x[d - 1]
         # complex trig of zeta = a + i b
         cos_re = [jcos(a[i]) * jcosh(b[i]) for i in range(self.n)]
         cos_im = [-(jsin(a[i]) * jsinh(b[i])) for i in range(self.n)]
@@ -284,10 +283,9 @@ class EmbeddedSphere(StructureProvider):
                - tmul(space, dZi, dZi, "mj,mk->jk"))
         cim = (tmul(space, dZr, dZi, "mj,mk->jk")
                + tmul(space, dZi, dZr, "mj,mk->jk"))
-        g = 0.5 * (cre + np.einsum("pjk->pkj", cre))
+        g = tsym(cre)
         ginv = tminv(space, g)
-        phi = tmul(space, ginv, -0.5 * (cim + np.einsum("pjk->pkj", cim)),
-                   "km,jm->kj")
+        phi = tmul(space, ginv, -tsym(cim), "km,jm->kj")
         pt = np.asarray(point, dtype=float)
         sh = jsinh(space.var(d - 1, pt[d - 1]))
         xi = np.zeros((space.ncoeff, d))

@@ -21,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .jets import FUNCTION_TABLE, Jet, JetDomainError
 
 FUNCTIONS = frozenset(FUNCTION_TABLE)
@@ -56,28 +58,28 @@ class Expr:
 
     # operator helpers for building trees programmatically
     def __add__(self, other):
-        return Bin("+", self, _as_expr(other))
+        return Bin("+", self, as_expr(other))
 
     def __radd__(self, other):
-        return Bin("+", _as_expr(other), self)
+        return Bin("+", as_expr(other), self)
 
     def __sub__(self, other):
-        return Bin("-", self, _as_expr(other))
+        return Bin("-", self, as_expr(other))
 
     def __rsub__(self, other):
-        return Bin("-", _as_expr(other), self)
+        return Bin("-", as_expr(other), self)
 
     def __mul__(self, other):
-        return Bin("*", self, _as_expr(other))
+        return Bin("*", self, as_expr(other))
 
     def __rmul__(self, other):
-        return Bin("*", _as_expr(other), self)
+        return Bin("*", as_expr(other), self)
 
     def __truediv__(self, other):
-        return Bin("/", self, _as_expr(other))
+        return Bin("/", self, as_expr(other))
 
     def __rtruediv__(self, other):
-        return Bin("/", _as_expr(other), self)
+        return Bin("/", as_expr(other), self)
 
     def __neg__(self):
         return Neg(self)
@@ -120,16 +122,33 @@ class Func(Expr):
     arg: Expr
 
 
-def _as_expr(x) -> Expr:
+def as_expr(x) -> Expr:
+    """The one coercion to Expr: trees pass through, text is parsed,
+    numbers become constants."""
     if isinstance(x, Expr):
         return x
+    if isinstance(x, str):
+        return parse(x)
     return Const(float(x))
+
+
+def expr_table(entries, shape) -> np.ndarray:
+    """Object array of Expr of exactly ``shape``, coercing every entry
+    with :func:`as_expr`; build tables once, not per point."""
+    arr = np.asarray(entries, dtype=object)
+    if arr.shape != tuple(shape):
+        raise ValueError(f"expected a table of shape {tuple(shape)}, "
+                         f"got {arr.shape}")
+    out = np.empty(arr.shape, dtype=object)
+    for idx in np.ndindex(arr.shape):
+        out[idx] = as_expr(arr[idx])
+    return out
 
 
 def func(name: str, arg) -> Func:
     if name not in FUNCTIONS:
         raise ValueError(f"unknown function {name!r}")
-    return Func(name, _as_expr(arg))
+    return Func(name, as_expr(arg))
 
 
 # ---------------------------------------------------------------------------

@@ -18,31 +18,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .jets import (JetSpace, SingularMetricError, jet_space, scalar_from,
-                   tconst, tgrad, tminv, tmul, tscale, ttrunc, tvalue)
+from .jets import (Jet, JetSpace, SingularMetricError, jet_space, tgrad,
+                   tminv, tmul, tsym, ttrunc, tvalue)
 
 __all__ = [
     "MetricChart", "FrameEval", "SingularMetricError",
-    "christoffels", "riemann", "ricci_from_riemann", "scalar_curvature",
+    "christoffels", "riemann", "ricci_from_riemann",
     "cov_deriv_tensor11", "cov_deriv_vector", "cov_deriv_covector",
     "cov_deriv_metric", "lie_metric_coord", "lie_metric_cov", "signature",
 ]
 
 
-def eval_expr_table(table, coords, point, order: int) -> np.ndarray:
-    """Evaluate a nested list/array of Expr (or numbers) into a
-    tensor-jet array at a chart point."""
+def coordinate_bindings(coords, point, order: int) -> dict[str, Jet]:
+    """Jets of the coordinate functions at a chart point, coordinate i
+    seeding variable i: the bindings every chart evaluation uses."""
     space = jet_space(len(coords), order)
-    bindings = {name: space.var(i, float(point[i]))
-                for i, name in enumerate(coords)}
-    table = np.asarray(table, dtype=object)
-    out = np.zeros((space.ncoeff,) + table.shape)
+    return {name: space.var(i, float(point[i]))
+            for i, name in enumerate(coords)}
+
+
+def eval_expr_table(table, coords, point, order: int) -> np.ndarray:
+    """Evaluate an object array of Expr (see :func:`accrgeo.expr.expr_table`)
+    into a tensor-jet array at a chart point."""
+    bindings = coordinate_bindings(coords, point, order)
+    out = np.zeros((jet_space(len(coords), order).ncoeff,) + table.shape)
     for idx in np.ndindex(table.shape):
-        entry = table[idx]
-        if isinstance(entry, ex.Expr):
-            out[(slice(None),) + idx] = ex.eval_jet(entry, bindings).coeffs
-        else:
-            out[(0,) + idx] = float(entry)
+        out[(slice(None),) + idx] = ex.eval_jet(table[idx], bindings).coeffs
     return out
 
 
@@ -74,12 +75,6 @@ def riemann(space: JetSpace, gamma: np.ndarray):
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     return np.einsum("plilk->pik", riem)
-
-
-def scalar_curvature(space: JetSpace, ginv: np.ndarray,
-                     ricci: np.ndarray) -> np.ndarray:
-    """tau = g^ik R_ik; ``ginv`` and ``ricci`` must share ``space``."""
-    return tmul(space, ginv, ricci, "ik,ik->")
 
 
 def cov_deriv_tensor11(space: JetSpace, gamma: np.ndarray, phi: np.ndarray):
@@ -152,34 +147,30 @@ def signature(g0: np.ndarray) -> tuple[int, int]:
 class FrameEval:
     """All pointwise evaluated metric data at one chart point.
 
-    Arrays are tensor-jet arrays; ``space`` is the metric's jet space and
-    derived quantities live in the appropriately lowered spaces.
+    Arrays are tensor-jet arrays; ``space`` is the metric's jet space,
+    gamma lives in ``space.child`` and riem and ricci one order lower.
     """
 
-    point: np.ndarray
     space: JetSpace
     g: np.ndarray
     ginv: np.ndarray
-    gamma_space: JetSpace = None
     gamma: np.ndarray = None
-    riem_space: JetSpace = None
     riem: np.ndarray = None
     ricci: np.ndarray = None
     tau: float = None
 
     @classmethod
-    def from_metric(cls, space: JetSpace, g: np.ndarray, point,
+    def from_metric(cls, space: JetSpace, g: np.ndarray,
                     curvature: bool = True) -> "FrameEval":
         ginv = tminv(space, g)
-        ev = cls(point=np.asarray(point, dtype=float), space=space,
-                 g=g, ginv=ginv)
+        ev = cls(space=space, g=g, ginv=ginv)
         if space.order >= 1:
-            ev.gamma_space, ev.gamma = christoffels(space, g, ginv)
+            gamma_space, ev.gamma = christoffels(space, g, ginv)
         if curvature and space.order >= 2:
-            ev.riem_space, ev.riem = riemann(ev.gamma_space, ev.gamma)
+            riem_space, ev.riem = riemann(gamma_space, ev.gamma)
             ev.ricci = ricci_from_riemann(ev.riem)
-            ginv_r = ttrunc(space, ginv, ev.riem_space.order)
-            ev.tau = float(tvalue(tmul(ev.riem_space, ginv_r, ev.ricci,
+            ginv_r = ttrunc(space, ginv, riem_space.order)
+            ev.tau = float(tvalue(tmul(riem_space, ginv_r, ev.ricci,
                                        "ik,ik->")))
         return ev
 
@@ -195,7 +186,7 @@ class MetricChart:
     def __init__(self, coords: list[str], g):
         self.coords = list(coords)
         self.dim = len(self.coords)
-        self.g = _expr_matrix(g, self.dim)
+        self.g = ex.expr_table(g, (self.dim, self.dim))
 
     def metric_at(self, point, order: int):
         """(space, g) metric tensor with order-K jet entries; enforces
@@ -205,37 +196,12 @@ class MetricChart:
         g0 = tvalue(g)
         if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, np.max(np.abs(g0))):
             raise ValueError("metric components are not symmetric")
-        g = 0.5 * (g + np.einsum("pij->pji", g))
-        return space, g
+        return space, tsym(g)
 
     def frame_at(self, point, order: int = 2,
                  curvature: bool = True) -> FrameEval:
         space, g = self.metric_at(point, order)
-        return FrameEval.from_metric(space, g, point, curvature=curvature)
+        return FrameEval.from_metric(space, g, curvature=curvature)
 
     def scalar_curvature_at(self, point) -> float:
         return self.frame_at(point, order=2).tau
-
-
-def _expr_matrix(entries, dim: int) -> np.ndarray:
-    out = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            e = entries[i][j]
-            if isinstance(e, str):
-                e = ex.parse(e)
-            elif not isinstance(e, ex.Expr):
-                e = ex.Const(float(e))
-            out[i, j] = e
-    return out
-
-
-def expr_vector(entries) -> np.ndarray:
-    out = np.empty(len(entries), dtype=object)
-    for i, e in enumerate(entries):
-        if isinstance(e, str):
-            e = ex.parse(e)
-        elif not isinstance(e, ex.Expr):
-            e = ex.Const(float(e))
-        out[i] = e
-    return out

@@ -120,11 +120,6 @@ class JetSpace:
         return Jet(self, c)
 
 
-def lift_var(i: int, value: float, m: int, order: int) -> "Jet":
-    """Jet of the i-th coordinate function at the given value."""
-    return jet_space(m, order).var(i, value)
-
-
 class Jet:
     """Immutable truncated Taylor value; all operations are pure."""
 
@@ -334,9 +329,9 @@ def tconst(space: JetSpace, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def tvar_point(space: JetSpace, point) -> list[Jet]:
-    """Coordinate jets for a chart point (seed i <-> coordinate i)."""
-    return [space.var(i, float(x)) for i, x in enumerate(point)]
+def tsym(a: np.ndarray) -> np.ndarray:
+    """Symmetric part of a jet-valued matrix."""
+    return 0.5 * (a + np.einsum("pij->pji", a))
 
 
 def tvalue(a: np.ndarray) -> np.ndarray:

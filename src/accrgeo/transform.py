@@ -19,18 +19,10 @@ import numpy as np
 
 from . import expr as ex
 from .accr import (AccrEval, StructureJets, StructureProvider, _maxabs,
-                   structure_eval)
-from .geometry import cov_deriv_vector, lie_metric_cov, lie_metric_coord
-from .jets import (Jet, jcos, jexp, jsin, scalar_from, tmul, tscale, ttrunc,
-                   tvalue)
-
-
-def _as_expr(e) -> ex.Expr:
-    if isinstance(e, str):
-        return ex.parse(e)
-    if isinstance(e, ex.Expr):
-        return e
-    return ex.Const(float(e))
+                   class_residuals, worst_of)
+from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
+                       lie_metric_coord)
+from .jets import Jet, jcos, jexp, jsin, tmul, tscale, tsym, ttrunc, tvalue
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,7 @@ class TransformTriple:
 
     @classmethod
     def make(cls, u, v, w) -> "TransformTriple":
-        return cls(_as_expr(u), _as_expr(v), _as_expr(w))
+        return cls(ex.as_expr(u), ex.as_expr(v), ex.as_expr(w))
 
     @classmethod
     def identity(cls) -> "TransformTriple":
@@ -51,10 +43,27 @@ class TransformTriple:
         return cls(zero, zero, zero)
 
     def jets(self, provider: StructureProvider, point, order: int):
-        bindings = provider.coordinate_bindings(point, order)
+        bindings = coordinate_bindings(provider.coords, point, order)
         return (ex.eval_jet(self.u, bindings),
                 ex.eval_jet(self.v, bindings),
                 ex.eval_jet(self.w, bindings))
+
+
+def deform(S: StructureJets, u: Jet, v: Jet, w: Jet) -> StructureJets:
+    """The deformed fields (phi, xi_bar, eta_bar, g_bar) from the base
+    structure jets and the jets of (u, v, w) at the same point."""
+    space = S.space
+    e2u, e2w = jexp(2.0 * u), jexp(2.0 * w)
+    c2v, s2v = jcos(2.0 * v), jsin(2.0 * v)
+    eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
+    gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
+    a = e2u * c2v
+    b = e2u * s2v
+    gbar = tsym(tscale(space, a, S.g) + tscale(space, b, gtilde)
+                + tscale(space, e2w - a - b, eta_eta))
+    xibar = tscale(space, jexp(-1.0 * w), S.xi)
+    etabar = tscale(space, jexp(w), S.eta)
+    return StructureJets(space, S.point, gbar, S.phi, xibar, etabar)
 
 
 class TransformedStructure(StructureProvider):
@@ -69,21 +78,16 @@ class TransformedStructure(StructureProvider):
 
     def structure_at(self, point, order: int) -> StructureJets:
         S = self.base.structure_at(point, order)
-        space = S.space
+        return deform(S, *self.triple.jets(self.base, point, order))
+
+    def evaluate(self, point, order: int, curvature: bool = False):
+        """(base structure jets, deformed evaluation, differentials of
+        (u, v, w)) at a point, from one evaluation of the base structure
+        and of the triple; needs ``order`` >= 1."""
+        S = self.base.structure_at(point, order)
         u, v, w = self.triple.jets(self.base, point, order)
-        e2u, e2w = jexp(2.0 * u), jexp(2.0 * w)
-        c2v, s2v = jcos(2.0 * v), jsin(2.0 * v)
-        gtilde = (tmul(space, S.g, S.phi, "ia,aj->ij")
-                  + tmul(space, S.eta, S.eta, "i,j->ij"))
-        a = e2u * c2v
-        b = e2u * s2v
-        gbar = (tscale(space, a, S.g) + tscale(space, b, gtilde)
-                + tscale(space, e2w - a - b,
-                         tmul(space, S.eta, S.eta, "i,j->ij")))
-        gbar = 0.5 * (gbar + np.einsum("pij->pji", gbar))
-        xibar = tscale(space, jexp(-1.0 * w), S.xi)
-        etabar = tscale(space, jexp(w), S.eta)
-        return StructureJets(space, S.point, gbar, S.phi, xibar, etabar)
+        ev_bar = AccrEval.from_jets(deform(S, u, v, w), curvature)
+        return S, ev_bar, Differentials.from_jets(u, v, w, S)
 
 
 @dataclass
@@ -103,20 +107,27 @@ class Differentials:
     dv_xi: float
     dw_xi: float
 
+    @classmethod
+    def from_jets(cls, u: Jet, v: Jet, w: Jet,
+                  S: StructureJets) -> "Differentials":
+        """From jets of order >= 1 of (u, v, w) and the base structure
+        jets at the same point."""
+        du, dv, dw = u.gradient(), v.gradient(), w.gradient()
+        phi0, xi0 = tvalue(S.phi), tvalue(S.xi)
+        return cls(
+            du=du, dv=dv, dw=dw, u=u.value, v=v.value, w=w.value,
+            alpha=du @ phi0 + dv, beta=du - dv @ phi0,
+            du_xi=float(du @ xi0), dv_xi=float(dv @ xi0),
+            dw_xi=float(dw @ xi0),
+        )
+
 
 def differentials(triple: TransformTriple, ev: AccrEval,
                   provider: StructureProvider) -> Differentials:
     """Evaluate du, dv, dw and the associated covectors alpha, beta at
     the point of ``ev`` (which must be an evaluation of ``provider``)."""
     u, v, w = triple.jets(provider, ev.S.point, max(1, ev.S.space.order))
-    du, dv, dw = u.gradient(), v.gradient(), w.gradient()
-    phi0, xi0 = ev.phi0, ev.xi0
-    return Differentials(
-        du=du, dv=dv, dw=dw, u=u.value, v=v.value, w=w.value,
-        alpha=du @ phi0 + dv, beta=du - dv @ phi0,
-        du_xi=float(du @ xi0), dv_xi=float(dv @ xi0),
-        dw_xi=float(dw @ xi0),
-    )
+    return Differentials.from_jets(u, v, w, ev.S)
 
 
 def alpha_beta_residuals(d: Differentials, ev: AccrEval,
@@ -169,10 +180,6 @@ def metric_roundtrip_residual(ev: AccrEval, ev_bar: AccrEval,
     return max(_maxabs(r1), _maxabs(r2)) / scale
 
 
-class NotF5Error(ValueError):
-    """Input structure is not (numerically) of the pure-F5 shape."""
-
-
 def fbar_f5_closed_form(ev: AccrEval, ev_bar: AccrEval, d: Differentials,
                         fk: float) -> dict[str, float]:
     """Deviation of the directly computed deformed F from the two closed
@@ -211,36 +218,22 @@ def fbar_f5_closed_form(ev: AccrEval, ev_bar: AccrEval, d: Differentials,
     }
 
 
-@dataclass
-class ConditionResiduals:
-    """Pointwise residuals of the three soliton conditions plus the
-    function-shape classifications."""
-
-    du_xi_plus_fk: float
-    dv_xi: float
-    dw_vertical: float         # |dw - dw(xi) eta|
-    v_vertical_constant: float
-    w_horizontal_constant: float   # |dw o phi^2|
-    holo_1: float              # |du o phi - dv o phi^2|
-    holo_2: float              # |du o phi^2 + dv o phi|
-    is_holomorphic_pair: bool
-
-
-def condition_residuals(d: Differentials, ev: AccrEval, fk: float,
-                        tol: float = 1e-8) -> ConditionResiduals:
-    phi0, eta0 = ev.phi0, ev.eta0
+def condition_residuals(d: Differentials, S: StructureJets,
+                        fk: float) -> dict[str, float]:
+    """Pointwise residuals of the three soliton conditions on the base
+    structure ``S`` (du(xi) = -f/k, dv(xi) = 0, dw vertical) and of the
+    function shapes: w horizontally constant, and (u, v) a holomorphic
+    pair when both ``holo_*`` vanish."""
+    phi0, eta0 = tvalue(S.phi), tvalue(S.eta)
     phi2 = phi0 @ phi0
-    h1 = _maxabs(d.du @ phi0 - d.dv @ phi2)
-    h2 = _maxabs(d.du @ phi2 + d.dv @ phi0)
-    return ConditionResiduals(
-        du_xi_plus_fk=abs(d.du_xi + fk),
-        dv_xi=abs(d.dv_xi),
-        dw_vertical=_maxabs(d.dw - d.dw_xi * eta0),
-        v_vertical_constant=abs(d.dv_xi),
-        w_horizontal_constant=_maxabs(d.dw @ phi2),
-        holo_1=h1, holo_2=h2,
-        is_holomorphic_pair=max(h1, h2) <= tol,
-    )
+    return {
+        "du_xi_plus_fk": abs(d.du_xi + fk),
+        "dv_xi": abs(d.dv_xi),
+        "dw_vertical": _maxabs(d.dw - d.dw_xi * eta0),
+        "w_horizontal_constant": _maxabs(d.dw @ phi2),     # |dw o phi^2|
+        "holo_1": _maxabs(d.du @ phi0 - d.dv @ phi2),
+        "holo_2": _maxabs(d.du @ phi2 + d.dv @ phi0),
+    }
 
 
 @dataclass
@@ -258,7 +251,7 @@ class SolitonReport:
     lie_formula_mismatch: float    # coordinate vs covariant Lie derivative
     tsdw_residual: float           # 2(tau-sigma) etabar = dw o phi^2
     lxi00_residual: float
-    condition_residuals: ConditionResiduals | None
+    condition_residuals: dict[str, float] | None
     lee_theta_residual: float      # theta_bar = 2n(du o phi + dv)
     lee_theta_star_residual: float  # theta*_bar = -2n(du o phi^2 + dv o phi)
     lee_omega_residual: float
@@ -280,90 +273,62 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     """
     if order < 2:
         raise ValueError("soliton verification needs jets of order >= 2")
-    evals = []
-    taus = []
-    for p in points:
-        ev_bar = structure_eval(tstruct, p, order=order, curvature=True)
-        evals.append(ev_bar)
-        taus.append(ev_bar.frame.tau)
-    taus_arr = np.array(taus)
-    tau_mean = float(np.mean(taus_arr))
-    tau_std = float(np.std(taus_arr))
+    evals = [tstruct.evaluate(p, order, curvature=True) for p in points]
+    taus = [ev_bar.frame.tau for _, ev_bar, _ in evals]
+    tau_mean = float(np.mean(taus))
+    tau_std = float(np.std(taus))
     sigma_given = sigma is not None
     sig = float(sigma) if sigma_given else tau_mean
 
-    sol_res = kill_res = mism = tsdw = lxi00 = 0.0
-    lee_th = lee_ts = lee_om = 0.0
-    cond = None
-    base = tstruct.base
-    triple = tstruct.triple
-    for p, ev_bar in zip(points, evals):
-        S = ev_bar.S
-        space = S.space
-        child, lie_c = lie_metric_coord(space, S.g, S.xi)
-        _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, S.xi)
-        g_c = ttrunc(space, S.g, child.order)
-        lie_v = lie_metric_cov(child, g_c, nxi)
-        mism = max(mism, _maxabs(tvalue(lie_c - lie_v)))
+    n = tstruct.n
+    families, conditions = [], []
+    for p, (S, ev_bar, d) in zip(points, evals):
+        Sb = ev_bar.S
+        space = Sb.space
+        child, lie_c = lie_metric_coord(space, Sb.g, Sb.xi)
+        _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, Sb.xi)
+        lie_v = lie_metric_cov(child, ttrunc(space, Sb.g, child.order), nxi)
         lie0 = tvalue(lie_c)
-        gb0 = ev_bar.g0
+        gb0, phi0, etab = ev_bar.g0, ev_bar.phi0, ev_bar.eta0
+        phi2 = phi0 @ phi0
         scale = max(1.0, _maxabs(gb0))
-        tau_bar = ev_bar.frame.tau
-        resid = 0.5 * lie0 - (tau_bar - sig) * gb0
-        sol_res = max(sol_res, _maxabs(resid) / scale)
-        kill_res = max(kill_res, _maxabs(lie0) / scale)
-
-        ev0 = structure_eval(base, p, order=max(1, order - 1))
-        d = differentials(triple, ev0, base)
-        phi2 = ev0.phi0 @ ev0.phi0
-        tsdw = max(tsdw, _maxabs(2.0 * (tau_bar - sig) * ev_bar.eta0
-                                 - d.dw @ phi2))
-        # L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}
-        gbpp = ev_bar.phi0.T @ gb0 @ ev_bar.phi0
-        rhs = 2.0 * (tau_bar - sig) * (-gbpp
-                                       + np.outer(ev_bar.eta0, ev_bar.eta0))
-        if abs(tau_bar - sig) > 1e-12 or sol_res <= tol:
-            lxi00 = max(lxi00, _maxabs(lie0 - rhs) / scale)
-
-        n = ev0.n
         lscale = max(1.0, _maxabs(ev_bar.theta), _maxabs(ev_bar.theta_star))
-        lee_th = max(lee_th, _maxabs(
-            ev_bar.theta - 2 * n * (d.du @ ev0.phi0 + d.dv)) / lscale)
-        lee_ts = max(lee_ts, _maxabs(
-            ev_bar.theta_star + 2 * n * (d.du @ phi2
-                                         + d.dv @ ev0.phi0)) / lscale)
-        lee_om = max(lee_om, _maxabs(ev_bar.omega) / lscale)
-
+        ts = ev_bar.frame.tau - sig
+        fam = {
+            "soliton": _maxabs(0.5 * lie0 - ts * gb0) / scale,
+            "killing": _maxabs(lie0) / scale,
+            "lie_formula_mismatch": _maxabs(tvalue(lie_c - lie_v)),
+            "tsdw": _maxabs(2.0 * ts * etab - d.dw @ phi2),
+            "lee_theta": _maxabs(ev_bar.theta - 2 * n * d.alpha) / lscale,
+            "lee_theta_star": _maxabs(
+                ev_bar.theta_star + 2 * n * (d.du @ phi2
+                                             + d.dv @ phi0)) / lscale,
+            "lee_omega": _maxabs(ev_bar.omega) / lscale,
+        }
+        # L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}; where
+        # tau = sigma the point counts only if the soliton identity holds
+        if abs(ts) > 1e-12 or fam["soliton"] <= tol:
+            rhs = 2.0 * ts * (-(phi0.T @ gb0 @ phi0) + np.outer(etab, etab))
+            fam["lxi00"] = _maxabs(lie0 - rhs) / scale
+        families.append(fam)
         if fk is not None:
             fk_val = fk(p) if callable(fk) else float(fk)
-            c = condition_residuals(d, ev0, fk_val)
-            if cond is None:
-                cond = c
-            else:
-                cond = ConditionResiduals(
-                    du_xi_plus_fk=max(cond.du_xi_plus_fk, c.du_xi_plus_fk),
-                    dv_xi=max(cond.dv_xi, c.dv_xi),
-                    dw_vertical=max(cond.dw_vertical, c.dw_vertical),
-                    v_vertical_constant=max(cond.v_vertical_constant,
-                                            c.v_vertical_constant),
-                    w_horizontal_constant=max(cond.w_horizontal_constant,
-                                              c.w_horizontal_constant),
-                    holo_1=max(cond.holo_1, c.holo_1),
-                    holo_2=max(cond.holo_2, c.holo_2),
-                    is_holomorphic_pair=cond.is_holomorphic_pair
-                    and c.is_holomorphic_pair,
-                )
+            conditions.append(condition_residuals(d, S, fk_val))
 
-    from .accr import class_residuals
-    is_f1 = all(class_residuals(e).is_F1 for e in evals)
+    worst = worst_of(families)
+    is_f1 = all(class_residuals(ev_bar).is_F1 for _, ev_bar, _ in evals)
     rel_std = tau_std / (1.0 + abs(tau_mean))
-    passed = (sol_res < tol and rel_std < tol and kill_res < tol and is_f1)
+    passed = (worst["soliton"] < tol and rel_std < tol
+              and worst["killing"] < tol and is_f1)
     return SolitonReport(
         sigma=sig, sigma_given=sigma_given, tau_values=taus,
         tau_mean=tau_mean, tau_std=tau_std, tau_rel_std=rel_std,
-        soliton_residual=sol_res, killing_residual=kill_res,
-        lie_formula_mismatch=mism, tsdw_residual=tsdw,
-        lxi00_residual=lxi00, condition_residuals=cond,
-        lee_theta_residual=lee_th, lee_theta_star_residual=lee_ts,
-        lee_omega_residual=lee_om, is_F1=is_f1, passed=passed,
+        soliton_residual=worst["soliton"], killing_residual=worst["killing"],
+        lie_formula_mismatch=worst["lie_formula_mismatch"],
+        tsdw_residual=worst["tsdw"],
+        lxi00_residual=worst.get("lxi00", 0.0),
+        condition_residuals=worst_of(conditions) if conditions else None,
+        lee_theta_residual=worst["lee_theta"],
+        lee_theta_star_residual=worst["lee_theta_star"],
+        lee_omega_residual=worst["lee_omega"], is_F1=is_f1, passed=passed,
     )

@@ -208,3 +208,60 @@ def test_tolerance_override_can_force_failure(capsys):
     # tolerance, but the tolerance must be recorded
     fsym = next(c for c in rep["checks"] if c["name"] == "f_symmetry")
     assert fsym["tolerance"] == 1e-30
+
+
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"example": "flat-f0", "n": "2"}))
+    assert main(["check", "--config", str(cfgfile)]) == 2
+    assert "wrong type" in capsys.readouterr().err
+
+
+def test_unknown_tolerance_family_exits_2(capsys):
+    assert main(["check", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--tol", "strcut=1e-30"]) == 2
+    assert "unknown tolerance family" in capsys.readouterr().err
+
+
+def test_unbound_name_in_triple_exits_2(capsys):
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--u", "y+1"]) == 2
+    assert "unbound names ['y']" in capsys.readouterr().err
+
+
+def test_malformed_field_exits_2(capsys):
+    assert main(["torse", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--field", "x1;((;t"]) == 2
+    assert "bad --field expression" in capsys.readouterr().err
+
+
+def test_overflow_in_triple_exits_3(capsys):
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--u", "exp(exp(10))"]) == 3
+    assert "numeric error" in capsys.readouterr().err
+
+
+def test_classify_reports_one_worst_of_axioms_check(capsys):
+    code, rep = run_json(capsys, "classify", "--example", "random",
+                         "--n", "1", "--samples", "4", "--seed", "7")
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == ["axioms"]
+
+
+@pytest.mark.parametrize("example", ["hypersurface-f5", "flat-f0"])
+def test_torse_reports_vertical_case_identities(capsys, example):
+    code, rep = run_json(capsys, "torse", "--example", example,
+                         "--n", "2", "--samples", "4")
+    assert code == 0 and rep["values"]["is_vertical"]
+    checks = {c["name"]: c for c in rep["checks"]}
+    for name in ("f_xyxi", "theta_star_xi"):
+        assert checks[name]["passed"]
+        assert checks[name]["tolerance"] == 1e-8
+
+
+def test_torse_general_field_omits_vertical_case_identities(capsys):
+    code, rep = run_json(capsys, "torse", "--example", "random",
+                         "--n", "1", "--samples", "2")
+    assert not rep["values"]["is_vertical"]
+    names = {c["name"] for c in rep["checks"]}
+    assert names == {"torse_fit", "dk_identity"}

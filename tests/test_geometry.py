@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from accrgeo import expr as ex
 from accrgeo import geometry as geo
 from accrgeo.jets import jet_space, tvalue
 
@@ -195,7 +196,7 @@ def test_cov_deriv_vector_vs_finite_differences():
     chart = random_chart(3, seed=13)
     p = np.array([0.2, 0.5, -0.3])
     coords = chart.coords
-    vexprs = geo.expr_vector(["sin(x0) * x1", "x2^2", "x0 + x1 * x2"])
+    vexprs = ex.expr_table(["sin(x0) * x1", "x2^2", "x0 + x1 * x2"], (3,))
     space = jet_space(3, 2)
     v = geo.eval_expr_table(vexprs, coords, p, 2)
     ev = chart.frame_at(p, order=2)
@@ -222,9 +223,9 @@ def test_cov_deriv_covector_contraction_leibniz():
     coords = chart.coords
     space = jet_space(3, 2)
     a = geo.eval_expr_table(
-        geo.expr_vector(["x1^2", "cos(x0)", "x0 * x2"]), coords, p, 2)
+        ex.expr_table(["x1^2", "cos(x0)", "x0 * x2"], (3,)), coords, p, 2)
     v = geo.eval_expr_table(
-        geo.expr_vector(["x2", "exp(x0)", "x1"]), coords, p, 2)
+        ex.expr_table(["x2", "exp(x0)", "x1"], (3,)), coords, p, 2)
     ev = chart.frame_at(p, order=2)
     child, na = geo.cov_deriv_covector(space, ev.gamma, a)
     _, nv = geo.cov_deriv_vector(space, ev.gamma, v)
@@ -260,7 +261,7 @@ def test_lie_metric_coord_matches_covariant_form():
     coords = chart.coords
     space = jet_space(3, 2)
     v = geo.eval_expr_table(
-        geo.expr_vector(["x1 * x2", "sin(x0)", "x0^2 - x2"]),
+        ex.expr_table(["x1 * x2", "sin(x0)", "x0^2 - x2"], (3,)),
         coords, p, 2)
     ev = chart.frame_at(p, order=2)
     child, lie_c = geo.lie_metric_coord(space, ev.g, v)
@@ -275,7 +276,7 @@ def test_killing_field_of_round_sphere():
     # d/dph is Killing for the round metric
     chart = sphere_chart()
     space = jet_space(2, 2)
-    v = geo.eval_expr_table(geo.expr_vector([0.0, 1.0]),
+    v = geo.eval_expr_table(ex.expr_table([0.0, 1.0], (2,)),
                             chart.coords, [0.9, 0.4], 2)
     _, g = chart.metric_at([0.9, 0.4], 2)
     _, lie = geo.lie_metric_coord(space, g, v)

@@ -7,9 +7,9 @@ import pytest
 
 from accrgeo.jets import (Jet, JetDomainError, SingularMetricError, jarcsin,
                           jarctan, jcos, jcosh, jexp, jln, jpow, jsin, jsinh,
-                          jsqrt, jtan, jtanh, jet_space, lift_var,
+                          jsqrt, jtan, jtanh, jet_space,
                           scalar_from, tconst, tgrad, tminv, tmul, ttrunc,
-                          tvalue, tvar_point)
+                          tvalue)
 
 RNG = np.random.default_rng(42)
 
@@ -24,7 +24,7 @@ def rand_jet(space, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_variable_jet_coefficients():
-    x = lift_var(0, 2.0, m=2, order=3)
+    x = jet_space(2, 3).var(0, 2.0)
     assert x.value == 2.0
     assert x.partial(0) == 1.0
     assert x.partial(1) == 0.0
@@ -95,7 +95,7 @@ FUNCS = [
 def test_function_jets_match_finite_differences(jf, mf, rng):
     h = 1e-5
     for x0 in np.linspace(rng[0], rng[1], 7):
-        x = lift_var(0, float(x0), m=1, order=3)
+        x = jet_space(1, 3).var(0, float(x0))
         out = jf(x)
         assert out.value == pytest.approx(mf(x0), rel=1e-12)
         d1 = (mf(x0 + h) - mf(x0 - h)) / (2 * h)
@@ -136,24 +136,24 @@ def test_division_and_reciprocal():
 
 
 def test_pow_integer_and_real():
-    x = lift_var(0, 1.7, m=1, order=3)
+    x = jet_space(1, 3).var(0, 1.7)
     assert np.allclose(jpow(x, 3).coeffs, (x * x * x).coeffs, atol=1e-12)
     half = jpow(x, 0.5)
     assert np.allclose(half.coeffs, jsqrt(x).coeffs, atol=1e-12)
     # negative base with non-integer exponent is out of domain
-    y = lift_var(0, -1.0, m=1, order=2)
+    y = jet_space(1, 2).var(0, -1.0)
     with pytest.raises(JetDomainError):
         jpow(y, 0.5)
 
 
 def test_domain_errors():
-    bad = lift_var(0, -0.5, m=1, order=2)
+    bad = jet_space(1, 2).var(0, -0.5)
     with pytest.raises(JetDomainError):
         jln(bad)
     with pytest.raises(JetDomainError):
         jsqrt(bad)
     with pytest.raises(JetDomainError):
-        jarcsin(lift_var(0, 1.5, m=1, order=2))
+        jarcsin(jet_space(1, 2).var(0, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +213,9 @@ def test_ttrunc_is_prefix():
     assert np.array_equal(low, a[:child.ncoeff])
 
 
-def test_tvar_point_and_scalar_from():
+def test_coordinate_jets_and_scalar_from():
     space = jet_space(3, 2)
-    pts = tvar_point(space, [0.5, 1.5, 2.5])
+    pts = [space.var(i, x) for i, x in enumerate([0.5, 1.5, 2.5])]
     assert [j.value for j in pts] == [0.5, 1.5, 2.5]
     arr = np.stack([j.coeffs for j in pts], axis=1)
     s = scalar_from(space, tmul(space, arr, arr, "i,i->"))

@@ -174,12 +174,13 @@ def test_condition_residuals_soliton_triple():
     for p in sample_points(3, 3, seed=17):
         ev = structure_eval(prov, p, order=1)
         d = tr.differentials(triple, ev, prov)
-        c = tr.condition_residuals(d, ev, fk=prov.fk(p))
-        assert c.du_xi_plus_fk < 1e-12
-        assert c.dv_xi < 1e-12
-        assert c.dw_vertical < 1e-12
-        assert c.w_horizontal_constant < 1e-12
-        assert not c.is_holomorphic_pair   # the radial pair is not CR
+        c = tr.condition_residuals(d, ev.S, fk=prov.fk(p))
+        assert c["du_xi_plus_fk"] < 1e-12
+        assert c["dv_xi"] < 1e-12
+        assert c["dw_vertical"] < 1e-12
+        assert c["w_horizontal_constant"] < 1e-12
+        # the radial pair is not CR
+        assert max(c["holo_1"], c["holo_2"]) > 1e-8
 
 
 def test_holomorphic_pair_detected_and_preserves_f0():
@@ -190,8 +191,8 @@ def test_holomorphic_pair_detected_and_preserves_f0():
     for p in sample_points(3, 3, seed=19):
         ev = structure_eval(prov, p, order=1)
         d = tr.differentials(triple, ev, prov)
-        c = tr.condition_residuals(d, ev, fk=0.0)
-        assert c.is_holomorphic_pair
+        c = tr.condition_residuals(d, ev.S, fk=0.0)
+        assert max(c["holo_1"], c["holo_2"]) <= 1e-8
         evb = structure_eval(ts, p, order=1)
         cr = class_residuals(evb)
         assert cr.is_F0
@@ -217,8 +218,8 @@ def test_yamabe_soliton_positive(n):
     assert rep.lie_formula_mismatch < 1e-9
     c = rep.condition_residuals
     assert c is not None
-    assert c.du_xi_plus_fk < 1e-10 and c.dv_xi < 1e-10
-    assert c.dw_vertical < 1e-10
+    assert c["du_xi_plus_fk"] < 1e-10 and c["dv_xi"] < 1e-10
+    assert c["dw_vertical"] < 1e-10
 
 
 def test_sigma_override_changes_residual():
@@ -259,3 +260,24 @@ def test_yamabe_soliton_negative_controls(kind):
     rep = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
     assert not rep.passed
     assert rep.soliton_residual > 1e-3
+
+
+def test_lxi00_gate_uses_the_residual_at_each_point():
+    # a point where tau = sigma counts towards lxi00 exactly when the
+    # soliton identity holds there, whatever the points before it
+    prov = build_hypersurface(1)
+    ts = tr.TransformedStructure(prov, soliton_uvw(1))
+    points = sample_points(prov.dim, 4, seed=0)
+    sigma = tr.yamabe_check(ts, points, order=2).sigma
+    single = [tr.yamabe_check(ts, [p], sigma=sigma, order=2)
+              for p in points]
+    assert all(abs(r.tau_mean - sigma) <= 1e-12 for r in single)
+    by_residual = sorted(range(len(points)),
+                         key=lambda i: -single[i].soliton_residual)
+    # the worst point comes first and alone fails the tolerance
+    tol = single[by_residual[1]].soliton_residual
+    rep = tr.yamabe_check(ts, points[by_residual], sigma=sigma, order=2,
+                          tol=tol)
+    expect = max(single[i].lxi00_residual for i in by_residual[1:])
+    assert expect > 0.0
+    assert rep.lxi00_residual == expect
