@@ -394,7 +394,7 @@ def cmd_soliton(cfg) -> Report:
     return rep
 
 
-def cmd_example(cfg, args) -> Report:
+def cmd_example(cfg) -> Report:
     rep = Report("example", cfg)
     rep.values["examples"] = sorted(REGISTRY)
     return rep
@@ -446,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {
     "check": cmd_check, "classify": cmd_classify, "lee": cmd_lee,
     "torse": cmd_torse, "transform": cmd_transform, "soliton": cmd_soliton,
+    "example": cmd_example,
 }
 
 
@@ -454,10 +455,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.cmd == "example":
-            rep = cmd_example(cfg, args)
-        else:
-            rep = COMMANDS[args.cmd](cfg)
+        rep = COMMANDS[args.cmd](cfg)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

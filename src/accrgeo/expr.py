@@ -123,8 +123,8 @@ class Func(Expr):
 
 
 def as_expr(x) -> Expr:
-    """The one coercion to Expr: trees pass through, text is parsed,
-    numbers become constants."""
+    """Coerce to Expr: a tree is returned as is, text is parsed and a
+    number becomes a constant."""
     if isinstance(x, Expr):
         return x
     if isinstance(x, str):

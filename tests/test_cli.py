@@ -257,11 +257,3 @@ def test_torse_reports_vertical_case_identities(capsys, example):
     for name in ("f_xyxi", "theta_star_xi"):
         assert checks[name]["passed"]
         assert checks[name]["tolerance"] == 1e-8
-
-
-def test_torse_general_field_omits_vertical_case_identities(capsys):
-    code, rep = run_json(capsys, "torse", "--example", "random",
-                         "--n", "1", "--samples", "2")
-    assert not rep["values"]["is_vertical"]
-    names = {c["name"] for c in rep["checks"]}
-    assert names == {"torse_fit", "dk_identity"}
