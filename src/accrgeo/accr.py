@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import (FrameEval, cov_deriv_tensor11, cov_deriv_vector,
                        eval_expr_table, signature)
-from .jets import JetSpace, jet_space, scalar_from, tminv, tmul, tsym, tvalue
+from .jets import JetSpace, jet_space, tgrad, tminv, tmul, tsym, tvalue
 
 # tolerance ladder: structural identities, first-derivative identities,
 # class verdicts (relative), absolute floor for near-zero tensors
@@ -375,17 +375,16 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     candidate torse-forming field by least squares on
     nabla theta = f*id + theta (x) gamma.
 
-    ``theta_field`` is a sequence of component expressions (Expr, text or
-    numbers) over the chart coordinates; pass Expr to avoid parsing text
-    at every point.
+    ``theta_field`` is the field's table of component expressions over
+    the chart coordinates, as built by :func:`accrgeo.expr.expr_table`
+    with shape ``(dim,)``.
     """
     ev = structure_eval(provider, point, order=max(order, 1))
     S = ev.S
     space = S.space
     d = S.g.shape[1]
     n = ev.n
-    vf = eval_expr_table(ex.expr_table(theta_field, (d,)), provider.coords,
-                         point, space.order)
+    vf = eval_expr_table(theta_field, provider.coords, point, space.order)
     v0 = tvalue(vf)
     if np.max(np.abs(v0)) < 1e-14:
         raise ValueError("torse-forming analysis needs a nonzero field")
@@ -411,8 +410,7 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     is_tf = fit_residual <= tol
 
     # dk = f eta + k gamma: k as a jet via eta_i v^i
-    k_jet = scalar_from(space, tmul(space, S.eta, vf, "i,i->"))
-    dk = k_jet.gradient() if space.order >= 1 else np.zeros(d)
+    dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
     dk_residual = _maxabs(dk - f * eta0 - k_val * gamma_form)
 
     nxi_res = f_res = ts_res = np.nan

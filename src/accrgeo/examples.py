@@ -265,12 +265,8 @@ class EmbeddedSphere(StructureProvider):
             zr.append(pr * sin_re[i] - pi * sin_im[i])
             zi.append(pr * sin_im[i] + pi * sin_re[i])
         comps.append((zr[-1], zi[-1]))
-        ct = jcosh(t)
-        Z = np.zeros((space.ncoeff, self.n + 1, 2))
-        for m, (re, im) in enumerate(comps):
-            Z[:, m, 0] = (ct * re).coeffs
-            Z[:, m, 1] = (ct * im).coeffs
-        return space, Z
+        Z = np.moveaxis([[re.coeffs, im.coeffs] for re, im in comps], -1, 0)
+        return space, tscale(space, jcosh(t), Z)
 
     def structure_at(self, point, order: int) -> StructureJets:
         parent, Z = self.embedding_jets(point, order + 1)
@@ -287,10 +283,10 @@ class EmbeddedSphere(StructureProvider):
         ginv = tminv(space, g)
         phi = tmul(space, ginv, -tsym(cim), "km,jm->kj")
         pt = np.asarray(point, dtype=float)
-        sh = jsinh(space.var(d - 1, pt[d - 1]))
+        csch = 1.0 / jsinh(space.var(d - 1, pt[d - 1]))
         xi = np.zeros((space.ncoeff, d))
-        xi[:, d - 1] = (space.constant(1.0) / sh).coeffs
-        eta = tscale(space, space.constant(1.0) / sh, g[:, :, d - 1])
+        xi[:, d - 1] = csch.coeffs
+        eta = tscale(space, csch, g[:, :, d - 1])
         return StructureJets(space, pt, g, phi, xi, eta)
 
     def fk(self, point) -> float:

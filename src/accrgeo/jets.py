@@ -10,6 +10,11 @@ Besides the scalar :class:`Jet` used by the expression evaluator, this
 module provides coefficient-first ndarray helpers (``tmul``, ``tgrad``,
 ``tminv`` ...) used by the tensor machinery: an array of shape
 ``(ncoeff, *tensor_shape)`` holds one jet per tensor component.
+
+Scalar and tensor jets share one truncated-product kernel: a product
+gathers both operands along the :class:`JetSpace` coefficient-pair table,
+which is sorted by target coefficient, multiplies them, and sums each
+target's segment (:func:`_segment_sum`).
 """
 
 from __future__ import annotations
@@ -76,9 +81,12 @@ class JetSpace:
                 I.append(i)
                 J.append(j)
                 T.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
-        self._mul_i = np.array(I)
-        self._mul_j = np.array(J)
-        self._mul_t = np.array(T)
+        by_target = np.argsort(T, kind="stable")
+        self._mul_i = np.array(I)[by_target]
+        self._mul_j = np.array(J)[by_target]
+        self._mul_t = np.array(T)[by_target]
+        # every target t has the pair (0, t): segment k sums coefficient k
+        self._mul_starts = np.searchsorted(self._mul_t, range(self.ncoeff))
 
     def _build_deriv_maps(self):
         # d/dx_v maps coefficient at b+e_v to coefficient (b_v+1)*c at b
@@ -106,15 +114,12 @@ class JetSpace:
     # -- scalar constructors -------------------------------------------------
 
     def constant(self, value: float) -> "Jet":
-        c = np.zeros(self.ncoeff)
-        c[0] = value
-        return Jet(self, c)
+        return Jet(self, tconst(self, value))
 
     def var(self, i: int, value: float) -> "Jet":
         if not 0 <= i < self.m:
             raise IndexError(f"seed index {i} out of range for m={self.m}")
-        c = np.zeros(self.ncoeff)
-        c[0] = value
+        c = tconst(self, value)
         if self.order >= 1:
             c[1 + i] = 1.0
         return Jet(self, c)
@@ -183,9 +188,8 @@ class Jet:
             return Jet(self.space, self.coeffs * float(other))
         other = self._lift(other)
         sp = self.space
-        prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
-        return Jet(sp, np.bincount(sp._mul_t, weights=prod,
-                                   minlength=sp.ncoeff))
+        return Jet(sp, _segment_sum(sp, self.coeffs[sp._mul_i]
+                                    * other.coeffs[sp._mul_j]))
 
     __rmul__ = __mul__
 
@@ -206,18 +210,17 @@ class Jet:
 
 
 def _compose(a: Jet, derivs) -> Jet:
-    """Value of f(a) given [f(a0), f'(a0), f''(a0), f'''(a0)]."""
+    """Value of f(a) given [f(a0), f'(a0), f''(a0), f'''(a0)]: the Taylor
+    polynomial of f at a0 in s = a - a0, by Horner's rule."""
     sp = a.space
-    s = Jet(sp, a.coeffs.copy())
-    s.coeffs[0] = 0.0
-    out = sp.constant(derivs[0])
-    power = sp.constant(1.0)
-    fact = 1.0
-    for k in range(1, sp.order + 1):
-        power = power * s
-        fact *= k
-        out = out + power * (derivs[k] / fact)
-    return out
+    s = a.coeffs.copy()
+    s[0] = 0.0
+    out = s * (derivs[sp.order] / math.factorial(sp.order))
+    for k in range(sp.order - 1, 0, -1):
+        out[0] += derivs[k] / math.factorial(k)
+        out = _segment_sum(sp, out[sp._mul_i] * s[sp._mul_j])
+    out[0] += derivs[0]
+    return Jet(sp, out)
 
 
 def _reciprocal(a: Jet) -> Jet:
@@ -346,26 +349,25 @@ def ttrunc(space: JetSpace, a: np.ndarray, new_order: int) -> np.ndarray:
     return a[: space.degree_offsets[new_order + 1]]
 
 
+def _segment_sum(space: JetSpace, prod: np.ndarray) -> np.ndarray:
+    """Sum the pair products of a truncated product (one row per entry of
+    the pair table) into their target coefficients."""
+    return np.add.reduceat(prod, space._mul_starts, axis=0)
+
+
 def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
     """Jet-valued einsum: ``sub`` is a plain einsum spec over the tensor
     axes, e.g. ``"ij,jk->ik"``; the coefficient axis is convolved."""
     lhs, rhs = sub.split("->")
     sa, sb = lhs.split(",")
-    prod = np.einsum(f"p{sa},p{sb}->p{rhs}",
-                     a[space._mul_i], b[space._mul_j])
-    out_shape = (space.ncoeff,) + prod.shape[1:]
-    out = np.zeros(out_shape)
-    np.add.at(out, space._mul_t, prod)
-    return out
+    return _segment_sum(space, np.einsum(f"p{sa},p{sb}->p{rhs}",
+                                         a[space._mul_i], b[space._mul_j]))
 
 
 def tscale(space: JetSpace, scalar: Jet, a: np.ndarray) -> np.ndarray:
     """Multiply a tensor-jet array by a scalar jet."""
-    prod = scalar.coeffs[space._mul_i].reshape(
-        (-1,) + (1,) * (a.ndim - 1)) * a[space._mul_j]
-    out = np.zeros((space.ncoeff,) + a.shape[1:])
-    np.add.at(out, space._mul_t, prod)
-    return out
+    s = scalar.coeffs[space._mul_i].reshape((-1,) + (1,) * (a.ndim - 1))
+    return _segment_sum(space, s * a[space._mul_j])
 
 
 def tgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
@@ -390,30 +392,25 @@ def tminv(space: JetSpace, g: np.ndarray) -> np.ndarray:
 
     The value part is inverted by LU (numpy); the derivative parts follow
     from the truncated Neumann series, which is exact because the
-    non-constant part is nilpotent in the truncated algebra.
+    non-constant part is nilpotent in the truncated algebra.  The value
+    part is singular when sigma_min <= 1e-12 sigma_max, at any scale.
     """
     g0 = g[0]
     d = g0.shape[0]
-    scale = np.max(np.abs(g0)) or 1.0
-    det = np.linalg.det(g0)
-    if abs(det) < 1e-12 * scale**d:
-        raise SingularMetricError(f"|det| = {abs(det):.3e} below threshold")
+    sv = np.linalg.svd(g0, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        raise SingularMetricError(f"singular values {sv[-1]:.3e} .. "
+                                  f"{sv[0]:.3e}: ratio below threshold")
     g0i = np.linalg.inv(g0)
     n = g.copy()
     n[0] = 0.0
     # X = -g0i @ N  (constant matrix times jet matrix)
     x = -np.einsum("ab,pbc->pac", g0i, n)
-    series = tconst(space, np.eye(d))
-    term = tconst(space, np.eye(d))
+    eye = tconst(space, np.eye(d))
+    series = eye
     for _ in range(space.order):
-        term = tmul(space, term, x, "ab,bc->ac")
-        series = series + term
+        series = eye + tmul(space, series, x, "ab,bc->ac")
     return np.einsum("pab,bc->pac", series, g0i)
-
-
-def scalar_from(space: JetSpace, a: np.ndarray) -> Jet:
-    """View a rank-0 tensor-jet array as a scalar Jet."""
-    return Jet(space, np.asarray(a, dtype=float).reshape(space.ncoeff).copy())
 
 
 FUNCTION_TABLE = {

@@ -69,7 +69,7 @@ def test_acceptance_3_torse_forming():
     for n in (1, 2):
         prov = build_hypersurface(n)
         d = prov.dim
-        reeb = ["0"] * (d - 1) + ["1"]
+        reeb = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
         for p in sample_points(d, 8, seed=0):
             rep = torse_forming_analyze(prov, reeb, p)
             assert rep.is_torse_forming

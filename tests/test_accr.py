@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from accrgeo import accr
+from accrgeo import expr as ex
 from accrgeo.accr import (ChartStructure, FrameStructure, check_axioms,
                           class_residuals, f_prop_residual,
                           lee_identities_residual, structure_eval,
@@ -145,7 +146,8 @@ def test_class_verdicts_invariant_under_frame_change():
 def test_constant_field_flat_chart_parallel():
     # a constant field in the flat model is parallel: f = 0, gamma = 0
     prov = flat(1)
-    rep = torse_forming_analyze(prov, ["0", "0", "1"], [0.4, 0.8, 1.2])
+    rep = torse_forming_analyze(prov, ex.expr_table(["0", "0", "1"], (3,)),
+                                [0.4, 0.8, 1.2])
     assert rep.is_torse_forming
     assert rep.f == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(rep.gamma_form)) < 1e-12
@@ -156,7 +158,8 @@ def test_constant_field_flat_chart_parallel():
 def test_position_field_is_concircular():
     # the Euclidean position field has nabla v = id: f = 1, gamma = 0
     prov = flat(1)
-    rep = torse_forming_analyze(prov, ["x1", "x2", "t"], [0.5, 0.7, 0.9])
+    rep = torse_forming_analyze(prov, ex.expr_table(["x1", "x2", "t"], (3,)),
+                                [0.5, 0.7, 0.9])
     assert rep.is_torse_forming
     assert rep.f == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rep.gamma_form)) < 1e-12
@@ -165,7 +168,7 @@ def test_position_field_is_concircular():
 
 def test_generic_field_is_not_torse_forming():
     prov = flat(1)
-    rep = torse_forming_analyze(prov, ["x2^2", "x1", "1"],
+    rep = torse_forming_analyze(prov, ex.expr_table(["x2^2", "x1", "1"], (3,)),
                                 [0.8, 0.6, 1.0])
     assert not rep.is_torse_forming
     assert rep.fit_residual > 1e-3
@@ -177,7 +180,8 @@ def test_least_squares_recovers_planted_f_and_gamma():
     prov = flat(1)
     c = [0.3, -0.2, 0.5]
     body = "exp(%.1f * x1 + %.1f * x2 + %.1f * t)" % tuple(c)
-    field = [body + " * 2", body + " * -1", body + " * 3"]
+    field = ex.expr_table([body + " * 2", body + " * -1", body + " * 3"],
+                          (3,))
     rep = torse_forming_analyze(prov, field, [0.4, 0.2, 0.6])
     assert rep.is_torse_forming
     assert rep.f == pytest.approx(0.0, abs=1e-10)
@@ -188,7 +192,7 @@ def test_least_squares_recovers_planted_f_and_gamma():
 def test_hypersurface_reeb_is_vertical_torse_forming(n):
     prov = build_hypersurface(n)
     d = prov.dim
-    field = ["0"] * (d - 1) + ["1"]
+    field = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
     for p in sample_points(d, 4, seed=3):
         rep = torse_forming_analyze(prov, field, p)
         t = p[-1]
@@ -209,4 +213,5 @@ def test_hypersurface_reeb_is_vertical_torse_forming(n):
 def test_zero_field_rejected():
     prov = flat(1)
     with pytest.raises(ValueError):
-        torse_forming_analyze(prov, ["0", "0", "0"], [1.0, 1.0, 1.0])
+        torse_forming_analyze(prov, ex.expr_table(["0", "0", "0"], (3,)),
+                              [1.0, 1.0, 1.0])

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from accrgeo import cli
 from accrgeo.cli import main
 
 
@@ -190,6 +191,29 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--n", "5"],
+    ["soliton", "--preset", "soliton", "--order", "3", "--n", "20"],
+    ["check", "--samples", "1025"],
+    ["lee", "--samples", "1000000000"],
+])
+def test_oversized_problem_exits_2_before_any_work(monkeypatch, capsys,
+                                                   argv):
+    def no_work(cfg):
+        pytest.fail("an oversized problem reached the model build")
+
+    monkeypatch.setattr(cli, "make_provider", no_work)
+    assert main(argv + ["--example", "flat-f0"]) == 2
+    assert "must be in" in capsys.readouterr().err
+
+
+def test_largest_problem_is_admitted():
+    args = cli.build_parser().parse_args(
+        ["soliton", "--n", str(cli.MAX_N), "--samples", str(cli.MAX_SAMPLES)])
+    cfg = cli.build_config(args)
+    assert (cfg["n"], cfg["samples"]) == (cli.MAX_N, cli.MAX_SAMPLES)
+
+
 def test_numeric_domain_errors_exit_3(capsys):
     # the n=2 hypersurface chart degenerates at the origin; a tiny box
     # around zero produces a numerically singular metric
@@ -254,6 +278,6 @@ def test_torse_reports_vertical_case_identities(capsys, example):
                          "--n", "2", "--samples", "4")
     assert code == 0 and rep["values"]["is_vertical"]
     checks = {c["name"]: c for c in rep["checks"]}
-    for name in ("f_xyxi", "theta_star_xi"):
+    for name in ("f_xyxi", "theta_star_xi", "theta_xi", "omega"):
         assert checks[name]["passed"]
         assert checks[name]["tolerance"] == 1e-8

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from accrgeo import expr as ex
 from accrgeo.accr import (check_axioms, class_residuals, structure_eval,
                           torse_forming_analyze)
 from accrgeo.examples import (DEFAULT_BOX, EmbeddedSphere, build_flat_f0,
@@ -80,7 +81,8 @@ def test_hypersurface_reeb_torse_data(n):
     prov = build_hypersurface(n)
     d = prov.dim
     p = sample_points(d, 1, seed=14)[0]
-    rep = torse_forming_analyze(prov, ["0"] * (d - 1) + ["1"], p)
+    reeb = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
+    rep = torse_forming_analyze(prov, reeb, p)
     assert rep.is_torse_forming and rep.is_vertical
     assert abs(rep.f * np.cosh(p[-1]) - 1.0) < 1e-9
     assert prov.fk(p) == pytest.approx(rep.f, abs=1e-12)

@@ -7,9 +7,8 @@ import pytest
 
 from accrgeo.jets import (Jet, JetDomainError, SingularMetricError, jarcsin,
                           jarctan, jcos, jcosh, jexp, jln, jpow, jsin, jsinh,
-                          jsqrt, jtan, jtanh, jet_space,
-                          scalar_from, tconst, tgrad, tminv, tmul, ttrunc,
-                          tvalue)
+                          jsqrt, jtan, jtanh, jet_space, tconst, tgrad,
+                          tminv, tmul, tscale, ttrunc, tvalue)
 
 RNG = np.random.default_rng(42)
 
@@ -55,20 +54,54 @@ def test_product_leibniz_exhaustive():
         # offsets and compare products pointwise to third order
         for _ in range(20):
             h = RNG.uniform(-0.1, 0.1, m)
-            pa = _poly_eval(a, h)
-            pb = _poly_eval(b, h)
-            pab = _poly_eval(ab, h)
+            pa = _poly_eval(space, a.coeffs, h)
+            pb = _poly_eval(space, b.coeffs, h)
+            pab = _poly_eval(space, ab.coeffs, h)
             assert pab == pytest.approx(pa * pb, abs=5e-4)
 
 
-def _poly_eval(jet, h):
-    total = 0.0
-    for idx, c in zip(jet.space.indices, jet.coeffs):
+def _poly_eval(space, coeffs, h):
+    """Taylor polynomial of every component of a (tensor) jet at offset h."""
+    total = np.zeros(coeffs.shape[1:])
+    for idx, c in zip(space.indices, coeffs):
         term = c
         for var, power in enumerate(idx):
-            term *= h[var] ** power
-        total += term
+            term = term * h[var] ** power
+        total = total + term
     return total
+
+
+def _degree_limited(space, shape, degree):
+    """Random tensor jet with no coefficient above the given degree."""
+    a = RNG.uniform(-1, 1, (space.ncoeff,) + shape)
+    a[space.degree_offsets[degree + 1]:] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_products_at_order_3_match_polynomial_products(m):
+    # a jet of degree <= p times one of degree <= 3 - p has no term above
+    # order 3, so its truncated product is the exact polynomial product;
+    # p = 0..3 between them use every pair of the product table
+    space = jet_space(m, 3)
+    for p in range(4):
+        a = _degree_limited(space, (2, 3), p)
+        b = _degree_limited(space, (3, 2), 3 - p)
+        s = _degree_limited(space, (), p)
+        t = _degree_limited(space, (), 3 - p)
+        ab = tmul(space, a, b, "ij,jk->ik")
+        sb = tscale(space, Jet(space, s), b)
+        st = (Jet(space, s) * Jet(space, t)).coeffs
+        for _ in range(5):
+            h = RNG.uniform(-1, 1, m)
+            pa, pb = _poly_eval(space, a, h), _poly_eval(space, b, h)
+            ps, pt = _poly_eval(space, s, h), _poly_eval(space, t, h)
+            assert np.allclose(_poly_eval(space, ab, h), pa @ pb,
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(_poly_eval(space, sb, h), ps * pb,
+                               rtol=1e-12, atol=1e-12)
+            assert _poly_eval(space, st, h) == pytest.approx(ps * pt,
+                                                             rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +230,16 @@ def test_tminv_inverts_jet_matrix():
     assert np.allclose(ident, expect, atol=1e-12)
 
 
+def test_tminv_accepts_a_well_conditioned_matrix_of_large_scale():
+    # condition number 1e3 at d = 7; a singularity test on |det| against
+    # max|g|^d called it singular
+    space = jet_space(2, 2)
+    a = tconst(space, np.diag([1e3] + [1.0] * 6))
+    inv = tminv(space, a)
+    assert np.allclose(tmul(space, a, inv, "ij,jk->ik"),
+                       tconst(space, np.eye(7)), atol=1e-12)
+
+
 def test_tminv_rejects_singular():
     space = jet_space(2, 1)
     a = tconst(space, np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -213,11 +256,11 @@ def test_ttrunc_is_prefix():
     assert np.array_equal(low, a[:child.ncoeff])
 
 
-def test_coordinate_jets_and_scalar_from():
+def test_coordinate_jets_and_rank0_tmul():
     space = jet_space(3, 2)
     pts = [space.var(i, x) for i, x in enumerate([0.5, 1.5, 2.5])]
     assert [j.value for j in pts] == [0.5, 1.5, 2.5]
     arr = np.stack([j.coeffs for j in pts], axis=1)
-    s = scalar_from(space, tmul(space, arr, arr, "i,i->"))
+    s = Jet(space, tmul(space, arr, arr, "i,i->"))
     assert s.value == pytest.approx(0.25 + 2.25 + 6.25)
     assert s.partial(1) == pytest.approx(3.0)
