@@ -231,8 +231,8 @@ def test_tminv_inverts_jet_matrix():
 
 
 def test_tminv_accepts_a_well_conditioned_matrix_of_large_scale():
-    # condition number 1e3 at d = 7; a singularity test on |det| against
-    # max|g|^d called it singular
+    # condition number 1e3 at d = 7, yet |det| = 1e3 is far below
+    # 1e-12 * max|g|^d = 1e9: only a scale-free test admits it
     space = jet_space(2, 2)
     a = tconst(space, np.diag([1e3] + [1.0] * 6))
     inv = tminv(space, a)
