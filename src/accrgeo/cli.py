@@ -243,22 +243,25 @@ def config_points(provider, cfg) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
-def point_evals(provider, cfg) -> list[AccrEval]:
+def point_evals(provider, cfg):
+    """Structure evaluations at the sample points, made one at a time:
+    callers reduce each point before the next is evaluated."""
     order = max(1, int(cfg["order"]))
-    return [structure_eval(provider, p, order=order)
-            for p in config_points(provider, cfg)]
+    for p in config_points(provider, cfg):
+        yield structure_eval(provider, p, order=order)
 
 
 def cmd_check(cfg) -> Report:
-    provider = make_provider(cfg)
-    evs = point_evals(provider, cfg)
-    classes = [class_residuals(ev, tol=tol(cfg, "class")) for ev in evs]
+    tc = tol(cfg, "class")
+    axioms, fsym, lee, classes = zip(*(
+        (check_axioms(ev), {"f_symmetry": f_prop_residual(ev)},
+         lee_identities_residual(ev), class_residuals(ev, tol=tc))
+        for ev in point_evals(make_provider(cfg), cfg)))
     td = tol(cfg, "derived")
     rep = Report("check", cfg)
-    rep.add_all(worst_of(map(check_axioms, evs)), tol(cfg, "struct"), "axiom:")
-    rep.add_all(worst_of({"f_symmetry": f_prop_residual(ev)} for ev in evs),
-                td)
-    rep.add_all(worst_of(map(lee_identities_residual, evs)), td, "lee:")
+    rep.add_all(worst_of(axioms), tol(cfg, "struct"), "axiom:")
+    rep.add_all(worst_of(fsym), td)
+    rep.add_all(worst_of(lee), td, "lee:")
     rep.values["norm_F"] = worst_of({"norm_F": c.res_F0}
                                     for c in classes)["norm_F"]
     rep.values["class_verdicts"] = all_of(c.verdicts() for c in classes)
@@ -266,12 +269,13 @@ def cmd_check(cfg) -> Report:
 
 
 def cmd_classify(cfg) -> Report:
-    provider = make_provider(cfg)
-    evs = point_evals(provider, cfg)
-    classes = [class_residuals(ev, tol=tol(cfg, "class")) for ev in evs]
+    tc = tol(cfg, "class")
+    axioms, classes = zip(*(
+        ({"axioms": max(check_axioms(ev).values())},
+         class_residuals(ev, tol=tc))
+        for ev in point_evals(make_provider(cfg), cfg)))
     rep = Report("classify", cfg)
-    rep.add_all(worst_of({"axioms": max(check_axioms(ev).values())}
-                         for ev in evs), tol(cfg, "struct"))
+    rep.add_all(worst_of(axioms), tol(cfg, "struct"))
     rep.values["relative_residuals"] = worst_of(
         {"res_F0": c.res_F0 / c.denom, "res_F1": c.res_F1 / c.denom,
          "res_F5": c.res_F5 / c.denom,
@@ -282,16 +286,14 @@ def cmd_classify(cfg) -> Report:
 
 
 def cmd_lee(cfg) -> Report:
-    provider = make_provider(cfg)
-    evs = point_evals(provider, cfg)
-    rep = Report("lee", cfg)
-    rep.add_all(worst_of(map(lee_identities_residual, evs)),
-                tol(cfg, "derived"), "lee:")
-    rep.values["samples"] = [{
+    lee, samples = zip(*((lee_identities_residual(ev), {
         "point": ev.S.point.tolist(), "theta": ev.theta.tolist(),
         "theta_star": ev.theta_star.tolist(), "omega": ev.omega.tolist(),
         "theta_star_xi": float(ev.theta_star @ ev.xi0),
-    } for ev in evs]
+    }) for ev in point_evals(make_provider(cfg), cfg)))
+    rep = Report("lee", cfg)
+    rep.add_all(worst_of(lee), tol(cfg, "derived"), "lee:")
+    rep.values["samples"] = list(samples)
     return rep
 
 

@@ -273,50 +273,56 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     """
     if order < 2:
         raise ValueError("soliton verification needs jets of order >= 2")
-    evals = [tstruct.evaluate(p, order, curvature=True) for p in points]
-    taus = [ev_bar.frame.tau for _, ev_bar, _ in evals]
-    tau_mean = float(np.mean(taus))
-    tau_std = float(np.std(taus))
-    sigma_given = sigma is not None
-    sig = float(sigma) if sigma_given else tau_mean
-
     n = tstruct.n
-    families, conditions = [], []
-    for p, (S, ev_bar, d) in zip(points, evals):
+    taus, families, records, conditions = [], [], [], []
+    is_f1 = True
+    for p in points:
+        S, ev_bar, d = tstruct.evaluate(p, order, curvature=True)
         Sb = ev_bar.S
         space = Sb.space
         child, lie_c = lie_metric_coord(space, Sb.g, Sb.xi)
         _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, Sb.xi)
         lie_v = lie_metric_cov(child, ttrunc(space, Sb.g, child.order), nxi)
-        lie0 = tvalue(lie_c)
-        gb0, phi0, etab = ev_bar.g0, ev_bar.phi0, ev_bar.eta0
+        # copies, not views: a view of a jet array keeps the jets alive
+        lie0, gb0 = tvalue(lie_c).copy(), ev_bar.g0.copy()
+        phi0, etab = ev_bar.phi0, ev_bar.eta0.copy()
         phi2 = phi0 @ phi0
-        scale = max(1.0, _maxabs(gb0))
         lscale = max(1.0, _maxabs(ev_bar.theta), _maxabs(ev_bar.theta_star))
-        ts = ev_bar.frame.tau - sig
-        fam = {
-            "soliton": _maxabs(0.5 * lie0 - ts * gb0) / scale,
-            "killing": _maxabs(lie0) / scale,
+        taus.append(ev_bar.frame.tau)
+        families.append({
+            "killing": _maxabs(lie0) / max(1.0, _maxabs(gb0)),
             "lie_formula_mismatch": _maxabs(tvalue(lie_c - lie_v)),
-            "tsdw": _maxabs(2.0 * ts * etab - d.dw @ phi2),
             "lee_theta": _maxabs(ev_bar.theta - 2 * n * d.alpha) / lscale,
             "lee_theta_star": _maxabs(
                 ev_bar.theta_star + 2 * n * (d.du @ phi2
                                              + d.dv @ phi0)) / lscale,
             "lee_omega": _maxabs(ev_bar.omega) / lscale,
-        }
-        # L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}; where
-        # tau = sigma the point counts only if the soliton identity holds
-        if abs(ts) > 1e-12 or fam["soliton"] <= tol:
-            rhs = 2.0 * ts * (-(phi0.T @ gb0 @ phi0) + np.outer(etab, etab))
-            fam["lxi00"] = _maxabs(lie0 - rhs) / scale
-        families.append(fam)
+        })
+        # the value matrices the sigma-dependent residuals need, with
+        # L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}
+        records.append((lie0, gb0, etab, d.dw @ phi2,
+                        -(phi0.T @ gb0 @ phi0) + np.outer(etab, etab)))
+        is_f1 = is_f1 and class_residuals(ev_bar).is_F1
         if fk is not None:
             fk_val = fk(p) if callable(fk) else float(fk)
             conditions.append(condition_residuals(d, S, fk_val))
 
+    tau_mean = float(np.mean(taus))
+    tau_std = float(np.std(taus))
+    sigma_given = sigma is not None
+    sig = float(sigma) if sigma_given else tau_mean
+    for fam, tau, (lie0, gb0, etab, dwp2, lrhs) in zip(families, taus,
+                                                      records):
+        scale = max(1.0, _maxabs(gb0))
+        ts = tau - sig
+        fam["soliton"] = _maxabs(0.5 * lie0 - ts * gb0) / scale
+        fam["tsdw"] = _maxabs(2.0 * ts * etab - dwp2)
+        # where tau = sigma the point counts only if the soliton
+        # identity holds
+        if abs(ts) > 1e-12 or fam["soliton"] <= tol:
+            fam["lxi00"] = _maxabs(lie0 - 2.0 * ts * lrhs) / scale
+
     worst = worst_of(families)
-    is_f1 = all(class_residuals(ev_bar).is_F1 for _, ev_bar, _ in evals)
     rel_std = tau_std / (1.0 + abs(tau_mean))
     passed = (worst["soliton"] < tol and rel_std < tol
               and worst["killing"] < tol and is_f1)
