@@ -240,9 +240,11 @@ def check_axioms(ev: AccrEval) -> dict[str, float]:
                                  - np.outer(xi0, eta0))
     res["eta_phi"] = _maxabs(eta0 @ phi0)
     res["eta_xi"] = abs(float(eta0 @ xi0) - 1.0)
+    # the two metric identities are relative to the metric's scale
+    gscale = max(1.0, _maxabs(g0))
     res["b_metric"] = _maxabs(g0 + phi0.T @ g0 @ phi0
-                              - np.outer(eta0, eta0))
-    res["gtilde_symmetric"] = _maxabs(ev.gtilde - ev.gtilde.T)
+                              - np.outer(eta0, eta0)) / gscale
+    res["gtilde_symmetric"] = _maxabs(ev.gtilde - ev.gtilde.T) / gscale
     res["g_signature_ok"] = 0.0 if signature(g0) == (n + 1, n) else 1.0
     res["gtilde_signature_ok"] = (0.0 if signature(ev.gtilde) == (n + 1, n)
                                   else 1.0)
@@ -354,13 +356,14 @@ class TorseFormingReport:
     point: np.ndarray
     f: float
     gamma_form: np.ndarray
-    fit_residual: float            # relative residual of the identification
+    fit_residual: float            # of the identification, over max|A|
     k: float                       # eta(theta_field)
     length_sq: float               # g(theta_field, theta_field)
-    verticality: float             # |theta_field - k xi| (euclidean)
+    verticality: float             # max|theta_field - k xi| / max|theta_field|
     is_torse_forming: bool
-    is_vertical: bool
-    dk_residual: float             # dk = f eta + k gamma, when vertical
+    is_vertical: bool              # vertical with k away from 0
+    dk_residual: float             # dk = f eta + k gamma, over max|theta_field|
+    # the vertical-case residuals below are NaN unless is_vertical
     nabla_xi_residual: float       # nabla_x xi = -(f/k) phi^2 x
     f_xyxi_residual: float         # F(x,y,xi) = -(f/k) g(x, phi y)
     lee_theta_xi: float
@@ -386,7 +389,8 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     n = ev.n
     vf = eval_expr_table(theta_field, provider.coords, point, space.order)
     v0 = tvalue(vf)
-    if np.max(np.abs(v0)) < 1e-14:
+    vscale = _maxabs(v0)
+    if vscale == 0.0:
         raise ValueError("torse-forming analysis needs a nonzero field")
     child, nv = cov_deriv_vector(space, ev.frame.gamma, vf)
     A = tvalue(nv)                            # A[i, k] = (nabla_i v)^k
@@ -400,22 +404,23 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     f = float(sol[0])
     gamma_form = sol[1:]
     fit = rows @ sol - rhs
-    scale = max(_maxabs(A), 1.0)
-    fit_residual = _maxabs(fit) / scale
+    scale = _maxabs(A)                        # an exactly zero A fits
+    fit_residual = _maxabs(fit) / scale if scale else 0.0
 
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
     k_val = float(eta0 @ v0)
-    verticality = _maxabs(v0 - k_val * xi0)
-    is_vertical = verticality <= tol * max(_maxabs(v0), 1.0)
+    verticality = _maxabs(v0 - k_val * xi0) / vscale
+    # the vertical identities divide by k, so they need k away from 0
+    is_vertical = verticality <= tol and abs(k_val) > 1e-12 * vscale
     is_tf = fit_residual <= tol
 
     # dk = f eta + k gamma: k as a jet via eta_i v^i
     dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
-    dk_residual = _maxabs(dk - f * eta0 - k_val * gamma_form)
+    dk_residual = _maxabs(dk - f * eta0 - k_val * gamma_form) / vscale
 
     nxi_res = f_res = ts_res = np.nan
     th_xi = om = np.nan
-    if is_vertical and abs(k_val) > 1e-12:
+    if is_vertical:
         fk = f / k_val
         _, nxi = cov_deriv_vector(space, ev.frame.gamma, S.xi)
         nxi0 = tvalue(nxi)                    # [i, k] = (nabla_i xi)^k

@@ -182,8 +182,11 @@ def build_config(args) -> dict:
         if name not in TOLERANCES:
             raise ConfigError(f"unknown tolerance family {name!r}; "
                               f"choose from {list(TOLERANCES)}")
-        if not _is_number(val):
-            raise ConfigError(f"tolerance {name}={val!r} is not a number")
+        if not (_is_number(val) and np.isfinite(val) and val > 0):
+            raise ConfigError(f"tolerance {name}={val!r} is not a finite "
+                              "number > 0")
+    if cfg["sigma"] is not None and not np.isfinite(cfg["sigma"]):
+        raise ConfigError(f"sigma={cfg['sigma']!r} is not finite")
     if not 1 <= cfg["n"] <= MAX_N:
         raise ConfigError(f"n must be in 1..{MAX_N}")
     if cfg["order"] not in (1, 2, 3):
@@ -316,13 +319,12 @@ def cmd_torse(cfg) -> Report:
     rep = Report("torse", cfg)
     rep.add_all(worst_of({"torse_fit": tr.fit_residual,
                           "dk_identity": tr.dk_residual} for tr in trs), td)
-    vertical = worst_of({"verticality": tr.verticality,
-                         "nabla_xi": tr.nabla_xi_residual,
-                         "f_xyxi": tr.f_xyxi_residual,
-                         "theta_star_xi": tr.lee_theta_star_xi_residual,
-                         "theta_xi": tr.lee_theta_xi,
-                         "omega": tr.lee_omega}
-                        for tr in trs)
+    # the vertical-case residuals are NaN at a point that is not vertical
+    vertical = worst_of({"verticality": tr.verticality, **({
+        "nabla_xi": tr.nabla_xi_residual, "f_xyxi": tr.f_xyxi_residual,
+        "theta_star_xi": tr.lee_theta_star_xi_residual,
+        "theta_xi": tr.lee_theta_xi, "omega": tr.lee_omega}
+        if tr.is_vertical else {})} for tr in trs)
     all_vertical = all(tr.is_vertical for tr in trs)
     if all_vertical:
         # the vertical-case identities only apply to vertical fields;

@@ -13,6 +13,11 @@ functions.  The grammar is standard precedence climbing:
 numeric literal exponent.  Function application requires parentheses;
 whitespace is insignificant.  Expression trees are immutable and
 evaluation is pure.
+
+Parsing rejects text that opens more than ``MAX_DEPTH`` parentheses
+inside one another, or whose tree nests more than ``MAX_DEPTH``
+operations: the parser, the evaluators, ``free_vars`` and ``serialize``
+all recurse, and the bound keeps them within Python's stack.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from .jets import FUNCTION_TABLE, Jet, JetDomainError
 
 FUNCTIONS = frozenset(FUNCTION_TABLE)
+MAX_DEPTH = 100
 
 _FLOAT_FUNCS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
@@ -188,6 +194,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -235,11 +242,14 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        signs = 0                   # a loop, so a long run of signs
+        while self.peek()[:2] == ("op", "-"):     # costs no stack
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        e = self.power()
+        for _ in range(signs):
+            e = Neg(e)
+        return e
 
     def power(self) -> Expr:
         base = self.primary()
@@ -261,6 +271,16 @@ class _Parser:
         self.advance()
         return sign * float(value)
 
+    def nested_expr(self) -> Expr:
+        """The expression after an opening parenthesis."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.fail(f"parentheses nested at most {MAX_DEPTH} deep")
+        e = self.expr()
+        self.nesting -= 1
+        self.expect_op(")")
+        return e
+
     def primary(self) -> Expr:
         kind, value, _ = self.peek()
         if kind == "number":
@@ -274,26 +294,42 @@ class _Parser:
                     self.pos -= 1
                     self.fail("a known function name")
                 self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Func(value, arg)
+                return Func(value, self.nested_expr())
             return Var(value)
         if kind == "op" and value == "(":
             self.advance()
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.nested_expr()
         self.fail("a number, name or '('")
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text; raises :class:`ParseError` on malformed input."""
-    return _Parser(text).parse()
+    """Parse expression text; raises :class:`ParseError` on malformed
+    input and on nesting deeper than ``MAX_DEPTH``."""
+    e = _Parser(text).parse()
+    if (levels := depth(e)) > MAX_DEPTH:
+        raise ParseError(0, f"at most {MAX_DEPTH} nested operations",
+                         str(levels))
+    return e
 
 
 # ---------------------------------------------------------------------------
 # Evaluation / inspection
 # ---------------------------------------------------------------------------
+
+def depth(e: Expr) -> int:
+    """Operations on the longest root-to-leaf path (0 for a leaf),
+    counted without recursion so that any tree can be measured."""
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        match node:
+            case Neg(arg) | Func(_, arg) | Pow(arg, _):
+                stack.append((arg, level + 1))
+            case Bin(_, left, right):
+                stack += [(left, level + 1), (right, level + 1)]
+    return deepest
+
 
 def free_vars(e: Expr) -> frozenset[str]:
     match e:

@@ -1,6 +1,8 @@
 """Structure axioms, fundamental tensor, Lee forms, class residuals and
 torse-forming identification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,31 @@ def test_perturbed_phi_breaks_axioms():
                           xi.tolist(), eta.tolist())
     res = check_axioms(structure_eval(prov, [0.7, 0.9, 1.1], order=1))
     assert max(res.values()) > 1e-4
+
+
+def scaled_random_structure(scale):
+    # scaling the frame by s scales g by 1/s^2; the structure stays exact
+    base = random_structure(2, seed=3)
+    return FrameStructure(2, base.coords, base.frame_expr * scale)
+
+
+def test_metric_axioms_are_relative_to_the_metric_scale():
+    prov = scaled_random_structure(1e-4)
+    for p in sample_points(prov.dim, 3, seed=5):
+        ev = structure_eval(prov, p, order=1)
+        assert np.max(np.abs(ev.g0)) > 1e7
+        assert max(check_axioms(ev).values()) < accr.TOL_STRUCT
+
+
+def test_broken_b_metric_of_large_scale_still_fails():
+    prov = scaled_random_structure(1e-4)
+    S = prov.structure_at(sample_points(prov.dim, 1, seed=5)[0], 1)
+    g = S.g.copy()
+    bump = 1e-7 * np.max(np.abs(g[0]))       # symmetric, off-structure
+    g[:, 0, 1] += bump
+    g[:, 1, 0] += bump
+    res = check_axioms(accr.AccrEval.from_jets(replace(S, g=g)))
+    assert res["b_metric"] > accr.TOL_STRUCT
 
 
 def test_identity_frame_reproduces_flat_model():

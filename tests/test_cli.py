@@ -6,6 +6,7 @@ import json
 import pytest
 
 from accrgeo import cli
+from accrgeo import expr as ex
 from accrgeo.cli import main
 
 
@@ -281,3 +282,73 @@ def test_torse_reports_vertical_case_identities(capsys, example):
     for name in ("f_xyxi", "theta_star_xi", "theta_xi", "omega"):
         assert checks[name]["passed"]
         assert checks[name]["tolerance"] == 1e-8
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma=nan"], ["--sigma=inf"], ["--sigma=-inf"],
+    ["--tol", "struct=nan"], ["--tol", "derived=inf"],
+    ["--tol", "soliton=0"], ["--tol", "class=-1e-6"],
+])
+def test_non_finite_sigma_or_tolerance_exits_2(capsys, flags):
+    # a NaN sigma made every soliton residual NaN, which read as 0.0
+    assert main(["soliton", "--example", "random", "--n", "1",
+                 "--samples", "4", "--preset", "soliton", *flags]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"sigma": NaN}',
+                                  '{"tol": {"struct": Infinity}}'])
+def test_non_finite_config_file_values_exit_2(tmp_path, capsys, text):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert main(["soliton", "--config", str(cfgfile), "--n", "1",
+                 "--samples", "1", "--preset", "soliton"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_finite_sigma_is_admitted(capsys):
+    code, rep = run_json(capsys, "soliton", "--example", "hypersurface-f5",
+                         "--n", "1", "--samples", "2", "--preset",
+                         "soliton", "--sigma=-1.5")
+    assert code in (0, 1)
+    assert rep["values"]["sigma"] == -1.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--u", "(" * 3000 + "x1" + ")" * 3000],
+    ["transform", "--u=" + "-" * 3000 + "x1"],
+    ["transform", "--u", "+".join(["0*x1"] * 5000)],
+    ["torse", "--field", "0;0;" + "(" * 3000 + "1" + ")" * 3000],
+])
+def test_too_deep_expression_exits_2(capsys, argv):
+    assert main(argv + ["--example", "flat-f0", "--n", "1",
+                        "--samples", "1"]) == 2
+    assert "nested" in capsys.readouterr().err
+
+
+def test_expression_at_the_depth_bound_is_admitted(capsys):
+    # MAX_DEPTH - 1 negations over one product: MAX_DEPTH operations
+    code, _ = run_json(capsys, "transform", "--example", "flat-f0", "--n",
+                       "1", "--samples", "1",
+                       "--u=" + "-" * (ex.MAX_DEPTH - 1) + "(0.1*x1)")
+    assert code in (0, 1)
+
+
+def torse_verdicts(capsys, example, c):
+    code, rep = run_json(capsys, "torse", "--example", example, "--n", "1",
+                         "--samples", "2", "--field", f"0;0;{c}")
+    return (code, rep["values"]["is_vertical"],
+            [(ch["name"], ch["passed"]) for ch in rep["checks"]])
+
+
+@pytest.mark.parametrize("c", ["1e-6", "1e-13"])
+def test_torse_verdicts_do_not_depend_on_the_field_scale(capsys, c):
+    assert torse_verdicts(capsys, "random", c) == \
+        torse_verdicts(capsys, "random", "1")
+
+
+@pytest.mark.parametrize("c", ["1", "1e-6", "1e-13"])
+def test_scaled_reeb_field_passes_every_torse_check(capsys, c):
+    code, vertical, checks = torse_verdicts(capsys, "hypersurface-f5", c)
+    assert code == 0 and vertical and len(checks) == 8
+    assert all(passed for _, passed in checks)

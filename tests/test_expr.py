@@ -50,6 +50,36 @@ def test_parse_error_reports_offset():
     assert exc.value.offset == 6
 
 
+AT_BOUND = [
+    "(" * ex.MAX_DEPTH + "x" + ")" * ex.MAX_DEPTH,
+    "sin(" * ex.MAX_DEPTH + "x" + ")" * ex.MAX_DEPTH,
+    "-" * ex.MAX_DEPTH + "x",
+    "x" + " + x" * ex.MAX_DEPTH,
+]
+
+
+@pytest.mark.parametrize("text", AT_BOUND)
+def test_parse_accepts_nesting_at_the_depth_bound(text):
+    e = ex.parse(text)
+    assert ex.depth(e) <= ex.MAX_DEPTH
+    assert ex.parse(ex.serialize(e)) == e
+    assert math.isfinite(ex.eval_float(e, {"x": 0.5}))
+    assert ex.free_vars(e) == frozenset({"x"})
+
+
+@pytest.mark.parametrize("text", [
+    "(" * (ex.MAX_DEPTH + 1) + "x" + ")" * (ex.MAX_DEPTH + 1),
+    "sin(" * (ex.MAX_DEPTH + 1) + "x" + ")" * (ex.MAX_DEPTH + 1),
+    "-" * (ex.MAX_DEPTH + 1) + "x",
+    "x" + " + x" * (ex.MAX_DEPTH + 1),
+    "-" * 100000 + "x",
+    "(" * 100000 + "x" + ")" * 100000,
+])
+def test_parse_rejects_nesting_past_the_depth_bound(text):
+    with pytest.raises(ex.ParseError, match="nested"):
+        ex.parse(text)
+
+
 def test_free_vars():
     e = ex.parse("sin(x) * y + exp(z ^ 2)")
     assert ex.free_vars(e) == frozenset({"x", "y", "z"})
