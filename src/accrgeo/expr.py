@@ -242,8 +242,9 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
-        signs = 0                   # a loop, so a long run of signs
-        while self.peek()[:2] == ("op", "-"):     # costs no stack
+        # a loop, not recursion: a long run of signs costs no stack
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
             signs += 1
         e = self.power()
