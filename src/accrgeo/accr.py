@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .geometry import (FrameEval, cov_deriv_tensor11, cov_deriv_vector,
-                       eval_expr_table, signature)
+from .geometry import (FrameEval, coordinate_bindings, cov_deriv_tensor11,
+                       cov_deriv_vector, eval_expr_table, signature)
 from .jets import JetSpace, jet_space, tgrad, tminv, tmul, tsym, tvalue
 
 # tolerance ladder: structural identities, first-derivative identities,
@@ -90,10 +90,11 @@ class ChartStructure(StructureProvider):
 
     def structure_at(self, point, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
-        g = tsym(eval_expr_table(self.g_expr, self.coords, point, order))
-        phi = eval_expr_table(self.phi_expr, self.coords, point, order)
-        xi = eval_expr_table(self.xi_expr, self.coords, point, order)
-        eta = eval_expr_table(self.eta_expr, self.coords, point, order)
+        bindings = coordinate_bindings(self.coords, point, order)
+        g = tsym(eval_expr_table(self.g_expr, bindings))
+        phi = eval_expr_table(self.phi_expr, bindings)
+        xi = eval_expr_table(self.xi_expr, bindings)
+        eta = eval_expr_table(self.eta_expr, bindings)
         return StructureJets(space, np.asarray(point, dtype=float),
                              g, phi, xi, eta)
 
@@ -118,7 +119,8 @@ class FrameStructure(StructureProvider):
 
     def structure_at(self, point, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
-        a = eval_expr_table(self.frame_expr, self.coords, point, order)
+        a = eval_expr_table(self.frame_expr,
+                            coordinate_bindings(self.coords, point, order))
         ainv = tminv(space, a)
         phi = np.einsum("pab,bc->pac", a, self._phihat)
         phi = tmul(space, phi, ainv, "ab,bc->ac")
@@ -387,7 +389,8 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     space = S.space
     d = S.g.shape[1]
     n = ev.n
-    vf = eval_expr_table(theta_field, provider.coords, point, space.order)
+    vf = eval_expr_table(theta_field, coordinate_bindings(
+        provider.coords, point, space.order))
     v0 = tvalue(vf)
     vscale = _maxabs(v0)
     if vscale == 0.0:

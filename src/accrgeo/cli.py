@@ -193,9 +193,16 @@ def build_config(args) -> dict:
         raise ConfigError("order must be 1, 2 or 3")
     if not 1 <= cfg["samples"] <= MAX_SAMPLES:
         raise ConfigError(f"samples must be in 1..{MAX_SAMPLES}")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be a non-negative integer")
     lo, hi = cfg["box"]
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ConfigError("box bounds must be finite with lo < hi")
+    try:
+        width = float(hi) - float(lo)
+    except OverflowError:               # an integer beyond the float range
+        width = np.inf
+    if not (np.isfinite(width) and lo < hi):
+        raise ConfigError("box bounds must be finite with lo < hi and a "
+                          "finite width hi - lo")
     return cfg
 
 

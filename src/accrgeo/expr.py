@@ -14,6 +14,17 @@ numeric literal exponent.  Function application requires parentheses;
 whitespace is insignificant.  Expression trees are immutable and
 evaluation is pure.
 
+Two evaluators read a tree.  :func:`eval_float` computes a plain value.
+:func:`eval_jets` computes the truncated Taylor jets of a sequence of
+trees at one point, under bindings of the variables to jets; a node
+object that several trees, or several places of one tree, share is
+evaluated once, through a memo keyed by node identity that lives for
+that one call.  :func:`eval_jet` is the same for a single tree.  Trees
+built in code share subtrees by reusing objects, and
+:func:`expr_table` makes equal text entries and equal constants of a
+table one object, so a table of d x d entries costs one evaluation per
+distinct node, not per entry.
+
 Parsing rejects text that opens more than ``MAX_DEPTH`` parentheses
 inside one another, or whose tree nests more than ``MAX_DEPTH``
 operations: the parser, the evaluators, ``free_vars`` and ``serialize``
@@ -24,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,14 +152,28 @@ def as_expr(x) -> Expr:
 
 def expr_table(entries, shape) -> np.ndarray:
     """Object array of Expr of exactly ``shape``, coercing every entry
-    with :func:`as_expr`; build tables once, not per point."""
+    with :func:`as_expr`; build tables once, not per point.
+
+    Equal text entries become one tree, and so do constants with equal
+    bit patterns (``-0.0`` stays apart from ``0.0``), so that
+    :func:`eval_jets` evaluates each of them once per point."""
     arr = np.asarray(entries, dtype=object)
     if arr.shape != tuple(shape):
         raise ValueError(f"expected a table of shape {tuple(shape)}, "
                          f"got {arr.shape}")
     out = np.empty(arr.shape, dtype=object)
+    shared = {}
     for idx in np.ndindex(arr.shape):
-        out[idx] = as_expr(arr[idx])
+        x = arr[idx]
+        if isinstance(x, Expr) and not isinstance(x, Const):
+            out[idx] = x
+            continue
+        value = x.value if isinstance(x, Const) else x
+        key = (value if isinstance(value, str)
+               else struct.pack("<d", float(value)))
+        if key not in shared:
+            shared[key] = as_expr(x)
+        out[idx] = shared[key]
     return out
 
 
@@ -347,46 +373,68 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def eval_jet(e: Expr, bindings: dict[str, Jet]) -> Jet:
-    """Evaluate over jets; the result is the exact truncated Taylor
-    expansion of the expression at the bound point."""
+def eval_jets(exprs, bindings: dict[str, Jet]) -> list[Jet]:
+    """Evaluate a sequence of trees over jets at one point; each result
+    is the exact truncated Taylor expansion of its expression at the
+    bound point.  One memo, keyed by node identity, spans the whole
+    sequence, so a node shared between or within the trees is evaluated
+    once."""
     space = None
     for jet in bindings.values():
         space = jet.space
         break
     if space is None:
         raise EvalError("jet evaluation needs at least one binding")
-
-    def go(node: Expr) -> Jet:
-        match node:
-            case Const(value):
-                return space.constant(value)
-            case Var(name):
-                try:
-                    return bindings[name]
-                except KeyError:
-                    raise EvalError(f"unbound variable {name!r}") from None
-            case Neg(arg):
-                return -go(arg)
-            case Bin(op, left, right):
-                a, b = go(left), go(right)
-                if op == "+":
-                    return a + b
-                if op == "-":
-                    return a - b
-                if op == "*":
-                    return a * b
-                return a / b
-            case Pow(base, exponent):
-                return go(base) ** exponent
-            case Func(name, arg):
-                return FUNCTION_TABLE[name](go(arg))
-        raise TypeError(f"not an Expr: {node!r}")
-
+    exprs = list(exprs)     # keeps every node, and so its id, alive
+    memo = {}
     try:
-        return go(e)
+        return [_eval_node(e, bindings, space, memo) for e in exprs]
     except JetDomainError as err:
         raise EvalError(str(err)) from err
+
+
+def eval_jet(e: Expr, bindings: dict[str, Jet]) -> Jet:
+    """Evaluate one tree over jets (see :func:`eval_jets`)."""
+    return eval_jets([e], bindings)[0]
+
+
+def _eval_node(node: Expr, bindings, space, memo: dict) -> Jet:
+    # the memo is an argument, not a closure cell: a recursive closure
+    # over it would be a reference cycle that keeps every point's jets
+    # alive until the garbage collector runs
+    key = id(node)
+    jet = memo.get(key)
+    if jet is not None:
+        return jet
+    match node:
+        case Const(value):
+            jet = space.constant(value)
+        case Var(name):
+            try:
+                jet = bindings[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+        case Neg(arg):
+            jet = -_eval_node(arg, bindings, space, memo)
+        case Bin(op, left, right):
+            a = _eval_node(left, bindings, space, memo)
+            b = _eval_node(right, bindings, space, memo)
+            if op == "+":
+                jet = a + b
+            elif op == "-":
+                jet = a - b
+            elif op == "*":
+                jet = a * b
+            else:
+                jet = a / b
+        case Pow(base, exponent):
+            jet = _eval_node(base, bindings, space, memo) ** exponent
+        case Func(name, arg):
+            jet = FUNCTION_TABLE[name](_eval_node(arg, bindings, space, memo))
+        case _:
+            raise TypeError(f"not an Expr: {node!r}")
+    memo[key] = jet
+    return jet
 
 
 def eval_float(e: Expr, bindings: dict[str, float]) -> float:

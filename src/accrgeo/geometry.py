@@ -37,14 +37,13 @@ def coordinate_bindings(coords, point, order: int) -> dict[str, Jet]:
             for i, name in enumerate(coords)}
 
 
-def eval_expr_table(table, coords, point, order: int) -> np.ndarray:
+def eval_expr_table(table, bindings: dict[str, Jet]) -> np.ndarray:
     """Evaluate an object array of Expr (see :func:`accrgeo.expr.expr_table`)
-    into a tensor-jet array at a chart point."""
-    bindings = coordinate_bindings(coords, point, order)
-    out = np.zeros((jet_space(len(coords), order).ncoeff,) + table.shape)
-    for idx in np.ndindex(table.shape):
-        out[(slice(None),) + idx] = ex.eval_jet(table[idx], bindings).coeffs
-    return out
+    into a tensor-jet array, under the bindings of one chart point (see
+    :func:`coordinate_bindings`); shared nodes are evaluated once."""
+    jets = ex.eval_jets(table.flat, bindings)
+    return np.stack([jet.coeffs for jet in jets], axis=1).reshape(
+        (-1,) + table.shape)
 
 
 def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
@@ -192,7 +191,8 @@ class MetricChart:
         """(space, g) metric tensor with order-K jet entries; enforces
         numerical symmetry of the components."""
         space = jet_space(self.dim, order)
-        g = eval_expr_table(self.g, self.coords, point, order)
+        g = eval_expr_table(self.g,
+                            coordinate_bindings(self.coords, point, order))
         g0 = tvalue(g)
         if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, np.max(np.abs(g0))):
             raise ValueError("metric components are not symmetric")

@@ -231,8 +231,9 @@ def _reciprocal(a: Jet) -> Jet:
 
 
 def jpow(base: Jet, exponent: float) -> Jet:
-    """Integer exponents use repeated multiplication (any base); real
-    exponents are exp(e*ln(base)) and require a positive base value."""
+    """Integer exponents square and multiply, left to right, so x^n takes
+    at most 2 log2(n) products (x^2 is x*x, x^3 is (x*x)*x) for any base;
+    real exponents are exp(e*ln(base)) and require a positive base value."""
     e = float(exponent)
     if e.is_integer():
         n = int(e)
@@ -241,8 +242,10 @@ def jpow(base: Jet, exponent: float) -> Jet:
         if n < 0:
             return jpow(_reciprocal(base), -n)
         out = base
-        for _ in range(n - 1):
-            out = out * base
+        for bit in bin(n)[3:]:              # the binary digits after the lead
+            out = out * out
+            if bit == "1":
+                out = out * base
         return out
     if base.value <= 0.0:
         raise JetDomainError("non-integer power of a nonpositive base")

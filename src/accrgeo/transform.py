@@ -44,9 +44,7 @@ class TransformTriple:
 
     def jets(self, provider: StructureProvider, point, order: int):
         bindings = coordinate_bindings(provider.coords, point, order)
-        return (ex.eval_jet(self.u, bindings),
-                ex.eval_jet(self.v, bindings),
-                ex.eval_jet(self.w, bindings))
+        return tuple(ex.eval_jets((self.u, self.v, self.w), bindings))
 
 
 def deform(S: StructureJets, u: Jet, v: Jet, w: Jet) -> StructureJets:

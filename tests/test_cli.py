@@ -352,3 +352,36 @@ def test_scaled_reeb_field_passes_every_torse_check(capsys, c):
     code, vertical, checks = torse_verdicts(capsys, "hypersurface-f5", c)
     assert code == 0 and vertical and len(checks) == 8
     assert all(passed for _, passed in checks)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--box=-1e308,1e308"],               # hi - lo overflows to inf
+    ["--box=-inf,1"],
+])
+def test_negative_seed_or_infinite_box_width_exits_2_before_any_work(
+        monkeypatch, capsys, flags):
+    def no_work(cfg):
+        pytest.fail("a bad seed or box reached the model build")
+
+    monkeypatch.setattr(cli, "make_provider", no_work)
+    assert main(["check", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"seed": -3}',
+                                  '{"box": [0, 1' + "0" * 400 + "]}"],
+                         ids=["negative-seed", "integer-beyond-float"])
+def test_negative_seed_or_huge_box_in_config_file_exits_2(tmp_path, capsys,
+                                                          text):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert main(["check", "--config", str(cfgfile), "--example", "flat-f0",
+                 "--n", "1", "--samples", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_widest_finite_box_is_admitted():
+    args = cli.build_parser().parse_args(["check", "--box=-8e307,8e307"])
+    assert cli.build_config(args)["box"] == [-8e307, 8e307]

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accrgeo import expr as ex
-from accrgeo.jets import jet_space
+from accrgeo.examples import build_hypersurface, soliton_uvw
+from accrgeo.geometry import coordinate_bindings
+from accrgeo.jets import FUNCTION_TABLE, jet_space
 
 
 def test_parse_basic_arithmetic():
@@ -168,3 +170,115 @@ def test_float_and_jet_evaluation_agree(e, x, y, z):
     j = ex.eval_jet(e, bindings)
     assert np.isfinite(f)
     assert j.value == pytest.approx(f, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Shared nodes: one evaluation per distinct node and point
+# ---------------------------------------------------------------------------
+
+def tree_walk(e, bindings, space):
+    """Reference evaluator: every tree on its own, with no memo."""
+    match e:
+        case ex.Const(value):
+            return space.constant(value)
+        case ex.Var(name):
+            return bindings[name]
+        case ex.Neg(arg):
+            return -tree_walk(arg, bindings, space)
+        case ex.Bin(op, left, right):
+            a = tree_walk(left, bindings, space)
+            b = tree_walk(right, bindings, space)
+            return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
+                    "/": a.__truediv__}[op](b)
+        case ex.Pow(base, exponent):
+            return tree_walk(base, bindings, space) ** exponent
+        case ex.Func(name, arg):
+            return FUNCTION_TABLE[name](tree_walk(arg, bindings, space))
+
+
+def count_function_calls(monkeypatch) -> dict:
+    calls = {name: 0 for name in FUNCTION_TABLE}
+
+    def counted(name, fn):
+        def call(a):
+            calls[name] += 1
+            return fn(a)
+        return call
+
+    for name, fn in list(FUNCTION_TABLE.items()):
+        monkeypatch.setitem(FUNCTION_TABLE, name, counted(name, fn))
+    return calls
+
+
+def distinct_func_nodes(exprs) -> dict:
+    """Func nodes reachable from the trees, by name, counted once per
+    node object."""
+    seen, stack = {}, list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        match node:
+            case ex.Neg(arg) | ex.Func(_, arg) | ex.Pow(arg, _):
+                stack.append(arg)
+            case ex.Bin(_, left, right):
+                stack += [left, right]
+    count = {name: 0 for name in FUNCTION_TABLE}
+    for node in seen.values():
+        if isinstance(node, ex.Func):
+            count[node.name] += 1
+    return count
+
+
+def test_structure_at_calls_each_function_once_per_distinct_node(
+        monkeypatch):
+    S = build_hypersurface(3)
+    tables = (S.g_expr, S.phi_expr, S.xi_expr, S.eta_expr)
+    want = distinct_func_nodes(e for t in tables for e in t.flat)
+    assert want["sinh"] == 1 and want["arctan"] == 4   # p and A-bar
+    calls = count_function_calls(monkeypatch)
+    S.structure_at(np.full(S.dim, 0.8), 2)
+    assert calls == want
+
+
+def test_equal_text_entries_are_evaluated_once(monkeypatch):
+    table = ex.expr_table(["sin(x) * cos(x)"] * 10, (10,))
+    calls = count_function_calls(monkeypatch)
+    jets = ex.eval_jets(table.flat, {"x": jet_space(1, 3).var(0, 0.3)})
+    assert (calls["sin"], calls["cos"]) == (1, 1)
+    want = np.sin(0.3) * np.cos(0.3)
+    assert all(j.value == pytest.approx(want, rel=1e-15) for j in jets)
+
+
+def test_expr_table_shares_constants_by_bit_pattern():
+    t = ex.expr_table([[0.0, 1], [1.0, ex.Const(0.0)]], (2, 2))
+    assert t[0, 0] is t[1, 1] and t[0, 1] is t[1, 0]
+    signed = ex.expr_table([-0.0, 0.0], (2,))
+    assert signed[0] is not signed[1]
+    assert [math.copysign(1.0, c.value) for c in signed] == [-1.0, 1.0]
+    jets = ex.eval_jets(signed, {"x": jet_space(1, 1).var(0, 0.5)})
+    assert [math.copysign(1.0, j.value) for j in jets] == [-1.0, 1.0]
+
+
+def test_eval_jets_matches_an_independent_walk_bit_for_bit():
+    S = build_hypersurface(2)
+    triple = soliton_uvw(2)
+    point = [0.7, 1.1, 0.9, 1.3, 0.6]
+    bindings = coordinate_bindings(S.coords, point, 3)
+    space = bindings["t"].space
+    exprs = list(S.g_expr.flat) + [triple.u, triple.v, triple.w]
+    for got, e in zip(ex.eval_jets(exprs, bindings), exprs):
+        assert np.array_equal(got.coeffs,
+                              tree_walk(e, bindings, space).coeffs)
+
+
+def test_eval_jets_raises_eval_error_like_eval_jet():
+    bindings = {"x": jet_space(1, 2).var(0, -2.0)}
+    fine = ex.parse("x + 1")
+    with pytest.raises(ex.EvalError, match="unbound variable 'y'"):
+        ex.eval_jets([fine, ex.parse("x * y")], bindings)
+    with pytest.raises(ex.EvalError, match="sqrt"):
+        ex.eval_jets([fine, ex.parse("sqrt(x)")], bindings)
+    with pytest.raises(ex.EvalError):
+        ex.eval_jets([fine], {})

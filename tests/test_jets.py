@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from accrgeo import jets
 from accrgeo.jets import (Jet, JetDomainError, SingularMetricError, jarcsin,
                           jarctan, jcos, jcosh, jexp, jln, jpow, jsin, jsinh,
                           jsqrt, jtan, jtanh, jet_space, tconst, tgrad,
@@ -171,12 +172,42 @@ def test_division_and_reciprocal():
 def test_pow_integer_and_real():
     x = jet_space(1, 3).var(0, 1.7)
     assert np.allclose(jpow(x, 3).coeffs, (x * x * x).coeffs, atol=1e-12)
+    # square and multiply keep x^2 = x*x and x^3 = (x*x)*x bit for bit
+    space = jet_space(2, 3)
+    a = Jet(space, np.random.default_rng(5).uniform(-1, 1, space.ncoeff)) + 1.3
+    assert np.array_equal(jpow(a, 2).coeffs, (a * a).coeffs)
+    assert np.array_equal(jpow(a, 3).coeffs, ((a * a) * a).coeffs)
+    for n, want in ((6, a * a * a * a * a * a),
+                    (-5, 1.0 / (a * a * a * a * a))):
+        scale = np.max(np.abs(want.coeffs))
+        assert np.allclose(jpow(a, n).coeffs, want.coeffs, rtol=0,
+                           atol=1e-13 * scale)
     half = jpow(x, 0.5)
     assert np.allclose(half.coeffs, jsqrt(x).coeffs, atol=1e-12)
     # negative base with non-integer exponent is out of domain
     y = jet_space(1, 2).var(0, -1.0)
     with pytest.raises(JetDomainError):
         jpow(y, 0.5)
+
+
+def test_large_integer_power_takes_logarithmically_many_products(
+        monkeypatch):
+    n = 1_000_000
+    products = 0
+    segment_sum = jets._segment_sum
+
+    def counting(space, prod):
+        nonlocal products
+        products += 1
+        return segment_sum(space, prod)
+
+    monkeypatch.setattr(jets, "_segment_sum", counting)
+    x = jet_space(1, 3).var(0, 1.0)
+    got = jpow(x, n).coeffs
+    assert products <= 2 * math.ceil(math.log2(n))
+    # (1 + s)^n = sum_k C(n, k) s^k
+    want = np.array([math.comb(n, k) for k in range(4)], dtype=float)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_domain_errors():
