@@ -142,12 +142,18 @@ class Func(Expr):
 
 def as_expr(x) -> Expr:
     """Coerce to Expr: a tree is returned as is, text is parsed and a
-    number becomes a constant."""
+    number becomes a constant; :class:`ParseError` if it is not finite."""
     if isinstance(x, Expr):
         return x
     if isinstance(x, str):
         return parse(x)
-    return Const(float(x))
+    try:
+        value = float(x)
+    except OverflowError:               # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(0, "a finite number", str(value))
+    return Const(value)
 
 
 def expr_table(entries, shape) -> np.ndarray:
@@ -292,11 +298,18 @@ class _Parser:
         if kind == "op" and value == "-":
             self.advance()
             sign = -1.0
-        kind, value, _ = self.peek()
-        if kind != "number":
+        if self.peek()[0] != "number":
             self.fail("a numeric exponent")
+        return sign * self.number()
+
+    def number(self) -> float:
+        """The number token at hand, which must be finite (``1e999`` is
+        not)."""
+        x = float(self.peek()[1])
+        if not math.isfinite(x):
+            self.fail("a finite number")
         self.advance()
-        return sign * float(value)
+        return x
 
     def nested_expr(self) -> Expr:
         """The expression after an opening parenthesis."""
@@ -311,8 +324,7 @@ class _Parser:
     def primary(self) -> Expr:
         kind, value, _ = self.peek()
         if kind == "number":
-            self.advance()
-            return Const(float(value))
+            return Const(self.number())
         if kind == "name":
             self.advance()
             nk, nv, _ = self.peek()
@@ -331,7 +343,8 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse expression text; raises :class:`ParseError` on malformed
-    input and on nesting deeper than ``MAX_DEPTH``."""
+    input, on a number that is not finite and on nesting deeper than
+    ``MAX_DEPTH``."""
     e = _Parser(text).parse()
     if (levels := depth(e)) > MAX_DEPTH:
         raise ParseError(0, f"at most {MAX_DEPTH} nested operations",
@@ -378,7 +391,11 @@ def eval_jets(exprs, bindings: dict[str, Jet]) -> list[Jet]:
     is the exact truncated Taylor expansion of its expression at the
     bound point.  One memo, keyed by node identity, spans the whole
     sequence, so a node shared between or within the trees is evaluated
-    once."""
+    once.
+
+    A domain error, and any float overflow, division by zero or invalid
+    operation (the first step at which a jet would turn non-finite),
+    raises :class:`EvalError` naming the node where it happened."""
     space = None
     for jet in bindings.values():
         space = jet.space
@@ -387,10 +404,9 @@ def eval_jets(exprs, bindings: dict[str, Jet]) -> list[Jet]:
         raise EvalError("jet evaluation needs at least one binding")
     exprs = list(exprs)     # keeps every node, and so its id, alive
     memo = {}
-    try:
+    # numpy raises where a jet would turn non-finite, in place of a warning
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         return [_eval_node(e, bindings, space, memo) for e in exprs]
-    except JetDomainError as err:
-        raise EvalError(str(err)) from err
 
 
 def eval_jet(e: Expr, bindings: dict[str, Jet]) -> Jet:
@@ -406,35 +422,46 @@ def _eval_node(node: Expr, bindings, space, memo: dict) -> Jet:
     jet = memo.get(key)
     if jet is not None:
         return jet
-    match node:
-        case Const(value):
-            jet = space.constant(value)
-        case Var(name):
-            try:
-                jet = bindings[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-        case Neg(arg):
-            jet = -_eval_node(arg, bindings, space, memo)
-        case Bin(op, left, right):
-            a = _eval_node(left, bindings, space, memo)
-            b = _eval_node(right, bindings, space, memo)
-            if op == "+":
-                jet = a + b
-            elif op == "-":
-                jet = a - b
-            elif op == "*":
-                jet = a * b
-            else:
-                jet = a / b
-        case Pow(base, exponent):
-            jet = _eval_node(base, bindings, space, memo) ** exponent
-        case Func(name, arg):
-            jet = FUNCTION_TABLE[name](_eval_node(arg, bindings, space, memo))
-        case _:
-            raise TypeError(f"not an Expr: {node!r}")
+    try:
+        match node:
+            case Const(value):
+                jet = space.constant(value)
+            case Var(name):
+                try:
+                    jet = bindings[name]
+                except KeyError:
+                    raise EvalError(f"unbound variable {name!r}") from None
+            case Neg(arg):
+                jet = -_eval_node(arg, bindings, space, memo)
+            case Bin(op, left, right):
+                a = _eval_node(left, bindings, space, memo)
+                b = _eval_node(right, bindings, space, memo)
+                if op == "+":
+                    jet = a + b
+                elif op == "-":
+                    jet = a - b
+                elif op == "*":
+                    jet = a * b
+                else:
+                    jet = a / b
+            case Pow(base, exponent):
+                jet = _eval_node(base, bindings, space, memo) ** exponent
+            case Func(name, arg):
+                jet = FUNCTION_TABLE[name](
+                    _eval_node(arg, bindings, space, memo))
+            case _:
+                raise TypeError(f"not an Expr: {node!r}")
+    except (JetDomainError, FloatingPointError, OverflowError,
+            ZeroDivisionError) as err:
+        # raised here, at the innermost node: its parents pass it on
+        raise EvalError(f"{err} at {_quote(node)}") from err
     memo[key] = jet
     return jet
+
+
+def _quote(node: Expr, limit: int = 200) -> str:
+    text = serialize(node)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def eval_float(e: Expr, bindings: dict[str, float]) -> float:

@@ -14,7 +14,9 @@ module provides coefficient-first ndarray helpers (``tmul``, ``tgrad``,
 Scalar and tensor jets share one truncated-product kernel: a product
 gathers both operands along the :class:`JetSpace` coefficient-pair table,
 which is sorted by target coefficient, multiplies them, and sums each
-target's segment (:func:`_segment_sum`).
+target's segment (:func:`_segment_sum`).  A tensor product (:func:`tmul`)
+multiplies matrix stacks planned once per spec: densely for the pairs
+with a value part, by one batched ``np.matmul`` for the cross pairs.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ class JetSpace:
         self._mul_t = np.array(T)[by_target]
         # every target t has the pair (0, t): segment k sums coefficient k
         self._mul_starts = np.searchsorted(self._mul_t, range(self.ncoeff))
+        # the cross pairs (i, j > 0) reach the targets of degree 2 and up
+        cross = (self._mul_i > 0) & (self._mul_j > 0)
+        self._cross_i, self._cross_j = self._mul_i[cross], self._mul_j[cross]
+        self._cross_first = self.degree_offsets[min(2, self.order + 1)]
+        self._cross_starts = np.searchsorted(
+            self._mul_t[cross], range(self._cross_first, self.ncoeff))
 
     def _build_deriv_maps(self):
         # d/dx_v maps coefficient at b+e_v to coefficient (b_v+1)*c at b
@@ -352,19 +360,58 @@ def ttrunc(space: JetSpace, a: np.ndarray, new_order: int) -> np.ndarray:
     return a[: space.degree_offsets[new_order + 1]]
 
 
-def _segment_sum(space: JetSpace, prod: np.ndarray) -> np.ndarray:
+def _segment_sum(space: JetSpace, prod: np.ndarray, starts=None):
     """Sum the pair products of a truncated product (one row per entry of
-    the pair table) into their target coefficients."""
-    return np.add.reduceat(prod, space._mul_starts, axis=0)
+    the pair table, or of the segments ``starts``) into their targets."""
+    starts = space._mul_starts if starts is None else starts
+    return np.add.reduceat(prod, starts, axis=0)
+
+
+@lru_cache(maxsize=None)
+def _tmul_plan(sub: str, ashape: tuple, bshape: tuple):
+    """Axis orders and shapes that make (free, summed) and (summed, free)
+    matrix stacks of the operands, the product, and the output order."""
+    lhs, out = sub.split("->")
+    sa, sb = lhs.split(",")
+    con = [c for c in sa if c in sb]
+    free = [c for c in sa if c not in sb] + [c for c in sb if c not in sa]
+    size = dict(zip(sa, ashape))
+    if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb)
+            or sorted(out) != sorted(free)
+            or (len(sa), len(sb)) != (len(ashape), len(bshape))
+            or any(size.setdefault(c, n) != n for c, n in zip(sb, bshape))):
+        raise ValueError(f"tmul cannot run {sub!r} on {ashape}, {bshape}")
+    na = len(sa) - len(con)
+    m, k, n = (math.prod(size[c] for c in part)
+               for part in (free[:na], con, free[na:]))
+    return ((0, *(1 + sa.index(c) for c in free[:na] + con)), (m, k),
+            (0, *(1 + sb.index(c) for c in con + free[na:])), (k, n),
+            np.matmul if con else np.multiply,
+            tuple(size[c] for c in free),
+            (0, *(1 + free.index(c) for c in out)))
 
 
 def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
-    """Jet-valued einsum: ``sub`` is a plain einsum spec over the tensor
-    axes, e.g. ``"ij,jk->ik"``; the coefficient axis is convolved."""
-    lhs, rhs = sub.split("->")
-    sa, sb = lhs.split(",")
-    return _segment_sum(space, np.einsum(f"p{sa},p{sb}->p{rhs}",
-                                         a[space._mul_i], b[space._mul_j]))
+    """Jet-valued einsum: ``sub`` is an einsum spec over the tensor axes,
+    e.g. ``"ij,jk->ik"``; the coefficient axis is convolved.
+
+    A spec may name an index once per operand; an index of both operands
+    is summed and every other one is an output axis (no trace, diagonal,
+    batch axis or one-sided sum), else ``ValueError``.  The pairs with a
+    value part multiply as dense matrix stacks, the cross pairs in one
+    batched ``np.matmul`` (broadcast when nothing is summed) over their
+    part of the pair table, summed by :func:`_segment_sum`."""
+    perm_a, mk, perm_b, kn, op, shape, perm_out = _tmul_plan(
+        sub, a.shape[1:], b.shape[1:])
+    a = a.transpose(perm_a).reshape((-1,) + mk)
+    b = b.transpose(perm_b).reshape((-1,) + kn)
+    out = op(a[0], b)                       # the pairs (0, t)
+    out[1:] += op(a[1:], b[0])              # the pairs (t, 0), t > 0
+    if space.order >= 2:
+        out[space._cross_first:] += _segment_sum(
+            space, op(a[space._cross_i], b[space._cross_j]),
+            space._cross_starts)
+    return out.reshape((-1,) + shape).transpose(perm_out)
 
 
 def tscale(space: JetSpace, scalar: Jet, a: np.ndarray) -> np.ndarray:

@@ -266,6 +266,44 @@ def test_overflow_in_triple_exits_3(capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u", ["1e999*x1", "x1^1e999", "x1^-1e999"])
+def test_non_finite_number_in_triple_exits_2(capsys, u):
+    # 1e999 read as inf ran on to "SVD did not converge", exit 3
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--order", "1", "--u", u]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"u": Infinity}', '{"v": NaN}',
+                                  '{"w": 1' + "0" * 400 + "}"],
+                         ids=["inf", "nan", "integer-beyond-float"])
+def test_non_finite_number_for_triple_in_config_file_exits_2(tmp_path,
+                                                             capsys, text):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert main(["transform", "--config", str(cfgfile), "--example",
+                 "flat-f0", "--n", "1", "--samples", "1"]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u,box,node", [
+    # math.exp overflows on the middle exp
+    ("exp(exp(exp(x1*10)))", "1,2", "math range error at "
+                                    "exp(exp((x1 * 10)))"),
+    # numpy overflows to inf inside the jet product
+    ("x1^400 + 1", "10,11", "overflow encountered in multiply at "
+                            "(x1 ^ 400)"),
+    ("1/(x1*1e-200)", "1,2", "division by zero at (1 / (x1 * "),
+])
+def test_overflow_in_triple_exits_3_naming_the_node(capsys, u, box, node):
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--order", "1", f"--box={box}",
+                 "--u", u]) == 3
+    err = capsys.readouterr().err
+    assert node in err
+    assert "Warning" not in err
+
+
 def test_classify_reports_one_worst_of_axioms_check(capsys):
     code, rep = run_json(capsys, "classify", "--example", "random",
                          "--n", "1", "--samples", "4", "--seed", "7")

@@ -282,3 +282,22 @@ def test_eval_jets_raises_eval_error_like_eval_jet():
         ex.eval_jets([fine, ex.parse("sqrt(x)")], bindings)
     with pytest.raises(ex.EvalError):
         ex.eval_jets([fine], {})
+
+
+@pytest.mark.parametrize("x", ["1e999", "2 * 1e999", "x^1e999", "x^-1e999",
+                               math.inf, math.nan, 10 ** 400])
+def test_non_finite_number_is_a_parse_error(x):
+    with pytest.raises(ex.ParseError, match="a finite number"):
+        ex.as_expr(x)
+
+
+def test_eval_jets_names_the_node_where_a_jet_overflows():
+    bindings = {"x": jet_space(1, 2).var(0, 10.0)}
+    fine = ex.parse("x + 1")
+    # numpy overflows inside x^400, not in the sum over it
+    with pytest.raises(ex.EvalError, match=r"overflow .* at \(x \^ 400\)$"):
+        ex.eval_jets([fine, ex.parse("x^400 + x"), fine], bindings)
+    # a Python overflow names the node whose jet function raised it
+    with pytest.raises(ex.EvalError, match=r"range error at exp\(\(x \* 100"):
+        ex.eval_jets([ex.parse("sin(exp(x*100))")], bindings)
+    assert ex.eval_jets([fine], bindings)[0].value == 11.0

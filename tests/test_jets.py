@@ -237,6 +237,52 @@ def test_tmul_matches_pointwise_matrix_product():
         assert np.allclose(c[i], expect)
 
 
+# every spec the package passes to tmul
+TMUL_SPECS = ["ab,bc->ac", "ia,aj->ij", "kl,ijl->kij", "ljm,mik->lijk",
+              "kim,mj->ikj", "mij,km->ikj", "kim,m->ik", "mij,m->ij",
+              "mli,mj->lij", "mlj,im->lij", "kj,ik->ij", "ik,jk->ij",
+              "k,kij->ij", "km,jm->kj", "mj,mk->jk", "i,j->ij", "i,i->",
+              "ik,ik->"]
+# a distinct length per index, so that a misplaced axis cannot go unseen
+AXIS_LENGTH = dict(zip("abcijklm", [2, 3, 4, 3, 2, 4, 5, 3]))
+
+
+def einsum_tmul(space, a, b, sub):
+    """Every pair of the table gathered and multiplied by one einsum, as
+    tmul did before its planned matmul: the oracle for every spec."""
+    lhs, rhs = sub.split("->")
+    sa, sb = lhs.split(",")
+    prod = np.einsum(f"p{sa},p{sb}->p{rhs}", a[space._mul_i],
+                     b[space._mul_j])
+    return np.add.reduceat(prod, space._mul_starts, axis=0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("sub", TMUL_SPECS)
+def test_tmul_matches_the_pair_table_einsum(sub, order):
+    space = jet_space(2, order)
+    sa, sb = sub.split("->")[0].split(",")
+    a = RNG.uniform(-1, 1, (space.ncoeff,) + tuple(AXIS_LENGTH[c]
+                                                   for c in sa))
+    b = RNG.uniform(-1, 1, (space.ncoeff,) + tuple(AXIS_LENGTH[c]
+                                                   for c in sb))
+    got = tmul(space, a, b, sub)
+    want = einsum_tmul(space, a, b, sub)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1, np.abs(want)))
+
+
+@pytest.mark.parametrize("sub,shapes", [
+    ("ii,i->i", ((3, 3), (3,))),        # an index repeated in one operand
+    ("ij,k->i", ((3, 2), (4,))),        # j and k are neither summed nor kept
+])
+def test_tmul_rejects_a_spec_it_cannot_plan(sub, shapes):
+    space = jet_space(2, 2)
+    a, b = (np.ones((space.ncoeff,) + shape) for shape in shapes)
+    with pytest.raises(ValueError):
+        tmul(space, a, b, sub)
+
+
 def test_tgrad_extracts_partials():
     space = jet_space(2, 2)
     x = space.var(0, 0.3)
