@@ -91,10 +91,10 @@ class ChartStructure(StructureProvider):
     def structure_at(self, point, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
         bindings = coordinate_bindings(self.coords, point, order)
-        g = tsym(eval_expr_table(self.g_expr, bindings))
-        phi = eval_expr_table(self.phi_expr, bindings)
-        xi = eval_expr_table(self.xi_expr, bindings)
-        eta = eval_expr_table(self.eta_expr, bindings)
+        g = tsym(eval_expr_table(space, self.g_expr, bindings))
+        phi = eval_expr_table(space, self.phi_expr, bindings)
+        xi = eval_expr_table(space, self.xi_expr, bindings)
+        eta = eval_expr_table(space, self.eta_expr, bindings)
         return StructureJets(space, np.asarray(point, dtype=float),
                              g, phi, xi, eta)
 
@@ -119,7 +119,7 @@ class FrameStructure(StructureProvider):
 
     def structure_at(self, point, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
-        a = eval_expr_table(self.frame_expr,
+        a = eval_expr_table(space, self.frame_expr,
                             coordinate_bindings(self.coords, point, order))
         ainv = tminv(space, a)
         phi = np.einsum("pab,bc->pac", a, self._phihat)
@@ -389,7 +389,7 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     space = S.space
     d = S.g.shape[1]
     n = ev.n
-    vf = eval_expr_table(theta_field, coordinate_bindings(
+    vf = eval_expr_table(space, theta_field, coordinate_bindings(
         provider.coords, point, space.order))
     v0 = tvalue(vf)
     vscale = _maxabs(v0)

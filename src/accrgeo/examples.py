@@ -33,9 +33,8 @@ from . import expr as ex
 from .accr import (ChartStructure, FrameStructure, StructureJets,
                    StructureProvider, canonical_flat_fields, structure_eval,
                    _maxabs)
-from .geometry import coordinate_bindings
-from .jets import (jet_space, jcos, jcosh, jsin, jsinh, tgrad, tminv, tmul,
-                   tscale, tsym, tvalue)
+from .geometry import coordinate_bindings, eval_expr_table
+from .jets import jet_space, tgrad, tminv, tmul, tscale, tsym, tvalue
 
 DEFAULT_BOX = (0.5, 1.5)
 
@@ -242,31 +241,36 @@ class EmbeddedSphere(StructureProvider):
                        + [f"b{i + 1}" for i in range(n)] + ["t"])
         self.name = "embedded-sphere"
         self.ambient_dim = 2 * n + 2
+        a, b = ([ex.Var(c) for c in self.coords[k * n:(k + 1) * n]]
+                for k in (0, 1))
+        t = ex.Var("t")
+        f = ex.func
+        # complex trig of zeta = a + i b, as (Re, Im) pairs
+        cos_z = [(f("cos", x) * f("cosh", y), -(f("sin", x) * f("sinh", y)))
+                 for x, y in zip(a, b)]
+        sin_z = [(f("sin", x) * f("cosh", y), f("cos", x) * f("sinh", y))
+                 for x, y in zip(a, b)]
+
+        def cmul(p, q):
+            return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+        comps, prefix = [cos_z[0]], sin_z[0]    # prefix: sin zeta_1 ...
+        for cz, sz in zip(cos_z[1:], sin_z[1:]):
+            comps.append(cmul(prefix, cz))
+            prefix = cmul(prefix, sz)
+        comps.append(prefix)
+        cosh_t = f("cosh", t)
+        self.position = ex.expr_table(
+            [[cosh_t * re, cosh_t * im] for re, im in comps], (n + 1, 2))
+        self.csch = ex.expr_table([1.0 / f("sinh", t)], (1,))
 
     def embedding_jets(self, point, order: int):
         """Tensor-jet array Z[m, c] of the ambient position, with m the
         complex ambient index and c in {0: Re, 1: Im}."""
-        d = self.dim
-        space = jet_space(d, order)
-        x = list(coordinate_bindings(self.coords, point, order).values())
-        a, b, t = x[:self.n], x[self.n:d - 1], x[d - 1]
-        # complex trig of zeta = a + i b
-        cos_re = [jcos(a[i]) * jcosh(b[i]) for i in range(self.n)]
-        cos_im = [-(jsin(a[i]) * jsinh(b[i])) for i in range(self.n)]
-        sin_re = [jsin(a[i]) * jcosh(b[i]) for i in range(self.n)]
-        sin_im = [jcos(a[i]) * jsinh(b[i]) for i in range(self.n)]
-        zr = [space.constant(1.0)]
-        zi = [space.constant(0.0)]
-        comps = []
-        for i in range(self.n):
-            pr, pi = zr[-1], zi[-1]
-            comps.append((pr * cos_re[i] - pi * cos_im[i],
-                          pr * cos_im[i] + pi * cos_re[i]))
-            zr.append(pr * sin_re[i] - pi * sin_im[i])
-            zi.append(pr * sin_im[i] + pi * sin_re[i])
-        comps.append((zr[-1], zi[-1]))
-        Z = np.moveaxis([[re.coeffs, im.coeffs] for re, im in comps], -1, 0)
-        return space, tscale(space, jcosh(t), Z)
+        space = jet_space(self.dim, order)
+        return space, eval_expr_table(
+            space, self.position,
+            coordinate_bindings(self.coords, point, order))
 
     def structure_at(self, point, order: int) -> StructureJets:
         parent, Z = self.embedding_jets(point, order + 1)
@@ -283,9 +287,10 @@ class EmbeddedSphere(StructureProvider):
         ginv = tminv(space, g)
         phi = tmul(space, ginv, -tsym(cim), "km,jm->kj")
         pt = np.asarray(point, dtype=float)
-        csch = 1.0 / jsinh(space.var(d - 1, pt[d - 1]))
+        csch = eval_expr_table(space, self.csch, coordinate_bindings(
+            self.coords, pt, space.order))[:, 0]
         xi = np.zeros((space.ncoeff, d))
-        xi[:, d - 1] = csch.coeffs
+        xi[:, d - 1] = csch
         eta = tscale(space, csch, g[:, :, d - 1])
         return StructureJets(space, pt, g, phi, xi, eta)
 

@@ -16,7 +16,10 @@ evaluation is pure.
 
 Two evaluators read a tree.  :func:`eval_float` computes a plain value.
 :func:`eval_jets` computes the truncated Taylor jets of a sequence of
-trees at one point, under bindings of the variables to jets; a node
+trees at one point, under bindings of the variables to jets.  It is the
+one place where scalar jets (coefficient arrays, see
+:mod:`accrgeo.jets`) are combined: ``+``, ``-`` and negation are array
+operations, ``*`` and ``/`` the truncated product ``jmul``; a node
 object that several trees, or several places of one tree, share is
 evaluated once, through a memo keyed by node identity that lives for
 that one call.  :func:`eval_jet` is the same for a single tree.  Trees
@@ -40,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import FUNCTION_TABLE, Jet, JetDomainError
+from .jets import (FUNCTION_TABLE, JetDomainError, JetSpace, _reciprocal,
+                   jmul, jpow, tconst)
 
 FUNCTIONS = frozenset(FUNCTION_TABLE)
 MAX_DEPTH = 100
@@ -386,22 +390,18 @@ def free_vars(e: Expr) -> frozenset[str]:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def eval_jets(exprs, bindings: dict[str, Jet]) -> list[Jet]:
-    """Evaluate a sequence of trees over jets at one point; each result
-    is the exact truncated Taylor expansion of its expression at the
-    bound point.  One memo, keyed by node identity, spans the whole
-    sequence, so a node shared between or within the trees is evaluated
-    once.
+def eval_jets(space: JetSpace, exprs,
+              bindings: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """Evaluate a sequence of trees over jets of ``space`` at one point,
+    with the variables bound to scalar jets (arrays of shape
+    ``(space.ncoeff,)``); each result is the exact truncated Taylor
+    expansion of its expression at the bound point.  One memo, keyed by
+    node identity, spans the whole sequence, so a node shared between or
+    within the trees is evaluated once.
 
     A domain error, and any float overflow, division by zero or invalid
     operation (the first step at which a jet would turn non-finite),
     raises :class:`EvalError` naming the node where it happened."""
-    space = None
-    for jet in bindings.values():
-        space = jet.space
-        break
-    if space is None:
-        raise EvalError("jet evaluation needs at least one binding")
     exprs = list(exprs)     # keeps every node, and so its id, alive
     memo = {}
     # numpy raises where a jet would turn non-finite, in place of a warning
@@ -409,12 +409,13 @@ def eval_jets(exprs, bindings: dict[str, Jet]) -> list[Jet]:
         return [_eval_node(e, bindings, space, memo) for e in exprs]
 
 
-def eval_jet(e: Expr, bindings: dict[str, Jet]) -> Jet:
+def eval_jet(space: JetSpace, e: Expr,
+             bindings: dict[str, np.ndarray]) -> np.ndarray:
     """Evaluate one tree over jets (see :func:`eval_jets`)."""
-    return eval_jets([e], bindings)[0]
+    return eval_jets(space, [e], bindings)[0]
 
 
-def _eval_node(node: Expr, bindings, space, memo: dict) -> Jet:
+def _eval_node(node: Expr, bindings, space, memo: dict) -> np.ndarray:
     # the memo is an argument, not a closure cell: a recursive closure
     # over it would be a reference cycle that keeps every point's jets
     # alive until the garbage collector runs
@@ -425,7 +426,7 @@ def _eval_node(node: Expr, bindings, space, memo: dict) -> Jet:
     try:
         match node:
             case Const(value):
-                jet = space.constant(value)
+                jet = tconst(space, value)
             case Var(name):
                 try:
                     jet = bindings[name]
@@ -441,14 +442,15 @@ def _eval_node(node: Expr, bindings, space, memo: dict) -> Jet:
                 elif op == "-":
                     jet = a - b
                 elif op == "*":
-                    jet = a * b
+                    jet = jmul(space, a, b)
                 else:
-                    jet = a / b
+                    jet = jmul(space, a, _reciprocal(space, b))
             case Pow(base, exponent):
-                jet = _eval_node(base, bindings, space, memo) ** exponent
+                jet = jpow(space, _eval_node(base, bindings, space, memo),
+                           exponent)
             case Func(name, arg):
                 jet = FUNCTION_TABLE[name](
-                    _eval_node(arg, bindings, space, memo))
+                    space, _eval_node(arg, bindings, space, memo))
             case _:
                 raise TypeError(f"not an Expr: {node!r}")
     except (JetDomainError, FloatingPointError, OverflowError,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .jets import (Jet, JetSpace, SingularMetricError, jet_space, tgrad,
-                   tminv, tmul, tsym, ttrunc, tvalue)
+from .jets import (JetSpace, SingularMetricError, jet_space, tgrad, tminv,
+                   tmul, tsym, ttrunc, tvalue)
 
 __all__ = [
     "MetricChart", "FrameEval", "SingularMetricError",
@@ -29,21 +29,23 @@ __all__ = [
 ]
 
 
-def coordinate_bindings(coords, point, order: int) -> dict[str, Jet]:
-    """Jets of the coordinate functions at a chart point, coordinate i
-    seeding variable i: the bindings every chart evaluation uses."""
-    space = jet_space(len(coords), order)
-    return {name: space.var(i, float(point[i]))
-            for i, name in enumerate(coords)}
+def coordinate_bindings(coords, point,
+                        order: int) -> dict[str, np.ndarray]:
+    """Jets of the coordinate functions at a chart point in
+    ``jet_space(len(coords), order)``, coordinate i seeding variable i:
+    the bindings every chart evaluation uses."""
+    seeds = np.eye(len(coords), jet_space(len(coords), order).ncoeff, 1)
+    seeds[:, 0] = point
+    return dict(zip(coords, seeds))
 
 
-def eval_expr_table(table, bindings: dict[str, Jet]) -> np.ndarray:
+def eval_expr_table(space: JetSpace, table,
+                    bindings: dict[str, np.ndarray]) -> np.ndarray:
     """Evaluate an object array of Expr (see :func:`accrgeo.expr.expr_table`)
     into a tensor-jet array, under the bindings of one chart point (see
     :func:`coordinate_bindings`); shared nodes are evaluated once."""
-    jets = ex.eval_jets(table.flat, bindings)
-    return np.stack([jet.coeffs for jet in jets], axis=1).reshape(
-        (-1,) + table.shape)
+    return np.stack(ex.eval_jets(space, table.flat, bindings),
+                    axis=1).reshape((-1,) + table.shape)
 
 
 def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
@@ -191,7 +193,7 @@ class MetricChart:
         """(space, g) metric tensor with order-K jet entries; enforces
         numerical symmetry of the components."""
         space = jet_space(self.dim, order)
-        g = eval_expr_table(self.g,
+        g = eval_expr_table(space, self.g,
                             coordinate_bindings(self.coords, point, order))
         g0 = tvalue(g)
         if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, np.max(np.abs(g0))):

@@ -6,10 +6,13 @@ Taylor-normalized (partial derivative divided by the factorial of the
 multi-index) and stored densely in graded lexicographic order, so
 truncating to a lower order is a prefix slice of the coefficient vector.
 
-Besides the scalar :class:`Jet` used by the expression evaluator, this
-module provides coefficient-first ndarray helpers (``tmul``, ``tgrad``,
-``tminv`` ...) used by the tensor machinery: an array of shape
-``(ncoeff, *tensor_shape)`` holds one jet per tensor component.
+Every jet is a coefficient-first ndarray: an array of shape
+``(ncoeff, *tensor_shape)`` holds one jet per tensor component, and a
+scalar jet is an array of shape ``(ncoeff,)``.  Scalar arithmetic
+(``jmul``, ``jpow`` and the elementary functions of ``FUNCTION_TABLE``)
+is used only by the expression evaluator; the tensor machinery uses
+``tmul``, ``tgrad``, ``tminv`` ...  Every function takes the
+:class:`JetSpace` of its operands first.
 
 Scalar and tensor jets share one truncated-product kernel: a product
 gathers both operands along the :class:`JetSpace` coefficient-pair table,
@@ -119,126 +122,52 @@ class JetSpace:
     def child(self) -> "JetSpace":
         return jet_space(self.m, self.order - 1)
 
-    # -- scalar constructors -------------------------------------------------
-
-    def constant(self, value: float) -> "Jet":
-        return Jet(self, tconst(self, value))
-
-    def var(self, i: int, value: float) -> "Jet":
-        if not 0 <= i < self.m:
-            raise IndexError(f"seed index {i} out of range for m={self.m}")
-        c = tconst(self, value)
-        if self.order >= 1:
-            c[1 + i] = 1.0
-        return Jet(self, c)
-
-
-class Jet:
-    """Immutable truncated Taylor value; all operations are pure."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray):
-        self.space = space
-        self.coeffs = coeffs
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def partial(self, *vars_: int) -> float:
-        """Raw partial derivative for the given (unordered) variable list."""
-        e = [0] * self.space.m
+    def partial(self, a: np.ndarray, *vars_: int) -> float:
+        """Raw partial derivative of the scalar jet ``a`` for the given
+        (unordered) variable list."""
+        e = [0] * self.m
         for v in vars_:
             e[v] += 1
-        a = tuple(e)
-        if sum(a) > self.space.order:
+        if sum(e) > self.order:
             raise ValueError("derivative order exceeds jet order")
         fact = 1.0
-        for k in a:
+        for k in e:
             fact *= math.factorial(k)
-        return float(self.coeffs[self.space.index_of[a]] * fact)
-
-    def gradient(self) -> np.ndarray:
-        if self.space.order < 1:
-            raise ValueError("order-0 jet has no gradient")
-        return self.coeffs[1 : 1 + self.space.m].copy()
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise ValueError("jet spaces do not match")
-            return other
-        return self.space.constant(float(other))
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return Jet(self.space, self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return Jet(self.space, self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.coeffs * float(other))
-        other = self._lift(other)
-        sp = self.space
-        return Jet(sp, _segment_sum(sp, self.coeffs[sp._mul_i]
-                                    * other.coeffs[sp._mul_j]))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.space, self.coeffs / float(other))
-        return self * _reciprocal(other)
-
-    def __rtruediv__(self, other):
-        return _reciprocal(self) * other
-
-    def __pow__(self, exponent):
-        return jpow(self, exponent)
-
-    def __repr__(self):
-        return (f"Jet(m={self.space.m}, K={self.space.order}, "
-                f"coeffs={self.coeffs!r})")
+        return float(a[self.index_of[tuple(e)]] * fact)
 
 
-def _compose(a: Jet, derivs) -> Jet:
-    """Value of f(a) given [f(a0), f'(a0), f''(a0), f'''(a0)]: the Taylor
+# ---------------------------------------------------------------------------
+# Scalar jets: arrays of shape (ncoeff,), combined only by the expression
+# evaluator.
+# ---------------------------------------------------------------------------
+
+def jmul(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two scalar jets: every pair of the table."""
+    return _segment_sum(space, a[space._mul_i] * b[space._mul_j])
+
+
+def _compose(space: JetSpace, a: np.ndarray, derivs) -> np.ndarray:
+    """Jet of f(a) given [f(a0), f'(a0), f''(a0), f'''(a0)]: the Taylor
     polynomial of f at a0 in s = a - a0, by Horner's rule."""
-    sp = a.space
-    s = a.coeffs.copy()
+    s = a.copy()
     s[0] = 0.0
-    out = s * (derivs[sp.order] / math.factorial(sp.order))
-    for k in range(sp.order - 1, 0, -1):
+    out = s * (derivs[space.order] / math.factorial(space.order))
+    for k in range(space.order - 1, 0, -1):
         out[0] += derivs[k] / math.factorial(k)
-        out = _segment_sum(sp, out[sp._mul_i] * s[sp._mul_j])
+        out = jmul(space, out, s)
     out[0] += derivs[0]
-    return Jet(sp, out)
+    return out
 
 
-def _reciprocal(a: Jet) -> Jet:
-    v = a.value
+def _reciprocal(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
     if v == 0.0:
         raise JetDomainError("division by zero")
-    return _compose(a, [1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4])
+    return _compose(space, a, [1.0 / v, -1.0 / v**2, 2.0 / v**3,
+                               -6.0 / v**4])
 
 
-def jpow(base: Jet, exponent: float) -> Jet:
+def jpow(space: JetSpace, base: np.ndarray, exponent: float) -> np.ndarray:
     """Integer exponents square and multiply, left to right, so x^n takes
     at most 2 log2(n) products (x^2 is x*x, x^3 is (x*x)*x) for any base;
     real exponents are exp(e*ln(base)) and require a positive base value."""
@@ -246,89 +175,95 @@ def jpow(base: Jet, exponent: float) -> Jet:
     if e.is_integer():
         n = int(e)
         if n == 0:
-            return base.space.constant(1.0)
+            return tconst(space, 1.0)
         if n < 0:
-            return jpow(_reciprocal(base), -n)
+            return jpow(space, _reciprocal(space, base), -n)
         out = base
         for bit in bin(n)[3:]:              # the binary digits after the lead
-            out = out * out
+            out = jmul(space, out, out)
             if bit == "1":
-                out = out * base
+                out = jmul(space, out, base)
         return out
-    if base.value <= 0.0:
+    if base[0] <= 0.0:
         raise JetDomainError("non-integer power of a nonpositive base")
-    return jexp(jln(base) * e)
+    return jexp(space, jln(space, base) * e)
 
 
-def jsin(a: Jet) -> Jet:
-    v = a.value
-    return _compose(a, [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)])
+def jsin(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
+    return _compose(space, a, [math.sin(v), math.cos(v),
+                               -math.sin(v), -math.cos(v)])
 
 
-def jcos(a: Jet) -> Jet:
-    v = a.value
-    return _compose(a, [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)])
+def jcos(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
+    return _compose(space, a, [math.cos(v), -math.sin(v),
+                               -math.cos(v), math.sin(v)])
 
 
-def jtan(a: Jet) -> Jet:
-    t = math.tan(a.value)
+def jtan(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    t = math.tan(float(a[0]))
     d1 = 1.0 + t * t
-    return _compose(a, [t, d1, 2.0 * t * d1, 2.0 * d1 * (1.0 + 3.0 * t * t)])
+    return _compose(space, a, [t, d1, 2.0 * t * d1,
+                               2.0 * d1 * (1.0 + 3.0 * t * t)])
 
 
-def jsinh(a: Jet) -> Jet:
-    v = a.value
-    return _compose(a, [math.sinh(v), math.cosh(v),
-                        math.sinh(v), math.cosh(v)])
+def jsinh(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
+    return _compose(space, a, [math.sinh(v), math.cosh(v),
+                               math.sinh(v), math.cosh(v)])
 
 
-def jcosh(a: Jet) -> Jet:
-    v = a.value
-    return _compose(a, [math.cosh(v), math.sinh(v),
-                        math.cosh(v), math.sinh(v)])
+def jcosh(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
+    return _compose(space, a, [math.cosh(v), math.sinh(v),
+                               math.cosh(v), math.sinh(v)])
 
 
-def jtanh(a: Jet) -> Jet:
-    t = math.tanh(a.value)
+def jtanh(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    t = math.tanh(float(a[0]))
     d1 = 1.0 - t * t
-    return _compose(a, [t, d1, -2.0 * t * d1, -2.0 * d1 * (1.0 - 3.0 * t * t)])
+    return _compose(space, a, [t, d1, -2.0 * t * d1,
+                               -2.0 * d1 * (1.0 - 3.0 * t * t)])
 
 
-def jexp(a: Jet) -> Jet:
-    e = math.exp(a.value)
-    return _compose(a, [e, e, e, e])
+def jexp(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    e = math.exp(float(a[0]))
+    return _compose(space, a, [e, e, e, e])
 
 
-def jln(a: Jet) -> Jet:
-    v = a.value
+def jln(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
     if v <= 0.0:
         raise JetDomainError("ln of a nonpositive value")
-    return _compose(a, [math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3])
+    return _compose(space, a, [math.log(v), 1.0 / v, -1.0 / v**2,
+                               2.0 / v**3])
 
 
-def jsqrt(a: Jet) -> Jet:
-    v = a.value
+def jsqrt(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
     if v <= 0.0:
         raise JetDomainError("sqrt of a nonpositive value")
     r = math.sqrt(v)
-    return _compose(a, [r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)])
+    return _compose(space, a, [r, 0.5 / r, -0.25 / (r * v),
+                               0.375 / (r * v * v)])
 
 
-def jarctan(a: Jet) -> Jet:
-    v = a.value
+def jarctan(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
     d = 1.0 + v * v
-    return _compose(a, [math.atan(v), 1.0 / d, -2.0 * v / d**2,
-                        (6.0 * v * v - 2.0) / d**3])
+    return _compose(space, a, [math.atan(v), 1.0 / d, -2.0 * v / d**2,
+                               (6.0 * v * v - 2.0) / d**3])
 
 
-def jarcsin(a: Jet) -> Jet:
-    v = a.value
+def jarcsin(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    v = float(a[0])
     if not -1.0 < v < 1.0:
         raise JetDomainError("arcsin outside (-1, 1)")
     d = 1.0 - v * v
     r = math.sqrt(d)
-    return _compose(a, [math.asin(v), 1.0 / r, v / (r * d),
-                        (1.0 + 2.0 * v * v) / (r * d * d)])
+    return _compose(space, a, [math.asin(v), 1.0 / r, v / (r * d),
+                               (1.0 + 2.0 * v * v) / (r * d * d)])
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +349,9 @@ def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
     return out.reshape((-1,) + shape).transpose(perm_out)
 
 
-def tscale(space: JetSpace, scalar: Jet, a: np.ndarray) -> np.ndarray:
+def tscale(space: JetSpace, scalar: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Multiply a tensor-jet array by a scalar jet."""
-    s = scalar.coeffs[space._mul_i].reshape((-1,) + (1,) * (a.ndim - 1))
+    s = scalar[space._mul_i].reshape((-1,) + (1,) * (a.ndim - 1))
     return _segment_sum(space, s * a[space._mul_j])
 
 

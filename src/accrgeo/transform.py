@@ -14,6 +14,7 @@ so derivatives of g_bar of any supported order are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .accr import (AccrEval, StructureJets, StructureProvider, _maxabs,
                    class_residuals, worst_of)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
-from .jets import Jet, jcos, jexp, jsin, tmul, tscale, tsym, ttrunc, tvalue
+from .jets import jet_space, tmul, tscale, tsym, ttrunc, tvalue
 
 
 @dataclass(frozen=True)
@@ -42,25 +43,36 @@ class TransformTriple:
         zero = ex.Const(0.0)
         return cls(zero, zero, zero)
 
+    @cached_property
+    def exprs(self) -> tuple[ex.Expr, ...]:
+        """(u, v, w) and the scalar factors of the deformation:
+        a = e^2u cos 2v, b = e^2u sin 2v, e^2w - a - b, e^-w and e^w."""
+        two = ex.Const(2.0)
+        e2u, v2 = ex.func("exp", two * self.u), two * self.v
+        a = e2u * ex.func("cos", v2)
+        b = e2u * ex.func("sin", v2)
+        return (self.u, self.v, self.w, a, b,
+                ex.func("exp", two * self.w) - a - b,
+                ex.func("exp", -self.w), ex.func("exp", self.w))
+
     def jets(self, provider: StructureProvider, point, order: int):
-        bindings = coordinate_bindings(provider.coords, point, order)
-        return tuple(ex.eval_jets((self.u, self.v, self.w), bindings))
+        """Jets of :attr:`exprs` at a chart point, from one evaluation."""
+        return ex.eval_jets(jet_space(len(provider.coords), order),
+                            self.exprs,
+                            coordinate_bindings(provider.coords, point, order))
 
 
-def deform(S: StructureJets, u: Jet, v: Jet, w: Jet) -> StructureJets:
+def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
     """The deformed fields (phi, xi_bar, eta_bar, g_bar) from the base
-    structure jets and the jets of (u, v, w) at the same point."""
+    structure jets and the jets of the deformation factors at the same
+    point (the last five of :attr:`TransformTriple.exprs`)."""
     space = S.space
-    e2u, e2w = jexp(2.0 * u), jexp(2.0 * w)
-    c2v, s2v = jcos(2.0 * v), jsin(2.0 * v)
     eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
     gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
-    a = e2u * c2v
-    b = e2u * s2v
     gbar = tsym(tscale(space, a, S.g) + tscale(space, b, gtilde)
-                + tscale(space, e2w - a - b, eta_eta))
-    xibar = tscale(space, jexp(-1.0 * w), S.xi)
-    etabar = tscale(space, jexp(w), S.eta)
+                + tscale(space, c, eta_eta))
+    xibar = tscale(space, e_minus_w, S.xi)
+    etabar = tscale(space, e_w, S.eta)
     return StructureJets(space, S.point, gbar, S.phi, xibar, etabar)
 
 
@@ -76,15 +88,15 @@ class TransformedStructure(StructureProvider):
 
     def structure_at(self, point, order: int) -> StructureJets:
         S = self.base.structure_at(point, order)
-        return deform(S, *self.triple.jets(self.base, point, order))
+        return deform(S, *self.triple.jets(self.base, point, order)[3:])
 
     def evaluate(self, point, order: int, curvature: bool = False):
         """(base structure jets, deformed evaluation, differentials of
         (u, v, w)) at a point, from one evaluation of the base structure
         and of the triple; needs ``order`` >= 1."""
         S = self.base.structure_at(point, order)
-        u, v, w = self.triple.jets(self.base, point, order)
-        ev_bar = AccrEval.from_jets(deform(S, u, v, w), curvature)
+        u, v, w, *factors = self.triple.jets(self.base, point, order)
+        ev_bar = AccrEval.from_jets(deform(S, *factors), curvature)
         return S, ev_bar, Differentials.from_jets(u, v, w, S)
 
 
@@ -106,14 +118,16 @@ class Differentials:
     dw_xi: float
 
     @classmethod
-    def from_jets(cls, u: Jet, v: Jet, w: Jet,
+    def from_jets(cls, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                   S: StructureJets) -> "Differentials":
         """From jets of order >= 1 of (u, v, w) and the base structure
         jets at the same point."""
-        du, dv, dw = u.gradient(), v.gradient(), w.gradient()
+        m = S.space.m
+        du, dv, dw = u[1:1 + m], v[1:1 + m], w[1:1 + m]
         phi0, xi0 = tvalue(S.phi), tvalue(S.xi)
         return cls(
-            du=du, dv=dv, dw=dw, u=u.value, v=v.value, w=w.value,
+            du=du, dv=dv, dw=dw, u=float(u[0]), v=float(v[0]),
+            w=float(w[0]),
             alpha=du @ phi0 + dv, beta=du - dv @ phi0,
             du_xi=float(du @ xi0), dv_xi=float(dv @ xi0),
             dw_xi=float(dw @ xi0),
@@ -124,7 +138,8 @@ def differentials(triple: TransformTriple, ev: AccrEval,
                   provider: StructureProvider) -> Differentials:
     """Evaluate du, dv, dw and the associated covectors alpha, beta at
     the point of ``ev`` (which must be an evaluation of ``provider``)."""
-    u, v, w = triple.jets(provider, ev.S.point, max(1, ev.S.space.order))
+    u, v, w = triple.jets(provider, ev.S.point,
+                          max(1, ev.S.space.order))[:3]
     return Differentials.from_jets(u, v, w, ev.S)
 
 

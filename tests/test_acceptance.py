@@ -21,7 +21,7 @@ from accrgeo.cli import main
 from accrgeo.examples import (build_flat_f0, build_hypersurface,
                               holomorphic_pair_uvw, random_structure,
                               sample_points, soliton_uvw)
-from accrgeo.geometry import MetricChart
+from accrgeo.geometry import MetricChart, coordinate_bindings
 from accrgeo.jets import jet_space
 from accrgeo.transform import (TransformTriple, TransformedStructure,
                                alpha_beta_residuals, differentials,
@@ -207,9 +207,9 @@ def test_acceptance_7_jets_vs_finite_differences():
             continue
         if not np.isfinite(f0) or abs(f0) > 1e6:
             continue
-        bindings = {name: space.var(i, vals[name])
-                    for i, name in enumerate("xyz")}
-        jet = ex.eval_jet(e, bindings)
+        bindings = coordinate_bindings(list("xyz"),
+                                       [vals[name] for name in "xyz"], 2)
+        jet = ex.eval_jet(space, e, bindings)
 
         def at(dx, dy, dz):
             return ex.eval_float(e, {"x": vals["x"] + dx,
@@ -221,13 +221,14 @@ def test_acceptance_7_jets_vs_finite_differences():
             step = [0.0, 0.0, 0.0]
             step[i] = h1
             d1 = (at(*step) - at(*[-s for s in step])) / (2 * h1)
-            err = abs(jet.partial(i) - d1) / max(1.0, abs(d1))
-            assert err < 1e-5, (ex.serialize(e), name, jet.partial(i), d1)
+            err = abs(space.partial(jet, i) - d1) / max(1.0, abs(d1))
+            assert err < 1e-5, (ex.serialize(e), name,
+                                space.partial(jet, i), d1)
             step[i] = h2
             d2 = (at(*step) - 2 * f0 + at(*[-s for s in step])) / h2 ** 2
-            err = abs(jet.partial(i, i) - d2) / max(1.0, abs(d2))
-            assert err < 1e-5, (ex.serialize(e), name, jet.partial(i, i),
-                                d2)
+            err = abs(space.partial(jet, i, i) - d2) / max(1.0, abs(d2))
+            assert err < 1e-5, (ex.serialize(e), name,
+                                space.partial(jet, i, i), d2)
         checked += 1
 
 

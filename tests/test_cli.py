@@ -304,6 +304,17 @@ def test_overflow_in_triple_exits_3_naming_the_node(capsys, u, box, node):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("flag,text", [("--u", "300*x1"), ("--w", "400*x1")])
+def test_overflow_in_a_deformation_factor_exits_3_naming_it(capsys, flag,
+                                                            text):
+    # u and w are finite; e^2u and e^2w, factors of g_bar, overflow
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--order", "1", "--box=1,2",
+                 flag, text]) == 3
+    assert (f"math range error at exp((2 * ({text.replace('*', ' * ')})))"
+            in capsys.readouterr().err)
+
+
 def test_classify_reports_one_worst_of_axioms_check(capsys):
     code, rep = run_json(capsys, "classify", "--example", "random",
                          "--n", "1", "--samples", "4", "--seed", "7")

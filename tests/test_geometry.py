@@ -199,23 +199,24 @@ def test_cov_deriv_vector_vs_finite_differences():
     vexprs = ex.expr_table(["sin(x0) * x1", "x2^2", "x0 + x1 * x2"], (3,))
     space = jet_space(3, 2)
     v = geo.eval_expr_table(
-        vexprs, geo.coordinate_bindings(coords, p, 2))
+        space, vexprs, geo.coordinate_bindings(coords, p, 2))
     ev = chart.frame_at(p, order=2)
     child, nv = geo.cov_deriv_vector(space, ev.gamma, v)
     nv0 = tvalue(nv)                             # nv0[i,k] = nabla_i v^k
     h = 1e-6
     gam = tvalue(ev.gamma)
+    space0 = jet_space(3, 0)
     for i in range(3):
         qp, qm = p.copy(), p.copy()
         qp[i] += h
         qm[i] -= h
         vp = tvalue(geo.eval_expr_table(
-            vexprs, geo.coordinate_bindings(coords, qp, 0)))
+            space0, vexprs, geo.coordinate_bindings(coords, qp, 0)))
         vm = tvalue(geo.eval_expr_table(
-            vexprs, geo.coordinate_bindings(coords, qm, 0)))
+            space0, vexprs, geo.coordinate_bindings(coords, qm, 0)))
         dv = (vp - vm) / (2 * h)
         expect = dv + gam[:, i, :] @ tvalue(geo.eval_expr_table(
-            vexprs, geo.coordinate_bindings(coords, p, 0)))
+            space0, vexprs, geo.coordinate_bindings(coords, p, 0)))
         assert np.max(np.abs(nv0[i] - expect)) < 1e-8
 
 
@@ -226,10 +227,10 @@ def test_cov_deriv_covector_contraction_leibniz():
     coords = chart.coords
     space = jet_space(3, 2)
     a = geo.eval_expr_table(
-        ex.expr_table(["x1^2", "cos(x0)", "x0 * x2"], (3,)),
+        space, ex.expr_table(["x1^2", "cos(x0)", "x0 * x2"], (3,)),
         geo.coordinate_bindings(coords, p, 2))
     v = geo.eval_expr_table(
-        ex.expr_table(["x2", "exp(x0)", "x1"], (3,)),
+        space, ex.expr_table(["x2", "exp(x0)", "x1"], (3,)),
         geo.coordinate_bindings(coords, p, 2))
     ev = chart.frame_at(p, order=2)
     child, na = geo.cov_deriv_covector(space, ev.gamma, a)
@@ -266,7 +267,7 @@ def test_lie_metric_coord_matches_covariant_form():
     coords = chart.coords
     space = jet_space(3, 2)
     v = geo.eval_expr_table(
-        ex.expr_table(["x1 * x2", "sin(x0)", "x0^2 - x2"], (3,)),
+        space, ex.expr_table(["x1 * x2", "sin(x0)", "x0^2 - x2"], (3,)),
         geo.coordinate_bindings(coords, p, 2))
     ev = chart.frame_at(p, order=2)
     child, lie_c = geo.lie_metric_coord(space, ev.g, v)
@@ -282,7 +283,7 @@ def test_killing_field_of_round_sphere():
     chart = sphere_chart()
     space = jet_space(2, 2)
     v = geo.eval_expr_table(
-        ex.expr_table([0.0, 1.0], (2,)),
+        space, ex.expr_table([0.0, 1.0], (2,)),
         geo.coordinate_bindings(chart.coords, [0.9, 0.4], 2))
     _, g = chart.metric_at([0.9, 0.4], 2)
     _, lie = geo.lie_metric_coord(space, g, v)

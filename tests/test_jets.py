@@ -1,22 +1,34 @@
 """Truncated Taylor jet arithmetic against independent oracles."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from accrgeo import jets
-from accrgeo.jets import (Jet, JetDomainError, SingularMetricError, jarcsin,
-                          jarctan, jcos, jcosh, jexp, jln, jpow, jsin, jsinh,
-                          jsqrt, jtan, jtanh, jet_space, tconst, tgrad,
-                          tminv, tmul, tscale, ttrunc, tvalue)
+from accrgeo.jets import (JetDomainError, SingularMetricError, _reciprocal,
+                          jarcsin, jarctan, jcos, jcosh, jexp, jln, jmul,
+                          jpow, jsin, jsinh, jsqrt, jtan, jtanh, jet_space,
+                          tconst, tgrad, tminv, tmul, tscale, ttrunc, tvalue)
 
 RNG = np.random.default_rng(42)
 
 
 def rand_jet(space, scale=1.0):
-    j = Jet(space, RNG.uniform(-scale, scale, space.ncoeff))
-    return j
+    return RNG.uniform(-scale, scale, space.ncoeff)
+
+
+def var(space, i, value):
+    """The jet of seed variable i at ``value``."""
+    x = tconst(space, value)
+    x[1 + i] = 1.0
+    return x
+
+
+def mul(space, *factors):
+    """Left-to-right product of scalar jets."""
+    return functools.reduce(lambda a, b: jmul(space, a, b), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -24,22 +36,23 @@ def rand_jet(space, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_variable_jet_coefficients():
-    x = jet_space(2, 3).var(0, 2.0)
-    assert x.value == 2.0
-    assert x.partial(0) == 1.0
-    assert x.partial(1) == 0.0
-    assert x.partial(0, 0) == 0.0
+    space = jet_space(2, 3)
+    x = var(space, 0, 2.0)
+    assert x[0] == 2.0
+    assert space.partial(x, 0) == 1.0
+    assert space.partial(x, 1) == 0.0
+    assert space.partial(x, 0, 0) == 0.0
 
 
 def test_partial_extraction_matches_factorials():
     # f = x^3 at x0 = 2: d^3 f = 6
     space = jet_space(1, 3)
-    x = space.var(0, 2.0)
-    f = x * x * x
-    assert f.value == 8.0
-    assert f.partial(0) == pytest.approx(12.0)
-    assert f.partial(0, 0) == pytest.approx(12.0)
-    assert f.partial(0, 0, 0) == pytest.approx(6.0)
+    x = var(space, 0, 2.0)
+    f = mul(space, x, x, x)
+    assert f[0] == 8.0
+    assert space.partial(f, 0) == pytest.approx(12.0)
+    assert space.partial(f, 0, 0) == pytest.approx(12.0)
+    assert space.partial(f, 0, 0, 0) == pytest.approx(6.0)
 
 
 def test_product_leibniz_exhaustive():
@@ -50,14 +63,14 @@ def test_product_leibniz_exhaustive():
         space = jet_space(m, 3)
         a = rand_jet(space)
         b = rand_jet(space)
-        ab = a * b
+        ab = jmul(space, a, b)
         # oracle: evaluate both Taylor polynomials on a grid of small
         # offsets and compare products pointwise to third order
         for _ in range(20):
             h = RNG.uniform(-0.1, 0.1, m)
-            pa = _poly_eval(space, a.coeffs, h)
-            pb = _poly_eval(space, b.coeffs, h)
-            pab = _poly_eval(space, ab.coeffs, h)
+            pa = _poly_eval(space, a, h)
+            pb = _poly_eval(space, b, h)
+            pab = _poly_eval(space, ab, h)
             assert pab == pytest.approx(pa * pb, abs=5e-4)
 
 
@@ -91,8 +104,8 @@ def test_products_at_order_3_match_polynomial_products(m):
         s = _degree_limited(space, (), p)
         t = _degree_limited(space, (), 3 - p)
         ab = tmul(space, a, b, "ij,jk->ik")
-        sb = tscale(space, Jet(space, s), b)
-        st = (Jet(space, s) * Jet(space, t)).coeffs
+        sb = tscale(space, s, b)
+        st = jmul(space, s, t)
         for _ in range(5):
             h = RNG.uniform(-1, 1, m)
             pa, pb = _poly_eval(space, a, h), _poly_eval(space, b, h)
@@ -103,6 +116,26 @@ def test_products_at_order_3_match_polynomial_products(m):
                                rtol=1e-12, atol=1e-12)
             assert _poly_eval(space, st, h) == pytest.approx(ps * pt,
                                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_jmul_matches_tmul_and_the_polynomial_product(m, order):
+    space = jet_space(m, order)
+    a, b = rand_jet(space), rand_jet(space)
+    ab = jmul(space, a, b)
+    want = tmul(space, a, b, ",->")
+    assert np.all(np.abs(ab - want) <= 1e-13 * np.maximum(1, np.abs(want)))
+    # degree p times degree K - p: the truncation drops no term
+    for p in range(order + 1):
+        s = _degree_limited(space, (), p)
+        t = _degree_limited(space, (), order - p)
+        st = jmul(space, s, t)
+        for _ in range(3):
+            h = RNG.uniform(-1, 1, m)
+            want = _poly_eval(space, s, h) * _poly_eval(space, t, h)
+            assert _poly_eval(space, st, h) == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +162,31 @@ FUNCS = [
 def test_function_jets_match_finite_differences(jf, mf, rng):
     h = 1e-5
     for x0 in np.linspace(rng[0], rng[1], 7):
-        x = jet_space(1, 3).var(0, float(x0))
-        out = jf(x)
-        assert out.value == pytest.approx(mf(x0), rel=1e-12)
+        space = jet_space(1, 3)
+        out = jf(space, var(space, 0, float(x0)))
+        assert out[0] == pytest.approx(mf(x0), rel=1e-12)
         d1 = (mf(x0 + h) - mf(x0 - h)) / (2 * h)
         d2 = (mf(x0 + h) - 2 * mf(x0) + mf(x0 - h)) / h ** 2
-        assert out.partial(0) == pytest.approx(d1, rel=2e-6, abs=2e-6)
-        assert out.partial(0, 0) == pytest.approx(d2, rel=2e-4, abs=2e-4)
+        assert space.partial(out, 0) == pytest.approx(d1, rel=2e-6, abs=2e-6)
+        assert space.partial(out, 0, 0) == pytest.approx(d2, rel=2e-4,
+                                                         abs=2e-4)
 
 
 def test_chain_rule_composition():
     # sin(exp(x) * y) jets vs finite differences of the composite
     space = jet_space(2, 2)
-    x = space.var(0, 0.4)
-    y = space.var(1, 1.2)
-    f = jsin(jexp(x) * y)
+    x = var(space, 0, 0.4)
+    y = var(space, 1, 1.2)
+    f = jsin(space, jmul(space, jexp(space, x), y))
 
     def ref(a, b):
         return math.sin(math.exp(a) * b)
 
     h = 1e-5
-    assert f.value == pytest.approx(ref(0.4, 1.2), rel=1e-12)
-    assert f.partial(0) == pytest.approx(
+    assert f[0] == pytest.approx(ref(0.4, 1.2), rel=1e-12)
+    assert space.partial(f, 0) == pytest.approx(
         (ref(0.4 + h, 1.2) - ref(0.4 - h, 1.2)) / (2 * h), rel=1e-7)
-    assert f.partial(0, 1) == pytest.approx(
+    assert space.partial(f, 0, 1) == pytest.approx(
         (ref(0.4 + h, 1.2 + h) - ref(0.4 + h, 1.2 - h)
          - ref(0.4 - h, 1.2 + h) + ref(0.4 - h, 1.2 - h)) / (4 * h * h),
         rel=1e-4)
@@ -160,34 +194,36 @@ def test_chain_rule_composition():
 
 def test_division_and_reciprocal():
     space = jet_space(2, 3)
-    a = rand_jet(space) + 3.0
-    b = rand_jet(space) + 2.0
-    q = a / b
-    back = q * b
-    assert np.allclose(back.coeffs, a.coeffs, atol=1e-12)
+    a = rand_jet(space) + tconst(space, 3.0)
+    b = rand_jet(space) + tconst(space, 2.0)
+    q = jmul(space, a, _reciprocal(space, b))
+    back = jmul(space, q, b)
+    assert np.allclose(back, a, atol=1e-12)
     with pytest.raises(JetDomainError):
-        _ = a / Jet(space, np.zeros(space.ncoeff))
+        _reciprocal(space, np.zeros(space.ncoeff))
 
 
 def test_pow_integer_and_real():
-    x = jet_space(1, 3).var(0, 1.7)
-    assert np.allclose(jpow(x, 3).coeffs, (x * x * x).coeffs, atol=1e-12)
+    s1 = jet_space(1, 3)
+    x = var(s1, 0, 1.7)
+    assert np.allclose(jpow(s1, x, 3), mul(s1, x, x, x), atol=1e-12)
     # square and multiply keep x^2 = x*x and x^3 = (x*x)*x bit for bit
     space = jet_space(2, 3)
-    a = Jet(space, np.random.default_rng(5).uniform(-1, 1, space.ncoeff)) + 1.3
-    assert np.array_equal(jpow(a, 2).coeffs, (a * a).coeffs)
-    assert np.array_equal(jpow(a, 3).coeffs, ((a * a) * a).coeffs)
-    for n, want in ((6, a * a * a * a * a * a),
-                    (-5, 1.0 / (a * a * a * a * a))):
-        scale = np.max(np.abs(want.coeffs))
-        assert np.allclose(jpow(a, n).coeffs, want.coeffs, rtol=0,
+    a = (np.random.default_rng(5).uniform(-1, 1, space.ncoeff)
+         + tconst(space, 1.3))
+    assert np.array_equal(jpow(space, a, 2), jmul(space, a, a))
+    assert np.array_equal(jpow(space, a, 3), mul(space, a, a, a))
+    for n, want in ((6, mul(space, *[a] * 6)),
+                    (-5, _reciprocal(space, mul(space, *[a] * 5)))):
+        scale = np.max(np.abs(want))
+        assert np.allclose(jpow(space, a, n), want, rtol=0,
                            atol=1e-13 * scale)
-    half = jpow(x, 0.5)
-    assert np.allclose(half.coeffs, jsqrt(x).coeffs, atol=1e-12)
+    half = jpow(s1, x, 0.5)
+    assert np.allclose(half, jsqrt(s1, x), atol=1e-12)
     # negative base with non-integer exponent is out of domain
-    y = jet_space(1, 2).var(0, -1.0)
+    s2 = jet_space(1, 2)
     with pytest.raises(JetDomainError):
-        jpow(y, 0.5)
+        jpow(s2, var(s2, 0, -1.0), 0.5)
 
 
 def test_large_integer_power_takes_logarithmically_many_products(
@@ -202,8 +238,8 @@ def test_large_integer_power_takes_logarithmically_many_products(
         return segment_sum(space, prod)
 
     monkeypatch.setattr(jets, "_segment_sum", counting)
-    x = jet_space(1, 3).var(0, 1.0)
-    got = jpow(x, n).coeffs
+    space = jet_space(1, 3)
+    got = jpow(space, var(space, 0, 1.0), n)
     assert products <= 2 * math.ceil(math.log2(n))
     # (1 + s)^n = sum_k C(n, k) s^k
     want = np.array([math.comb(n, k) for k in range(4)], dtype=float)
@@ -211,13 +247,14 @@ def test_large_integer_power_takes_logarithmically_many_products(
 
 
 def test_domain_errors():
-    bad = jet_space(1, 2).var(0, -0.5)
+    space = jet_space(1, 2)
+    bad = var(space, 0, -0.5)
     with pytest.raises(JetDomainError):
-        jln(bad)
+        jln(space, bad)
     with pytest.raises(JetDomainError):
-        jsqrt(bad)
+        jsqrt(space, bad)
     with pytest.raises(JetDomainError):
-        jarcsin(jet_space(1, 2).var(0, 1.5))
+        jarcsin(space, var(space, 0, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +279,7 @@ TMUL_SPECS = ["ab,bc->ac", "ia,aj->ij", "kl,ijl->kij", "ljm,mik->lijk",
               "kim,mj->ikj", "mij,km->ikj", "kim,m->ik", "mij,m->ij",
               "mli,mj->lij", "mlj,im->lij", "kj,ik->ij", "ik,jk->ij",
               "k,kij->ij", "km,jm->kj", "mj,mk->jk", "i,j->ij", "i,i->",
-              "ik,ik->"]
+              "ik,ik->", ",ij->ij", ",i->i"]
 # a distinct length per index, so that a misplaced axis cannot go unseen
 AXIS_LENGTH = dict(zip("abcijklm", [2, 3, 4, 3, 2, 4, 5, 3]))
 
@@ -285,11 +322,11 @@ def test_tmul_rejects_a_spec_it_cannot_plan(sub, shapes):
 
 def test_tgrad_extracts_partials():
     space = jet_space(2, 2)
-    x = space.var(0, 0.3)
-    y = space.var(1, 0.8)
-    f = x * x * y
+    x = var(space, 0, 0.3)
+    y = var(space, 1, 0.8)
+    f = mul(space, x, x, y)
     arr = np.zeros((space.ncoeff, 1))
-    arr[:, 0] = f.coeffs
+    arr[:, 0] = f
     g = tgrad(space, arr)
     assert g.shape[1:] == (1, 2)
     assert tvalue(g)[0, 0] == pytest.approx(2 * 0.3 * 0.8)
@@ -335,9 +372,9 @@ def test_ttrunc_is_prefix():
 
 def test_coordinate_jets_and_rank0_tmul():
     space = jet_space(3, 2)
-    pts = [space.var(i, x) for i, x in enumerate([0.5, 1.5, 2.5])]
-    assert [j.value for j in pts] == [0.5, 1.5, 2.5]
-    arr = np.stack([j.coeffs for j in pts], axis=1)
-    s = Jet(space, tmul(space, arr, arr, "i,i->"))
-    assert s.value == pytest.approx(0.25 + 2.25 + 6.25)
-    assert s.partial(1) == pytest.approx(3.0)
+    pts = [var(space, i, x) for i, x in enumerate([0.5, 1.5, 2.5])]
+    assert [j[0] for j in pts] == [0.5, 1.5, 2.5]
+    arr = np.stack(pts, axis=1)
+    s = tmul(space, arr, arr, "i,i->")
+    assert s[0] == pytest.approx(0.25 + 2.25 + 6.25)
+    assert space.partial(s, 1) == pytest.approx(3.0)

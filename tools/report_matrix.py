@@ -1,0 +1,149 @@
+"""Record the CLI reports of a fixed command matrix, or compare two
+records: the behavioural contract of a refactor.
+
+Every case runs ``accrgeo.cli.main`` in-process (4 samples, seed 7) and
+keeps its exit code, the sha256 of its stdout and the stdout text.  The
+matrix is
+
+* check, classify, lee, torse x 3 models x n = 1..3 x order 1..3;
+* transform (order 1..3) and soliton (order 2..3) x 6 presets
+  x 3 models x n = 1..3.
+
+Record the ``accrgeo`` found on ``PYTHONPATH``, then compare two
+records:
+
+    PYTHONPATH=src python tools/report_matrix.py --out after.json
+    python tools/report_matrix.py --compare before.json after.json
+
+The comparison counts byte-identical reports, exit-code changes and
+verdict changes (the report's or any check's ``passed``), and names the
+largest float deviation, relative to max(1, |x|).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+
+MODELS = ("flat-f0", "hypersurface-f5", "random")
+PRESETS = ("identity", "soliton", "negative-du", "negative-dv",
+           "negative-dw", "holomorphic")
+NS = (1, 2, 3)
+COMMON = ["--samples", "4", "--seed", "7", "--json"]
+
+
+def cases() -> dict:
+    out = {}
+    for cmd in ("check", "classify", "lee", "torse"):
+        for model in MODELS:
+            for n in NS:
+                for order in (1, 2, 3):
+                    out[f"{cmd}-{model}-n{n}-k{order}"] = [
+                        cmd, "--example", model, "--n", str(n),
+                        "--order", str(order)]
+    for cmd, orders in (("transform", (1, 2, 3)), ("soliton", (2, 3))):
+        for preset in PRESETS:
+            for model in MODELS:
+                for n in NS:
+                    for order in orders:
+                        out[f"{cmd}-{preset}-{model}-n{n}-k{order}"] = [
+                            cmd, "--example", model, "--n", str(n),
+                            "--order", str(order), "--preset", preset]
+    return out
+
+
+def record() -> dict:
+    from accrgeo.cli import main
+    out = {}
+    for name, argv in cases().items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + COMMON)
+        text = stdout.getvalue()
+        out[name] = {"argv": argv, "exit": code,
+                     "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                     "stdout": text}
+    return out
+
+
+def _verdicts(report) -> list:
+    if report is None:
+        return []
+    return [report["passed"]] + [c["passed"] for c in report["checks"]]
+
+
+def _deviation(a, b, path="$"):
+    """(largest |a - b| / max(1, |a|) over the floats of two reports,
+    its path); a structural difference counts as infinite."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return math.inf, path + " (keys)"
+        parts = [_deviation(a[k], b[k], f"{path}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf, path + " (length)"
+        parts = [_deviation(x, y, f"{path}[{i}]")
+                 for i, (x, y) in enumerate(zip(a, b))]
+    elif isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return (0.0 if math.isnan(a) and math.isnan(b) else math.inf,
+                    path)
+        if a == b:
+            return 0.0, path
+        return abs(a - b) / max(1.0, abs(a)), path
+    else:
+        return (0.0 if a == b and type(a) is type(b) else math.inf), path
+    return max(parts, key=lambda p: p[0], default=(0.0, path))
+
+
+def compare(a: dict, b: dict) -> dict:
+    shared = [name for name in a if name in b]
+    worst = (0.0, None)
+    counts = {"cases": len(shared), "only_in_first": len(a) - len(shared),
+              "only_in_second": len(b) - len(shared), "byte_identical": 0,
+              "exit_changed": 0, "verdict_changed": 0}
+    for name in shared:
+        x, y = a[name], b[name]
+        if x["exit"] == y["exit"] and x["sha256"] == y["sha256"]:
+            counts["byte_identical"] += 1
+            continue
+        counts["exit_changed"] += x["exit"] != y["exit"]
+        rx = json.loads(x["stdout"]) if x["stdout"] else None
+        ry = json.loads(y["stdout"]) if y["stdout"] else None
+        counts["verdict_changed"] += _verdicts(rx) != _verdicts(ry)
+        dev, path = _deviation(rx, ry)
+        if dev >= worst[0]:
+            worst = (dev, f"{name}: {path}")
+    counts["max_float_deviation"] = worst[0]
+    counts["max_float_deviation_at"] = worst[1]
+    return counts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="record the matrix into this file")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare two records")
+    args = parser.parse_args(argv)
+    if args.out:
+        data = record()
+        with open(args.out, "w") as fh:
+            json.dump(data, fh, indent=1)
+            fh.write("\n")
+        print(f"recorded {len(data)} cases in {args.out}")
+        return 0
+    first, second = (json.load(open(path)) for path in args.compare)
+    for key, value in compare(first, second).items():
+        print(f"{key}: {value}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
