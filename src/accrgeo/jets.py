@@ -350,9 +350,10 @@ def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
 
 
 def tscale(space: JetSpace, scalar: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Multiply a tensor-jet array by a scalar jet."""
-    s = scalar[space._mul_i].reshape((-1,) + (1,) * (a.ndim - 1))
-    return _segment_sum(space, s * a[space._mul_j])
+    """Multiply a tensor-jet array by a scalar jet: one :func:`tmul`
+    with the spec ``",ij->ij"`` for a matrix, ``",i->i"`` for a vector."""
+    axes = "ijklmn"[:a.ndim - 1]
+    return tmul(space, scalar, a, f",{axes}->{axes}")
 
 
 def tgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
