@@ -138,8 +138,10 @@ def differentials(triple: TransformTriple, ev: AccrEval,
                   provider: StructureProvider) -> Differentials:
     """Evaluate du, dv, dw and the associated covectors alpha, beta at
     the point of ``ev`` (which must be an evaluation of ``provider``)."""
-    u, v, w = triple.jets(provider, ev.S.point,
-                          max(1, ev.S.space.order))[:3]
+    order = max(1, ev.S.space.order)
+    u, v, w = ex.eval_jets(
+        jet_space(len(provider.coords), order), (triple.u, triple.v, triple.w),
+        coordinate_bindings(provider.coords, ev.S.point, order))
     return Differentials.from_jets(u, v, w, ev.S)
 
 

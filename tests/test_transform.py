@@ -121,6 +121,15 @@ def test_flat_base_lee_forms_are_pure_alpha_beta():
     assert np.max(np.abs(evb.omega - d.dw @ ev.phi0)) < 1e-10
 
 
+def test_differentials_evaluate_no_deformation_factor():
+    # e^2u overflows at x1 = 1.5, but du, dv, dw need only u, v, w
+    prov = build_flat_f0(1)
+    ev = structure_eval(prov, [1.5, 1.5, 1.5], order=1)
+    d = tr.differentials(tr.TransformTriple.make("300 * x1", 0, 0), ev, prov)
+    assert d.u == 450.0
+    assert np.array_equal(d.du, [300.0, 0.0, 0.0])
+
+
 def test_f5_closed_form_for_deformed_f():
     for n in (1, 2):
         prov = build_hypersurface(n)
