@@ -351,31 +351,8 @@ def class_residuals(ev: AccrEval, tol: float = TOL_CLASS) -> ClassResiduals:
 # Torse-forming analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TorseFormingReport:
-    """Pointwise identification of nabla theta = f*id + theta (x) gamma."""
-
-    point: np.ndarray
-    f: float
-    gamma_form: np.ndarray
-    fit_residual: float            # of the identification, over max|A|
-    k: float                       # eta(theta_field)
-    length_sq: float               # g(theta_field, theta_field)
-    verticality: float             # max|theta_field - k xi| / max|theta_field|
-    is_torse_forming: bool
-    is_vertical: bool              # vertical with k away from 0
-    dk_residual: float             # dk = f eta + k gamma, over max|theta_field|
-    # the vertical-case residuals below are NaN unless is_vertical
-    nabla_xi_residual: float       # nabla_x xi = -(f/k) phi^2 x
-    f_xyxi_residual: float         # F(x,y,xi) = -(f/k) g(x, phi y)
-    lee_theta_xi: float
-    lee_theta_star_xi_residual: float   # theta*(xi) - 2n f/k
-    lee_omega: float
-
-
 def torse_forming_analyze(provider: StructureProvider, theta_field, point,
-                          order: int = 1,
-                          tol: float = 1e-7) -> TorseFormingReport:
+                          order: int = 1, tol: float = 1e-7):
     """Identify the conformal scalar f and generating form gamma of a
     candidate torse-forming field by least squares on
     nabla theta = f*id + theta (x) gamma.
@@ -383,6 +360,10 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     ``theta_field`` is the field's table of component expressions over
     the chart coordinates, as built by :func:`accrgeo.expr.expr_table`
     with shape ``(dim,)``.
+
+    Returns ``(residuals, sample)``: ``torse_fit``, ``dk_identity``
+    and ``verticality``, plus at a vertical point (k = eta(theta) away
+    from 0) the vertical-case identities; and the report's sample record.
     """
     ev = structure_eval(provider, point, order=max(order, 1))
     S = ev.S
@@ -408,39 +389,33 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, point,
     gamma_form = sol[1:]
     fit = rows @ sol - rhs
     scale = _maxabs(A)                        # an exactly zero A fits
-    fit_residual = _maxabs(fit) / scale if scale else 0.0
 
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
     k_val = float(eta0 @ v0)
     verticality = _maxabs(v0 - k_val * xi0) / vscale
-    # the vertical identities divide by k, so they need k away from 0
-    is_vertical = verticality <= tol and abs(k_val) > 1e-12 * vscale
-    is_tf = fit_residual <= tol
-
     # dk = f eta + k gamma: k as a jet via eta_i v^i
     dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
-    dk_residual = _maxabs(dk - f * eta0 - k_val * gamma_form) / vscale
-
-    nxi_res = f_res = ts_res = np.nan
-    th_xi = om = np.nan
-    if is_vertical:
+    res = {"torse_fit": _maxabs(fit) / scale if scale else 0.0,
+           "dk_identity": _maxabs(dk - f * eta0 - k_val * gamma_form)
+           / vscale,
+           "verticality": verticality}
+    # the vertical identities divide by k, so they need k away from 0
+    if verticality <= tol and abs(k_val) > 1e-12 * vscale:
         fk = f / k_val
         _, nxi = cov_deriv_vector(space, ev.frame.gamma, S.xi)
         nxi0 = tvalue(nxi)                    # [i, k] = (nabla_i xi)^k
         phi2 = phi0 @ phi0
-        nxi_res = _maxabs(nxi0 + fk * phi2.T)  # (nabla_i xi)^k = -fk (phi^2)^k_i
         fxi = np.einsum("ija,a->ij", ev.F, xi0)
-        f_res = _maxabs(fxi + fk * (g0 @ phi0))
-        th_xi = abs(float(ev.theta @ xi0))
-        ts_res = abs(float(ev.theta_star @ xi0) - 2.0 * n * fk)
-        om = _maxabs(ev.omega)
-
-    return TorseFormingReport(
-        point=np.asarray(point, dtype=float),
-        f=f, gamma_form=gamma_form, fit_residual=fit_residual,
-        k=k_val, length_sq=float(v0 @ g0 @ v0), verticality=verticality,
-        is_torse_forming=is_tf, is_vertical=is_vertical,
-        dk_residual=dk_residual, nabla_xi_residual=nxi_res,
-        f_xyxi_residual=f_res, lee_theta_xi=th_xi,
-        lee_theta_star_xi_residual=ts_res, lee_omega=om,
-    )
+        res.update({
+            # (nabla_i xi)^k = -fk (phi^2)^k_i, F(x,y,xi) = -fk g(x,phi y)
+            "nabla_xi": _maxabs(nxi0 + fk * phi2.T),
+            "f_xyxi": _maxabs(fxi + fk * (g0 @ phi0)),
+            # theta*(xi) = 2n fk, theta(xi) = 0, omega = 0
+            "theta_star_xi": abs(float(ev.theta_star @ xi0) - 2.0 * n * fk),
+            "theta_xi": abs(float(ev.theta @ xi0)),
+            "omega": _maxabs(ev.omega),
+        })
+    sample = {"point": np.asarray(point, dtype=float).tolist(), "f": f,
+              "k": k_val, "gamma": gamma_form.tolist(),
+              "length_sq": float(v0 @ g0 @ v0)}
+    return res, sample

@@ -320,30 +320,20 @@ def cmd_torse(cfg) -> Report:
     field = ex.expr_table(parse_exprs(texts, provider.coords, "--field"),
                           (d,))
     order = max(1, int(cfg["order"]))
-    trs = [torse_forming_analyze(provider, field, p, order=order)
-           for p in config_points(provider, cfg)]
-    td = tol(cfg, "derived")
+    residuals, samples = zip(*(
+        torse_forming_analyze(provider, field, p, order=order)
+        for p in config_points(provider, cfg)))
+    worst = worst_of(residuals)
+    # the vertical-case identities are computed only where the field is
+    # vertical; for a general field verticality is reported as a value
+    all_vertical = all("nabla_xi" in r for r in residuals)
     rep = Report("torse", cfg)
-    rep.add_all(worst_of({"torse_fit": tr.fit_residual,
-                          "dk_identity": tr.dk_residual} for tr in trs), td)
-    # the vertical-case residuals are NaN at a point that is not vertical
-    vertical = worst_of({"verticality": tr.verticality, **({
-        "nabla_xi": tr.nabla_xi_residual, "f_xyxi": tr.f_xyxi_residual,
-        "theta_star_xi": tr.lee_theta_star_xi_residual,
-        "theta_xi": tr.lee_theta_xi, "omega": tr.lee_omega}
-        if tr.is_vertical else {})} for tr in trs)
-    all_vertical = all(tr.is_vertical for tr in trs)
-    if all_vertical:
-        # the vertical-case identities only apply to vertical fields;
-        # for a general field verticality is reported as a value
-        rep.add_all(vertical, td)
+    rep.add_all(worst if all_vertical else {
+        k: worst[k] for k in ("torse_fit", "dk_identity")},
+        tol(cfg, "derived"))
     rep.values["is_vertical"] = all_vertical
-    rep.values["verticality"] = float(vertical["verticality"])
-    rep.values["samples"] = [{"point": tr.point.tolist(), "f": float(tr.f),
-                              "k": float(tr.k),
-                              "gamma": tr.gamma_form.tolist(),
-                              "length_sq": float(tr.length_sq)}
-                             for tr in trs]
+    rep.values["verticality"] = worst["verticality"]
+    rep.values["samples"] = list(samples)
     return rep
 
 
@@ -378,37 +368,16 @@ def cmd_soliton(cfg) -> Report:
     provider = make_provider(cfg)
     triple = make_triple(cfg, provider.coords)
     tstruct = TransformedStructure(provider, triple)
+    checks, values = yamabe_check(
+        tstruct, config_points(provider, cfg), sigma=cfg["sigma"],
+        fk=getattr(provider, "fk", None), order=max(2, int(cfg["order"])),
+        tol=tol(cfg, "soliton"), class_tol=tol(cfg, "class"))
     rep = Report("soliton", cfg)
-    pts = list(config_points(provider, cfg))
-    sigma = cfg["sigma"]
-    fk = getattr(provider, "fk", None)
-    tsol = tol(cfg, "soliton")
-    order = max(2, int(cfg["order"]))
-    r = yamabe_check(tstruct, pts, sigma=sigma, fk=fk, order=order,
-                     tol=tsol)
-    rep.add("soliton", r.soliton_residual, tsol)
-    rep.add("tau_constancy", r.tau_rel_std, tsol)
-    rep.add("killing", r.killing_residual, tsol)
-    rep.add("is_F1", 0.0 if r.is_F1 else 1.0, 0.5)
-    rep.add("lee_theta", r.lee_theta_residual, tsol)
-    rep.add("lee_theta_star", r.lee_theta_star_residual, tsol)
-    rep.add("omega_bar", r.lee_omega_residual, tsol)
-    td = tol(cfg, "derived")
-    if r.condition_residuals is not None:
-        c = r.condition_residuals
-        rep.add("cond:du_xi", c["du_xi_plus_fk"], td)
-        rep.add("cond:dv_xi", c["dv_xi"], td)
-        rep.add("cond:dw_vertical", c["dw_vertical"], td)
-    rep.values.update({
-        "sigma": float(r.sigma), "sigma_given": r.sigma_given,
-        "tau_mean": float(r.tau_mean), "tau_std": float(r.tau_std),
-        "tau_values": r.tau_values,
-        "tsdw_residual": float(r.tsdw_residual),
-        "lxi00_residual": float(r.lxi00_residual),
-        "lie_formula_mismatch": float(r.lie_formula_mismatch),
-        "triple": {"u": str(triple.u), "v": str(triple.v),
-                   "w": str(triple.w)},
-    })
+    for name, residual in checks.items():
+        rep.add(name, residual, 0.5 if name == "is_F1" else tol(
+            cfg, "derived" if name.startswith("cond:") else "soliton"))
+    rep.values.update(values, triple={"u": str(triple.u), "v": str(triple.v),
+                                      "w": str(triple.w)})
     return rep
 
 

@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex
-from .accr import (AccrEval, StructureJets, StructureProvider, _maxabs,
-                   class_residuals, worst_of)
+from .accr import (TOL_CLASS, AccrEval, StructureJets, StructureProvider,
+                   _maxabs, class_residuals, worst_of)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
 from .jets import jet_space, tmul, tscale, tsym, ttrunc, tvalue
@@ -251,40 +251,22 @@ def condition_residuals(d: Differentials, S: StructureJets,
     }
 
 
-@dataclass
-class SolitonReport:
-    """Aggregate verdict of the soliton verification over sample points."""
-
-    sigma: float
-    sigma_given: bool
-    tau_values: list[float]
-    tau_mean: float
-    tau_std: float
-    tau_rel_std: float
-    soliton_residual: float        # max over points, relative
-    killing_residual: float
-    lie_formula_mismatch: float    # coordinate vs covariant Lie derivative
-    tsdw_residual: float           # 2(tau-sigma) etabar = dw o phi^2
-    lxi00_residual: float
-    condition_residuals: dict[str, float] | None
-    lee_theta_residual: float      # theta_bar = 2n(du o phi + dv)
-    lee_theta_star_residual: float  # theta*_bar = -2n(du o phi^2 + dv o phi)
-    lee_omega_residual: float
-    is_F1: bool
-    passed: bool
-
-
 def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
-                 fk=None, order: int = 2,
-                 tol: float = 1e-6) -> SolitonReport:
+                 fk=None, order: int = 2, tol: float = 1e-6,
+                 class_tol: float = TOL_CLASS):
     """Verify the soliton identity (1/2) L_{xi_bar} g_bar
     = (tau_bar - sigma) g_bar over the sample points.
 
     If ``sigma`` is None it is set to the mean of the sampled scalar
     curvatures, so the reported standard deviation doubles as the
-    constancy check.  ``fk`` (the f/k ratio of the base structure's
-    vertical torse-forming field, a callable point -> float or a
-    constant) enables the condition-residual block.
+    constancy check.  ``fk`` (a callable giving the f/k ratio of the
+    base structure's vertical torse-forming field at a point) adds the
+    condition residuals; ``class_tol`` is the tolerance of the F1 class
+    verdict of the deformed structure.
+
+    Returns ``(checks, values)``: the worst residual of each check over
+    the points, in report order (``is_F1`` as 0/1, the ``cond:`` checks
+    only with ``fk``), and the reported values.
     """
     if order < 2:
         raise ValueError("soliton verification needs jets of order >= 2")
@@ -307,49 +289,57 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         families.append({
             "killing": _maxabs(lie0) / max(1.0, _maxabs(gb0)),
             "lie_formula_mismatch": _maxabs(tvalue(lie_c - lie_v)),
+            # theta_bar = 2n(du o phi + dv)
             "lee_theta": _maxabs(ev_bar.theta - 2 * n * d.alpha) / lscale,
+            # theta*_bar = -2n(du o phi^2 + dv o phi)
             "lee_theta_star": _maxabs(
                 ev_bar.theta_star + 2 * n * (d.du @ phi2
                                              + d.dv @ phi0)) / lscale,
-            "lee_omega": _maxabs(ev_bar.omega) / lscale,
+            "omega_bar": _maxabs(ev_bar.omega) / lscale,
         })
         # the value matrices the sigma-dependent residuals need, with
         # L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}
         records.append((lie0, gb0, etab, d.dw @ phi2,
                         -(phi0.T @ gb0 @ phi0) + np.outer(etab, etab)))
-        is_f1 = is_f1 and class_residuals(ev_bar).is_F1
+        is_f1 = is_f1 and class_residuals(ev_bar, tol=class_tol).is_F1
         if fk is not None:
-            fk_val = fk(p) if callable(fk) else float(fk)
-            conditions.append(condition_residuals(d, S, fk_val))
+            conditions.append(condition_residuals(d, S, fk(p)))
 
     tau_mean = float(np.mean(taus))
     tau_std = float(np.std(taus))
     sigma_given = sigma is not None
     sig = float(sigma) if sigma_given else tau_mean
-    for fam, tau, (lie0, gb0, etab, dwp2, lrhs) in zip(families, taus,
-                                                      records):
-        scale = max(1.0, _maxabs(gb0))
-        ts = tau - sig
-        fam["soliton"] = _maxabs(0.5 * lie0 - ts * gb0) / scale
-        fam["tsdw"] = _maxabs(2.0 * ts * etab - dwp2)
-        # where tau = sigma the point counts only if the soliton
-        # identity holds
-        if abs(ts) > 1e-12 or fam["soliton"] <= tol:
-            fam["lxi00"] = _maxabs(lie0 - 2.0 * ts * lrhs) / scale
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for fam, tau, (lie0, gb0, etab, dwp2, lrhs) in zip(
+                    families, taus, records):
+                scale = max(1.0, _maxabs(gb0))
+                ts = tau - sig
+                fam["soliton"] = _maxabs(0.5 * lie0 - ts * gb0) / scale
+                fam["tsdw_residual"] = _maxabs(2.0 * ts * etab - dwp2)
+                # where tau = sigma the point counts only if the soliton
+                # identity holds
+                if abs(ts) > 1e-12 or fam["soliton"] <= tol:
+                    fam["lxi00_residual"] = _maxabs(
+                        lie0 - 2.0 * ts * lrhs) / scale
+    except FloatingPointError as err:
+        raise FloatingPointError(
+            f"sigma={sig!r} overflows the soliton residuals ({err})")
 
     worst = worst_of(families)
-    rel_std = tau_std / (1.0 + abs(tau_mean))
-    passed = (worst["soliton"] < tol and rel_std < tol
-              and worst["killing"] < tol and is_f1)
-    return SolitonReport(
-        sigma=sig, sigma_given=sigma_given, tau_values=taus,
-        tau_mean=tau_mean, tau_std=tau_std, tau_rel_std=rel_std,
-        soliton_residual=worst["soliton"], killing_residual=worst["killing"],
-        lie_formula_mismatch=worst["lie_formula_mismatch"],
-        tsdw_residual=worst["tsdw"],
-        lxi00_residual=worst.get("lxi00", 0.0),
-        condition_residuals=worst_of(conditions) if conditions else None,
-        lee_theta_residual=worst["lee_theta"],
-        lee_theta_star_residual=worst["lee_theta_star"],
-        lee_omega_residual=worst["lee_omega"], is_F1=is_f1, passed=passed,
-    )
+    checks = {"soliton": worst["soliton"],
+              "tau_constancy": tau_std / (1.0 + abs(tau_mean)),
+              "killing": worst["killing"], "is_F1": 0.0 if is_f1 else 1.0,
+              **{k: worst[k] for k in ("lee_theta", "lee_theta_star",
+                                       "omega_bar")}}
+    if conditions:
+        cond = worst_of(conditions)
+        checks.update({"cond:du_xi": cond["du_xi_plus_fk"],
+                       "cond:dv_xi": cond["dv_xi"],
+                       "cond:dw_vertical": cond["dw_vertical"]})
+    values = {"sigma": sig, "sigma_given": sigma_given,
+              "tau_mean": tau_mean, "tau_std": tau_std, "tau_values": taus,
+              "tsdw_residual": worst["tsdw_residual"],
+              "lxi00_residual": worst.get("lxi00_residual", 0.0),
+              "lie_formula_mismatch": worst["lie_formula_mismatch"]}
+    return checks, values

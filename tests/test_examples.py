@@ -82,10 +82,10 @@ def test_hypersurface_reeb_torse_data(n):
     d = prov.dim
     p = sample_points(d, 1, seed=14)[0]
     reeb = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
-    rep = torse_forming_analyze(prov, reeb, p)
-    assert rep.is_torse_forming and rep.is_vertical
-    assert abs(rep.f * np.cosh(p[-1]) - 1.0) < 1e-9
-    assert prov.fk(p) == pytest.approx(rep.f, abs=1e-12)
+    res, rep = torse_forming_analyze(prov, reeb, p)
+    assert res["torse_fit"] <= 1e-7 and "nabla_xi" in res
+    assert abs(rep["f"] * np.cosh(p[-1]) - 1.0) < 1e-9
+    assert prov.fk(p) == pytest.approx(rep["f"], abs=1e-12)
 
 
 def test_flat_model_fk_is_zero():

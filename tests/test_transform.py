@@ -208,27 +208,33 @@ def test_holomorphic_pair_detected_and_preserves_f0():
         assert cr.res_F0 / max(cr.denom, 1.0) < 1e-7
 
 
+def soliton_passed(checks, tol=1e-6) -> bool:
+    """The soliton verdict on the soliton identity, the tau constancy,
+    the Killing residual and the F1 class of the deformed structure."""
+    return (checks["soliton"] < tol and checks["tau_constancy"] < tol
+            and checks["killing"] < tol and checks["is_F1"] == 0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_yamabe_soliton_positive(n):
     prov = build_hypersurface(n)
     ts = tr.TransformedStructure(prov, soliton_uvw(n))
     points = sample_points(prov.dim, 4, seed=23)
-    rep = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
-    assert rep.passed
-    assert rep.soliton_residual < 1e-9
-    assert rep.tau_rel_std < 1e-9
-    assert rep.killing_residual < 1e-9
-    assert rep.is_F1
-    assert rep.lee_omega_residual < 1e-9
-    assert rep.lee_theta_residual < 1e-9
-    assert rep.lee_theta_star_residual < 1e-9
-    assert rep.tsdw_residual < 1e-8
-    assert rep.lxi00_residual < 1e-8
-    assert rep.lie_formula_mismatch < 1e-9
-    c = rep.condition_residuals
-    assert c is not None
-    assert c["du_xi_plus_fk"] < 1e-10 and c["dv_xi"] < 1e-10
-    assert c["dw_vertical"] < 1e-10
+    checks, values = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
+    assert soliton_passed(checks)
+    assert checks["soliton"] < 1e-9
+    assert checks["tau_constancy"] < 1e-9
+    assert checks["killing"] < 1e-9
+    assert checks["is_F1"] == 0
+    assert checks["omega_bar"] < 1e-9
+    assert checks["lee_theta"] < 1e-9
+    assert checks["lee_theta_star"] < 1e-9
+    assert values["tsdw_residual"] < 1e-8
+    assert values["lxi00_residual"] < 1e-8
+    assert values["lie_formula_mismatch"] < 1e-9
+    assert "cond:du_xi" in checks
+    assert checks["cond:du_xi"] < 1e-10 and checks["cond:dv_xi"] < 1e-10
+    assert checks["cond:dw_vertical"] < 1e-10
 
 
 def test_sigma_override_changes_residual():
@@ -236,10 +242,11 @@ def test_sigma_override_changes_residual():
     prov = build_hypersurface(n)
     ts = tr.TransformedStructure(prov, soliton_uvw(n))
     points = sample_points(3, 3, seed=29)
-    rep = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
-    off = tr.yamabe_check(ts, points, sigma=rep.sigma + 1.0, order=2)
-    assert off.sigma_given
-    assert off.soliton_residual > 1e-2
+    _, values = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
+    off, off_values = tr.yamabe_check(ts, points,
+                                      sigma=values["sigma"] + 1.0, order=2)
+    assert off_values["sigma_given"]
+    assert off["soliton"] > 1e-2
 
 
 NEGATIVES = [
@@ -266,9 +273,9 @@ def test_yamabe_soliton_negative_controls(kind):
                                     triple.w)
     ts = tr.TransformedStructure(prov, triple)
     points = sample_points(3, 3, seed=31)
-    rep = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
-    assert not rep.passed
-    assert rep.soliton_residual > 1e-3
+    checks, _ = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
+    assert not soliton_passed(checks)
+    assert checks["soliton"] > 1e-3
 
 
 def test_lxi00_gate_uses_the_residual_at_each_point():
@@ -277,16 +284,16 @@ def test_lxi00_gate_uses_the_residual_at_each_point():
     prov = build_hypersurface(1)
     ts = tr.TransformedStructure(prov, soliton_uvw(1))
     points = sample_points(prov.dim, 4, seed=0)
-    sigma = tr.yamabe_check(ts, points, order=2).sigma
+    sigma = tr.yamabe_check(ts, points, order=2)[1]["sigma"]
     single = [tr.yamabe_check(ts, [p], sigma=sigma, order=2)
               for p in points]
-    assert all(abs(r.tau_mean - sigma) <= 1e-12 for r in single)
+    assert all(abs(v["tau_mean"] - sigma) <= 1e-12 for _, v in single)
     by_residual = sorted(range(len(points)),
-                         key=lambda i: -single[i].soliton_residual)
+                         key=lambda i: -single[i][0]["soliton"])
     # the worst point comes first and alone fails the tolerance
-    tol = single[by_residual[1]].soliton_residual
-    rep = tr.yamabe_check(ts, points[by_residual], sigma=sigma, order=2,
-                          tol=tol)
-    expect = max(single[i].lxi00_residual for i in by_residual[1:])
+    tol = single[by_residual[1]][0]["soliton"]
+    _, values = tr.yamabe_check(ts, points[by_residual], sigma=sigma,
+                                order=2, tol=tol)
+    expect = max(single[i][1]["lxi00_residual"] for i in by_residual[1:])
     assert expect > 0.0
-    assert rep.lxi00_residual == expect
+    assert values["lxi00_residual"] == expect
