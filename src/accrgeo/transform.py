@@ -324,7 +324,8 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                         lie0 - 2.0 * ts * lrhs) / scale
     except FloatingPointError as err:
         raise FloatingPointError(
-            f"sigma={sig!r} overflows the soliton residuals ({err})")
+            f"sigma={sig!r} takes the soliton residuals out of the float "
+            f"range ({err})")
 
     worst = worst_of(families)
     checks = {"soliton": worst["soliton"],

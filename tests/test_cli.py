@@ -363,6 +363,43 @@ def test_finite_sigma_is_admitted(capsys):
     assert rep["values"]["sigma"] == -1.5
 
 
+def test_huge_finite_sigma_exits_3_naming_sigma(capsys):
+    # sigma = 1e308 overflowed the soliton residuals: the report held
+    # "Infinity", which is not JSON, and dropped the NaN of two values
+    code = main(["soliton", "--example", "hypersurface-f5", "--n", "1",
+                 "--preset", "soliton", "--samples", "2", "--sigma", "1e308"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "sigma=1e+308" in err
+    assert "Warning" not in err
+
+
+def test_large_finite_sigma_still_reports(capsys):
+    code, out = run(capsys, "soliton", "--example", "hypersurface-f5",
+                    "--n", "1", "--preset", "soliton", "--samples", "2",
+                    "--sigma", "1e200")
+    assert code == 1
+
+    def reject(name):
+        raise ValueError(f"{name} in the report")
+    rep = json.loads(out, parse_constant=reject)
+    assert rep["values"]["sigma"] == 1e200
+    assert rep["values"]["tsdw_residual"] > 1e199
+    assert rep["values"]["lxi00_residual"] > 1e199
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol", "class=100"]])
+def test_soliton_is_F1_follows_the_class_tolerance(capsys, flags):
+    # soliton's is_F1 check is the class verdict transform reports for
+    # the same deformed structure, at the same class tolerance
+    argv = ["--example", "hypersurface-f5", "--n", "1", "--preset",
+            "negative-du", "--samples", "4", *flags]
+    _, transform = run_json(capsys, "transform", *argv)
+    _, soliton = run_json(capsys, "soliton", *argv)
+    is_f1, = (c["passed"] for c in soliton["checks"] if c["name"] == "is_F1")
+    assert is_f1 == transform["values"]["class_verdicts"]["is_F1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["transform", "--u", "(" * 3000 + "x1" + ")" * 3000],
     ["transform", "--u=" + "-" * 3000 + "x1"],

@@ -1,0 +1,112 @@
+"""The comparison of two report-matrix records (tools/report_matrix.py),
+on small synthetic records: the matrix itself is not run."""
+
+import hashlib
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "report_matrix.py"
+_SPEC = importlib.util.spec_from_file_location("report_matrix", _PATH)
+report_matrix = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_matrix)
+compare = report_matrix.compare
+
+
+def report(residual=1e-10, passed=True, value=0.5, **extra):
+    return {"checks": [{"name": "soliton", "passed": passed,
+                        "residual": residual, "tolerance": 1e-6}],
+            "passed": passed, "values": {"sigma": value, **extra}}
+
+
+def record(rep, code=0, sort_keys=True):
+    text = json.dumps(rep, sort_keys=sort_keys, indent=2) + "\n"
+    return {"argv": ["soliton"], "exit": code,
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "stdout": text}
+
+
+def test_byte_identical_records():
+    rec = record(report())
+    counts = compare({"a": rec, "b": rec}, {"a": rec, "b": rec})
+    assert counts == {"cases": 2, "only_in_first": 0, "only_in_second": 0,
+                      "byte_identical": 2, "exit_changed": 0,
+                      "verdict_changed": 0, "max_float_deviation": 0.0,
+                      "max_float_deviation_at": None}
+
+
+def test_cases_in_one_record_only_are_counted_not_compared():
+    rec = record(report())
+    counts = compare({"a": rec, "b": rec}, {"a": rec, "c": rec})
+    assert (counts["cases"], counts["only_in_first"],
+            counts["only_in_second"], counts["byte_identical"]) == (1, 1, 1, 1)
+
+
+def test_exit_code_change():
+    rep = report()
+    counts = compare({"a": record(rep, 0)}, {"a": record(rep, 1)})
+    assert counts["byte_identical"] == 0
+    assert counts["exit_changed"] == 1
+    assert counts["verdict_changed"] == 0
+    assert counts["max_float_deviation"] == 0.0
+
+
+def test_exit_3_without_a_report_is_an_infinite_deviation():
+    fault = {"argv": ["soliton"], "exit": 3,
+             "sha256": hashlib.sha256(b"").hexdigest(), "stdout": ""}
+    counts = compare({"a": record(report())}, {"a": fault})
+    assert counts["exit_changed"] == 1
+    assert counts["verdict_changed"] == 1
+    assert counts["max_float_deviation"] == math.inf
+
+
+def test_verdict_change():
+    counts = compare({"a": record(report(passed=True))},
+                     {"a": record(report(passed=False))})
+    assert counts["exit_changed"] == 0
+    assert counts["verdict_changed"] == 1
+
+
+def test_float_deviation_is_relative_and_names_its_path():
+    counts = compare({"a": record(report(residual=3.0, value=0.25))},
+                     {"a": record(report(residual=4.5, value=0.5))})
+    assert counts["byte_identical"] == 0
+    assert counts["verdict_changed"] == 0
+    # |3 - 4.5| / max(1, 3) = 0.5 beats |0.25 - 0.5| / max(1, 0.25)
+    assert counts["max_float_deviation"] == pytest.approx(0.5)
+    assert counts["max_float_deviation_at"] == "a: $.checks[0].residual"
+
+
+def test_worst_case_over_several_cases():
+    counts = compare(
+        {"a": record(report(value=0.5)), "b": record(report(value=0.5))},
+        {"a": record(report(value=0.75)), "b": record(report(value=1.5))})
+    assert counts["max_float_deviation"] == pytest.approx(1.0)
+    assert counts["max_float_deviation_at"] == "b: $.values.sigma"
+
+
+def test_key_order_change_counts_as_infinite():
+    rep = report(tau=1.0)
+    reordered = dict(rep, values={"tau": 1.0, "sigma": rep["values"]["sigma"]})
+    counts = compare({"a": record(rep, sort_keys=False)},
+                     {"a": record(reordered, sort_keys=False)})
+    assert counts["byte_identical"] == 0
+    assert counts["max_float_deviation"] == math.inf
+    assert counts["max_float_deviation_at"] == "a: $.values (keys)"
+
+
+def test_nan_against_nan_is_no_deviation():
+    counts = compare({"a": record(report(value=0.5, tau=math.nan))},
+                     {"a": record(report(value=0.75, tau=math.nan))})
+    assert counts["max_float_deviation"] == pytest.approx(0.25)
+    assert counts["max_float_deviation_at"] == "a: $.values.sigma"
+
+
+def test_nan_against_a_number_is_infinite():
+    counts = compare({"a": record(report(tau=math.nan))},
+                     {"a": record(report(tau=1.0))})
+    assert counts["max_float_deviation"] == math.inf
+    assert counts["max_float_deviation_at"] == "a: $.values.tau"
