@@ -1,11 +1,16 @@
 """Almost contact B-metric structure layer.
 
-A *structure provider* supplies, at any chart point and jet order, the
+A *structure provider* supplies, at chart points and a jet order, the
 metric g, the (1,1)-tensor phi, the Reeb field xi and its dual 1-form
 eta as jet-valued component arrays.  On top of that this module computes
 the fundamental (0,3)-tensor F(X,Y,Z) = g((nabla_X phi)Y, Z), the Lee
 forms theta, theta*, omega, axiom and class-membership residuals, and
 the torse-forming analysis of vector fields.
+
+Everything runs on a batch of points ``(*batch, dim)``: values have shape
+``(*batch, *tensor_shape)`` and a residual is one max-norm per point.  A
+command evaluates its samples in :func:`chunks`, :func:`join` s the
+residuals and folds them with :func:`worst_of` and :func:`all_of`.
 """
 
 from __future__ import annotations
@@ -25,18 +30,21 @@ TOL_STRUCT = 1e-9
 TOL_DERIVED = 1e-8
 TOL_CLASS = 1e-6
 CLASS_FLOOR = 1e-10
+# the working set of one chunk of sample points, as point_bytes counts it:
+# 32 order-1 points fit at n <= 3, one or two order-3 points at n >= 2
+CHUNK_BYTES = 3 * 2**20
 
 
 @dataclass
 class StructureJets:
-    """Raw structure fields at one point, as tensor-jet arrays."""
+    """Raw structure fields at a batch of points, as tensor-jet arrays."""
 
     space: JetSpace
-    point: np.ndarray
-    g: np.ndarray       # (nc, d, d)
-    phi: np.ndarray     # (nc, d, d), phi[k, j] = phi^k_j
-    xi: np.ndarray      # (nc, d)
-    eta: np.ndarray     # (nc, d)
+    point: np.ndarray   # (*batch, d)
+    g: np.ndarray       # (nc, *batch, d, d)
+    phi: np.ndarray     # (nc, *batch, d, d), phi[..., k, j] = phi^k_j
+    xi: np.ndarray      # (nc, *batch, d)
+    eta: np.ndarray     # (nc, *batch, d)
 
 
 class StructureProvider:
@@ -49,7 +57,7 @@ class StructureProvider:
     def dim(self) -> int:
         return 2 * self.n + 1
 
-    def structure_at(self, point, order: int) -> StructureJets:
+    def structure_at(self, points, order: int) -> StructureJets:
         raise NotImplementedError
 
 
@@ -58,19 +66,11 @@ def canonical_flat_fields(n: int):
     phi maps d/dx_i -> d/dx_{n+i}, xi is the last coordinate field,
     g is the block B-metric diag(1..1, -1..-1, 1)."""
     d = 2 * n + 1
-    g = np.zeros((d, d))
     phi = np.zeros((d, d))
-    xi = np.zeros(d)
-    eta = np.zeros(d)
-    for i in range(n):
-        g[i, i] = 1.0
-        g[n + i, n + i] = -1.0
-        phi[n + i, i] = 1.0
-        phi[i, n + i] = -1.0
-    g[d - 1, d - 1] = 1.0
-    xi[d - 1] = 1.0
-    eta[d - 1] = 1.0
-    return g, phi, xi, eta
+    phi[n:2 * n, :n] = np.eye(n)
+    phi[:n, n:2 * n] = -np.eye(n)
+    return (np.diag([1.0] * n + [-1.0] * n + [1.0]), phi, np.eye(d)[-1],
+            np.eye(d)[-1])
 
 
 class ChartStructure(StructureProvider):
@@ -88,14 +88,14 @@ class ChartStructure(StructureProvider):
         self.eta_expr = ex.expr_table(eta, (d,))
         self.name = name
 
-    def structure_at(self, point, order: int) -> StructureJets:
+    def structure_at(self, points, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
-        bindings = coordinate_bindings(self.coords, point, order)
+        bindings = coordinate_bindings(self.coords, points, order)
         g = tsym(eval_expr_table(space, self.g_expr, bindings))
         phi = eval_expr_table(space, self.phi_expr, bindings)
         xi = eval_expr_table(space, self.xi_expr, bindings)
         eta = eval_expr_table(space, self.eta_expr, bindings)
-        return StructureJets(space, np.asarray(point, dtype=float),
+        return StructureJets(space, np.asarray(points, dtype=float),
                              g, phi, xi, eta)
 
 
@@ -117,33 +117,60 @@ class FrameStructure(StructureProvider):
         (self._ghat, self._phihat,
          self._xihat, self._etahat) = canonical_flat_fields(n)
 
-    def structure_at(self, point, order: int) -> StructureJets:
+    def structure_at(self, points, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
         a = eval_expr_table(space, self.frame_expr,
-                            coordinate_bindings(self.coords, point, order))
+                            coordinate_bindings(self.coords, points, order))
         ainv = tminv(space, a)
-        phi = np.einsum("pab,bc->pac", a, self._phihat)
-        phi = tmul(space, phi, ainv, "ab,bc->ac")
-        xi = np.einsum("pab,b->pa", a, self._xihat)
-        eta = np.einsum("b,pba->pa", self._etahat, ainv)
-        g = tsym(tmul(space, np.einsum("pba,bc->pac", ainv, self._ghat),
-                      ainv, "ab,bc->ac"))
-        return StructureJets(space, np.asarray(point, dtype=float),
+        phi = tmul(space, a @ self._phihat, ainv, "ab,bc->ac")
+        g = tsym(tmul(space, np.swapaxes(ainv, -1, -2) @ self._ghat, ainv,
+                      "ab,bc->ac"))
+        xi, eta = a @ self._xihat, self._etahat @ ainv
+        return StructureJets(space, np.asarray(points, dtype=float),
                              g, phi, xi, eta)
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation of the full structure
+# Evaluation of the full structure
 # ---------------------------------------------------------------------------
+
+def _T(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def _vm(v, m):
+    """v^i m_ij at each point."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _dot(a, b):
+    return (a * b).sum(axis=-1)
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _sym_yz(a, v):
+    """a(x, y) v(z) + a(x, z) v(y) at each point."""
+    t = a[..., :, :, None] * v[..., None, None, :]
+    return t + _T(t)
+
 
 @dataclass
 class AccrEval:
-    """Structure plus derived tensors at one point (component values)."""
+    """Structure plus derived tensors at a batch of points (component
+    values, of shape ``(*batch, *tensor_shape)``)."""
 
     S: StructureJets
     frame: FrameEval
-    F: np.ndarray = None           # values, F[i, j, k] = F(e_i, e_j, e_k)
-    gtilde: np.ndarray = None      # values
+    g0: np.ndarray = None
+    ginv0: np.ndarray = None
+    phi0: np.ndarray = None
+    xi0: np.ndarray = None
+    eta0: np.ndarray = None
+    F: np.ndarray = None           # F[..., i, j, k] = F(e_i, e_j, e_k)
+    gtilde: np.ndarray = None
     theta: np.ndarray = None
     theta_star: np.ndarray = None
     omega: np.ndarray = None
@@ -155,175 +182,179 @@ class AccrEval:
         needs jets of order >= 2."""
         frame = FrameEval.from_metric(
             S.space, S.g, curvature=curvature and S.space.order >= 2)
-        ev = cls(S=S, frame=frame)
+        ev = cls(S, frame, *map(tvalue, (S.g, frame.ginv, S.phi, S.xi,
+                                         S.eta)))
         g0 = ev.g0
-        ev.gtilde = g0 @ ev.phi0 + np.outer(ev.eta0, ev.eta0)
+        ev.gtilde = g0 @ ev.phi0 + _outer(ev.eta0, ev.eta0)
         if S.space.order >= 1:
             _, nphi = cov_deriv_tensor11(S.space, frame.gamma, S.phi)
             # F_ijk = g_kl (nabla_i phi)^l_j, nphi[i, l, j] = (nabla_i phi)^l_j
-            ev.F = np.einsum("ilj,kl->ijk", tvalue(nphi), g0)
+            ev.F = np.einsum("...ilj,...kl->...ijk", tvalue(nphi), g0)
             gi = ev.ginv0
-            ev.omega = np.einsum("i,j,ijk->k", ev.xi0, ev.xi0, ev.F)
+            ev.omega = np.einsum("...ij,...ijk->...k",
+                                 _outer(ev.xi0, ev.xi0), ev.F)
             # the traces defining theta and theta* run over a basis of the
             # contact distribution ker eta, completed by xi; invariantly
             # that subtracts the xi-xi term (which vanishes for theta* as
             # phi xi = 0)
-            ev.theta = np.einsum("ij,ijk->k", gi, ev.F) - ev.omega
-            ev.theta_star = np.einsum("ij,mj,imk->k", gi, ev.phi0, ev.F)
+            ev.theta = np.einsum("...ij,...ijk->...k", gi, ev.F) - ev.omega
+            ev.theta_star = np.einsum("...im,...imk->...k",
+                                      gi @ _T(ev.phi0), ev.F)
         return ev
 
     @property
     def n(self) -> int:
-        return (self.S.g.shape[1] - 1) // 2
-
-    @property
-    def g0(self):
-        return tvalue(self.S.g)
-
-    @property
-    def ginv0(self):
-        return tvalue(self.frame.ginv)
-
-    @property
-    def phi0(self):
-        return tvalue(self.S.phi)
-
-    @property
-    def xi0(self):
-        return tvalue(self.S.xi)
-
-    @property
-    def eta0(self):
-        return tvalue(self.S.eta)
+        return (self.S.g.shape[-1] - 1) // 2
 
 
-def structure_eval(provider: StructureProvider, point, order: int = 1,
-                   curvature: bool = False) -> AccrEval:
-    return AccrEval.from_jets(provider.structure_at(point, order), curvature)
+def structure_eval(provider: StructureProvider, points,
+                   order: int = 1) -> AccrEval:
+    return AccrEval.from_jets(provider.structure_at(points, order))
+
+
+# ---------------------------------------------------------------------------
+# Chunks of sample points and the reductions over them
+# ---------------------------------------------------------------------------
+
+def point_bytes(dim: int, order: int, curvature: bool = False) -> int:
+    """Working set of one point: the pair-gathered product of a rank-3
+    tensor (rank 4 with curvature) over ``jet_space(dim, order)``."""
+    pairs = len(jet_space(dim, order)._mul_i)
+    return 8 * pairs * dim ** (4 if curvature else 3)
+
+
+def chunks(points: np.ndarray, order: int, curvature: bool = False):
+    """Consecutive slices of the points ``(P, dim)`` that fit
+    :data:`CHUNK_BYTES` (at least one point each)."""
+    size = max(1, CHUNK_BYTES // point_bytes(points.shape[-1], order,
+                                             curvature))
+    # glibc's malloc returns its freed heap top once twice its largest freed
+    # mapped block is free: one freed block of the budget lets each chunk
+    # reuse the memory of the last instead of faulting it in anew
+    np.empty(CHUNK_BYTES // 8)
+    return [points[i:i + size] for i in range(0, len(points), size)]
+
+
+def join(parts: list):
+    """Per-chunk dicts (nested or not) of per-point arrays, joined in
+    point order; they must hold no view of a jet, which keeps it alive."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], dict):
+        return {k: join([p[k] for p in parts]) for k in parts[0]}
+    return np.concatenate(parts)
+
+
+def worst_of(residuals: dict) -> dict[str, float]:
+    """The largest value (at least 0) of each residual over the points; a
+    NaN is a numeric fault, :class:`FloatingPointError` naming the check
+    and the first sample where it is NaN."""
+    table = np.array(list(residuals.values()), dtype=float).reshape(
+        len(residuals), -1)
+    worst = table.max(axis=1, initial=0.0).tolist()
+    for name, w, row in zip(residuals, worst, table):
+        if w != w:                  # max passes a NaN on
+            raise FloatingPointError(f"residual {name!r} is NaN at sample "
+                                     f"{np.flatnonzero(np.isnan(row))[0]}")
+    return dict(zip(residuals, worst))
+
+
+def all_of(verdicts: dict) -> dict[str, bool]:
+    """Each verdict ANDed over the points."""
+    table = np.array(list(verdicts.values())).reshape(len(verdicts), -1)
+    return dict(zip(verdicts, table.all(axis=1).tolist()))
+
+
+def _maxabs(a, rank: int):
+    """max |a| over the last ``rank`` (tensor) axes; NaN stays NaN."""
+    return np.abs(a).max(axis=tuple(range(-rank, 0)), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
 # Residual reports
 # ---------------------------------------------------------------------------
 
-def _maxabs(a) -> float:
-    return float(np.max(np.abs(a))) if np.size(a) else 0.0
-
-
-def worst_of(families) -> dict[str, float]:
-    """Key-wise worst (largest) residual over per-point families, keys in
-    first-seen order.  ``max(previous, new)`` keeps the previous value
-    against a NaN, so an undefined residual never masks a defined one."""
-    worst = {}
-    for fam in families:
-        for k, v in fam.items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    return worst
-
-
-def all_of(verdicts) -> dict[str, bool]:
-    """Key-wise AND of per-point verdict dicts."""
-    merged = {}
-    for ver in verdicts:
-        for k, ok in ver.items():
-            merged[k] = merged.get(k, True) and ok
-    return merged
-
-
-def check_axioms(ev: AccrEval) -> dict[str, float]:
+def check_axioms(ev: AccrEval) -> dict:
     """Max-norm residuals of the defining structure identities plus the
     symmetry and signature of the associated metric."""
-    d = ev.S.g.shape[1]
     n = ev.n
     g0, phi0, xi0, eta0 = ev.g0, ev.phi0, ev.xi0, ev.eta0
-    res = {}
-    res["phi_xi"] = _maxabs(phi0 @ xi0)
-    res["phi_squared"] = _maxabs(phi0 @ phi0 + np.eye(d)
-                                 - np.outer(xi0, eta0))
-    res["eta_phi"] = _maxabs(eta0 @ phi0)
-    res["eta_xi"] = abs(float(eta0 @ xi0) - 1.0)
+    res = {"phi_xi": _maxabs(np.einsum("...ij,...j->...i", phi0, xi0), 1),
+           "phi_squared": _maxabs(phi0 @ phi0 + np.eye(2 * n + 1)
+                                  - _outer(xi0, eta0), 2),
+           "eta_phi": _maxabs(_vm(eta0, phi0), 1),
+           "eta_xi": np.abs(_dot(eta0, xi0) - 1.0)}
     # the two metric identities are relative to the metric's scale
-    gscale = max(1.0, _maxabs(g0))
-    res["b_metric"] = _maxabs(g0 + phi0.T @ g0 @ phi0
-                              - np.outer(eta0, eta0)) / gscale
-    res["gtilde_symmetric"] = _maxabs(ev.gtilde - ev.gtilde.T) / gscale
-    res["g_signature_ok"] = 0.0 if signature(g0) == (n + 1, n) else 1.0
-    res["gtilde_signature_ok"] = (0.0 if signature(ev.gtilde) == (n + 1, n)
-                                  else 1.0)
+    gscale = np.maximum(1.0, _maxabs(g0, 2))
+    res["b_metric"] = _maxabs(g0 + _T(phi0) @ g0 @ phi0
+                              - _outer(eta0, eta0), 2) / gscale
+    res["gtilde_symmetric"] = _maxabs(ev.gtilde - _T(ev.gtilde), 2) / gscale
+    for name, m in (("g_signature_ok", g0),
+                    ("gtilde_signature_ok", ev.gtilde)):
+        pos, neg = signature(m)
+        res[name] = np.where((pos == n + 1) & (neg == n), 0.0, 1.0)
     return res
 
 
-def f_prop_residual(ev: AccrEval) -> float:
+def f_prop_residual(ev: AccrEval):
     """Residual of the general symmetry of F:
     F(X,Y,Z) = F(X,Z,Y)
              = F(X,phiY,phiZ) + eta(Y)F(X,xi,Z) + eta(Z)F(X,Y,xi)."""
     F, phi0, eta0, xi0 = ev.F, ev.phi0, ev.eta0, ev.xi0
-    sym = _maxabs(F - np.einsum("ijk->ikj", F))
-    fxz = np.einsum("iak,a->ik", F, xi0)      # F(e_i, xi, e_k)
-    fjx = np.einsum("ija,a->ij", F, xi0)      # F(e_i, e_j, xi)
-    rhs = (np.einsum("iab,aj,bk->ijk", F, phi0, phi0)
-           + np.einsum("j,ik->ijk", eta0, fxz)
-           + np.einsum("k,ij->ijk", eta0, fjx))
-    return max(sym, _maxabs(F - rhs))
+    fxz = np.einsum("...iak,...a->...ik", F, xi0)      # F(e_i, xi, e_k)
+    fjx = np.einsum("...ija,...a->...ij", F, xi0)      # F(e_i, e_j, xi)
+    rhs = (_T(phi0)[..., None, :, :] @ F @ phi0[..., None, :, :]
+           + np.einsum("...j,...ik->...ijk", eta0, fxz)
+           + np.einsum("...k,...ij->...ijk", eta0, fjx))
+    return np.maximum(_maxabs(F - _T(F), 3), _maxabs(F - rhs, 3))
 
 
-def lee_identities_residual(ev: AccrEval) -> dict[str, float]:
+def lee_identities_residual(ev: AccrEval) -> dict:
     """General Lee-form identities: theta* o phi = -theta o phi^2 and
     omega(xi) = 0."""
-    phi0, xi0 = ev.phi0, ev.xi0
-    phi2 = phi0 @ phi0
-    return {
-        "theta_star_phi": _maxabs(ev.theta_star @ phi0 + ev.theta @ phi2),
-        "omega_xi": abs(float(ev.omega @ xi0)),
-    }
+    phi0 = ev.phi0
+    return {"theta_star_phi": _maxabs(_vm(ev.theta_star, phi0)
+                                      + _vm(ev.theta, phi0 @ phi0), 1),
+            "omega_xi": np.abs(_dot(ev.omega, ev.xi0))}
 
 
-def tensor_norm_e(T: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(T * T)))
+def tensor_norm_e(T: np.ndarray):
+    """Euclidean norm of a (0,3)-tensor, at each point."""
+    return np.sqrt(np.sum(T * T, axis=(-3, -2, -1)))
 
 
 def f1_component(ev: AccrEval) -> np.ndarray:
     """Closed-form F^1 built from g, phi and the Lee form theta."""
-    n = ev.n
     g0, phi0, th = ev.g0, ev.phi0, ev.theta
-    phi2 = phi0 @ phi0
-    gpp = phi0.T @ g0 @ phi0                  # g(phi x, phi y)
-    gp = g0 @ phi0                            # g(x, phi y)
-    th2 = th @ phi2                           # theta(phi^2 .)
-    thp = th @ phi0                           # theta(phi .)
-    F1 = (np.einsum("ij,k->ijk", gpp, th2) + np.einsum("ij,k->ijk", gp, thp)
-          + np.einsum("ik,j->ijk", gpp, th2)
-          + np.einsum("ik,j->ijk", gp, thp))
-    return F1 / (2.0 * n)
+    # g(phi x, phi y) theta(phi^2 z) + g(x, phi y) theta(phi z), in y, z
+    return (_sym_yz(_T(phi0) @ g0 @ phi0, _vm(th, phi0 @ phi0))
+            + _sym_yz(g0 @ phi0, _vm(th, phi0))) / (2.0 * ev.n)
 
 
 def f5_component(ev: AccrEval) -> np.ndarray:
     """Closed-form F^5 = -(theta*(xi)/2n){g(x,phi y)eta(z)
     + g(x,phi z)eta(y)}."""
-    n = ev.n
-    gp = ev.g0 @ ev.phi0
-    ts_xi = float(ev.theta_star @ ev.xi0)
-    F5 = (np.einsum("ij,k->ijk", gp, ev.eta0)
-          + np.einsum("ik,j->ijk", gp, ev.eta0))
-    return -ts_xi / (2.0 * n) * F5
+    ts_xi = _dot(ev.theta_star, ev.xi0)
+    return ((-ts_xi / (2.0 * ev.n))[..., None, None, None]
+            * _sym_yz(ev.g0 @ ev.phi0, ev.eta0))
 
 
 @dataclass
 class ClassResiduals:
     """Euclidean component distance of F from the closed-form class
-    components; ``res_F0`` is the norm of F itself."""
+    components, at each point; ``res_F0`` is the norm of F itself."""
 
-    res_F0: float
-    res_F1: float
-    res_F5: float
-    res_F1_plus_F5: float
-    is_F0: bool
-    is_F1: bool
-    is_F5: bool
-    is_F1_plus_F5: bool
-    denom: float
+    res_F0: np.ndarray
+    res_F1: np.ndarray
+    res_F5: np.ndarray
+    res_F1_plus_F5: np.ndarray
+    is_F0: np.ndarray
+    is_F1: np.ndarray
+    is_F5: np.ndarray
+    is_F1_plus_F5: np.ndarray
+    denom: np.ndarray
 
-    def verdicts(self) -> dict[str, bool]:
+    def verdicts(self) -> dict:
         return {"is_F0": self.is_F0, "is_F1": self.is_F1,
                 "is_F5": self.is_F5, "is_F1_plus_F5": self.is_F1_plus_F5}
 
@@ -333,7 +364,7 @@ def class_residuals(ev: AccrEval, tol: float = TOL_CLASS) -> ClassResiduals:
     F1 = f1_component(ev)
     F5 = f5_component(ev)
     r0 = tensor_norm_e(F)
-    denom = max(r0, CLASS_FLOOR)
+    denom = np.maximum(r0, CLASS_FLOOR)
     r1 = tensor_norm_e(F - F1)
     r5 = tensor_norm_e(F - F5)
     r15 = tensor_norm_e(F - F1 - F5)
@@ -351,71 +382,68 @@ def class_residuals(ev: AccrEval, tol: float = TOL_CLASS) -> ClassResiduals:
 # Torse-forming analysis
 # ---------------------------------------------------------------------------
 
-def torse_forming_analyze(provider: StructureProvider, theta_field, point,
+def torse_forming_analyze(provider: StructureProvider, theta_field, points,
                           order: int = 1, tol: float = 1e-7):
     """Identify the conformal scalar f and generating form gamma of a
     candidate torse-forming field by least squares on
-    nabla theta = f*id + theta (x) gamma.
+    nabla theta = f*id + theta (x) gamma, at each point.
 
     ``theta_field`` is the field's table of component expressions over
     the chart coordinates, as built by :func:`accrgeo.expr.expr_table`
     with shape ``(dim,)``.
 
-    Returns ``(residuals, sample)``: ``torse_fit``, ``dk_identity``
-    and ``verticality``, plus at a vertical point (k = eta(theta) away
-    from 0) the vertical-case identities; and the report's sample record.
+    Returns ``(residuals, sample)``, dicts of per-point arrays:
+    ``torse_fit``, ``dk_identity``, ``verticality`` and, when every point
+    is vertical (k = eta(theta) away from 0), the vertical-case
+    identities; and the report's sample records.
     """
-    ev = structure_eval(provider, point, order=max(order, 1))
+    ev = structure_eval(provider, points, order=max(order, 1))
     S = ev.S
     space = S.space
-    d = S.g.shape[1]
-    n = ev.n
+    d = S.g.shape[-1]
     vf = eval_expr_table(space, theta_field, coordinate_bindings(
-        provider.coords, point, space.order))
+        provider.coords, points, space.order))
     v0 = tvalue(vf)
-    vscale = _maxabs(v0)
-    if vscale == 0.0:
+    vscale = _maxabs(v0, 1)
+    if np.count_nonzero(vscale == 0.0):
         raise ValueError("torse-forming analysis needs a nonzero field")
-    child, nv = cov_deriv_vector(space, ev.frame.gamma, vf)
-    A = tvalue(nv)                            # A[i, k] = (nabla_i v)^k
-    # A^k_i = f delta^k_i + v^k gamma_i  ->  lstsq in (f, gamma)
-    rows = np.zeros((d, d, d + 1))            # one row per (i, k)
-    rows[:, :, 0] = np.eye(d)
-    rows[np.arange(d), :, 1 + np.arange(d)] = v0
-    rows = rows.reshape(d * d, d + 1)
-    rhs = A.reshape(d * d)
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    f = float(sol[0])
-    gamma_form = sol[1:]
-    fit = rows @ sol - rhs
-    scale = _maxabs(A)                        # an exactly zero A fits
-
+    A = tvalue(cov_deriv_vector(space, ev.frame.gamma, vf)[1])
+    # A[i, k] = (nabla_i v)^k = f delta_ik + gamma_i v_k by least squares,
+    # in closed form: gamma = (A v - f v) / |v|^2, and from the trace
+    # (d - 1) f = tr A - v.A v / |v|^2
+    vv = _dot(v0, v0)
+    av = np.einsum("...ik,...k->...i", A, v0)
+    f = (np.trace(A, axis1=-2, axis2=-1) - _dot(v0, av) / vv) / (d - 1)
+    gamma_form = (av - f[..., None] * v0) / vv[..., None]
+    fit = f[..., None, None] * np.eye(d) + _outer(gamma_form, v0) - A
+    scale = _maxabs(A, 2)       # an exactly zero A fits exactly: f = 0
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
-    k_val = float(eta0 @ v0)
-    verticality = _maxabs(v0 - k_val * xi0) / vscale
+    k_val = _dot(eta0, v0)
+    verticality = _maxabs(v0 - k_val[..., None] * xi0, 1) / vscale
     # dk = f eta + k gamma: k as a jet via eta_i v^i
     dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
-    res = {"torse_fit": _maxabs(fit) / scale if scale else 0.0,
-           "dk_identity": _maxabs(dk - f * eta0 - k_val * gamma_form)
+    res = {"torse_fit": _maxabs(fit, 2) / np.where(scale > 0.0, scale, 1.0),
+           "dk_identity": _maxabs(dk - f[..., None] * eta0
+                                  - k_val[..., None] * gamma_form, 1)
            / vscale,
            "verticality": verticality}
     # the vertical identities divide by k, so they need k away from 0
-    if verticality <= tol and abs(k_val) > 1e-12 * vscale:
+    if ((verticality <= tol) & (np.abs(k_val) > 1e-12 * vscale)).all():
         fk = f / k_val
-        _, nxi = cov_deriv_vector(space, ev.frame.gamma, S.xi)
-        nxi0 = tvalue(nxi)                    # [i, k] = (nabla_i xi)^k
-        phi2 = phi0 @ phi0
-        fxi = np.einsum("ija,a->ij", ev.F, xi0)
+        nxi0 = tvalue(cov_deriv_vector(space, ev.frame.gamma, S.xi)[1])
+        fxi = np.einsum("...ija,...a->...ij", ev.F, xi0)
         res.update({
             # (nabla_i xi)^k = -fk (phi^2)^k_i, F(x,y,xi) = -fk g(x,phi y)
-            "nabla_xi": _maxabs(nxi0 + fk * phi2.T),
-            "f_xyxi": _maxabs(fxi + fk * (g0 @ phi0)),
+            "nabla_xi": _maxabs(nxi0 + fk[..., None, None]
+                                * _T(phi0 @ phi0), 2),
+            "f_xyxi": _maxabs(fxi + fk[..., None, None] * (g0 @ phi0), 2),
             # theta*(xi) = 2n fk, theta(xi) = 0, omega = 0
-            "theta_star_xi": abs(float(ev.theta_star @ xi0) - 2.0 * n * fk),
-            "theta_xi": abs(float(ev.theta @ xi0)),
-            "omega": _maxabs(ev.omega),
+            "theta_star_xi": np.abs(_dot(ev.theta_star, xi0)
+                                    - 2.0 * ev.n * fk),
+            "theta_xi": np.abs(_dot(ev.theta, xi0)),
+            "omega": _maxabs(ev.omega, 1),
         })
-    sample = {"point": np.asarray(point, dtype=float).tolist(), "f": f,
-              "k": k_val, "gamma": gamma_form.tolist(),
-              "length_sq": float(v0 @ g0 @ v0)}
+    sample = {"point": np.asarray(points, dtype=float), "f": f, "k": k_val,
+              "gamma": gamma_form,
+              "length_sq": np.einsum("...i,...ij,...j->...", v0, g0, v0)}
     return res, sample

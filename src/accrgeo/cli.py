@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from .accr import (TOL_CLASS, TOL_DERIVED, TOL_STRUCT, AccrEval, all_of,
-                   check_axioms, class_residuals, f_prop_residual,
-                   lee_identities_residual, structure_eval,
+                   check_axioms, chunks, class_residuals, f_prop_residual,
+                   join, lee_identities_residual, structure_eval,
                    torse_forming_analyze, worst_of)
 from .examples import (DEFAULT_BOX, REGISTRY, get_example, sample_points,
                        soliton_uvw, holomorphic_pair_uvw)
@@ -253,57 +253,74 @@ def config_points(provider, cfg) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
-def point_evals(provider, cfg):
-    """Structure evaluations at the sample points, made one at a time:
-    callers reduce each point before the next is evaluated."""
+def over_chunks(provider, cfg, fn) -> dict:
+    """``fn`` of the structure evaluation of each chunk of the samples,
+    joined in point order."""
     order = max(1, int(cfg["order"]))
-    for p in config_points(provider, cfg):
-        yield structure_eval(provider, p, order=order)
+    return join([fn(structure_eval(provider, pts, order=order))
+                 for pts in chunks(config_points(provider, cfg), order)])
+
+
+def records(arrays: dict) -> list:
+    """Per-sample report records, in point order, from per-point arrays."""
+    rows = zip(*(a.tolist() for a in arrays.values()))
+    return [dict(zip(arrays, row)) for row in rows]
 
 
 def cmd_check(cfg) -> Report:
     tc = tol(cfg, "class")
-    axioms, fsym, lee, classes = zip(*(
-        (check_axioms(ev), {"f_symmetry": f_prop_residual(ev)},
-         lee_identities_residual(ev), class_residuals(ev, tol=tc))
-        for ev in point_evals(make_provider(cfg), cfg)))
+
+    def chunk(ev):
+        classes = class_residuals(ev, tol=tc)
+        return {"axioms": check_axioms(ev),
+                "fsym": {"f_symmetry": f_prop_residual(ev)},
+                "lee": lee_identities_residual(ev),
+                "norm": {"norm_F": classes.res_F0},
+                "verdicts": classes.verdicts()}
+
+    r = over_chunks(make_provider(cfg), cfg, chunk)
     td = tol(cfg, "derived")
     rep = Report("check", cfg)
-    rep.add_all(worst_of(axioms), tol(cfg, "struct"), "axiom:")
-    rep.add_all(worst_of(fsym), td)
-    rep.add_all(worst_of(lee), td, "lee:")
-    rep.values["norm_F"] = worst_of({"norm_F": c.res_F0}
-                                    for c in classes)["norm_F"]
-    rep.values["class_verdicts"] = all_of(c.verdicts() for c in classes)
+    rep.add_all(worst_of(r["axioms"]), tol(cfg, "struct"), "axiom:")
+    rep.add_all(worst_of(r["fsym"]), td)
+    rep.add_all(worst_of(r["lee"]), td, "lee:")
+    rep.values["norm_F"] = worst_of(r["norm"])["norm_F"]
+    rep.values["class_verdicts"] = all_of(r["verdicts"])
     return rep
 
 
 def cmd_classify(cfg) -> Report:
     tc = tol(cfg, "class")
-    axioms, classes = zip(*(
-        ({"axioms": max(check_axioms(ev).values())},
-         class_residuals(ev, tol=tc))
-        for ev in point_evals(make_provider(cfg), cfg)))
+
+    def chunk(ev):
+        c = class_residuals(ev, tol=tc)
+        return {"axioms": {"axioms": np.max([*check_axioms(ev).values()],
+                                            axis=0)},
+                "relative": {"res_F0": c.res_F0 / c.denom,
+                             "res_F1": c.res_F1 / c.denom,
+                             "res_F5": c.res_F5 / c.denom,
+                             "res_F1_plus_F5": c.res_F1_plus_F5 / c.denom,
+                             "norm_F": c.res_F0},
+                "verdicts": c.verdicts()}
+
+    r = over_chunks(make_provider(cfg), cfg, chunk)
     rep = Report("classify", cfg)
-    rep.add_all(worst_of(axioms), tol(cfg, "struct"))
-    rep.values["relative_residuals"] = worst_of(
-        {"res_F0": c.res_F0 / c.denom, "res_F1": c.res_F1 / c.denom,
-         "res_F5": c.res_F5 / c.denom,
-         "res_F1_plus_F5": c.res_F1_plus_F5 / c.denom,
-         "norm_F": c.res_F0} for c in classes)
-    rep.values["verdicts"] = all_of(c.verdicts() for c in classes)
+    rep.add_all(worst_of(r["axioms"]), tol(cfg, "struct"))
+    rep.values["relative_residuals"] = worst_of(r["relative"])
+    rep.values["verdicts"] = all_of(r["verdicts"])
     return rep
 
 
 def cmd_lee(cfg) -> Report:
-    lee, samples = zip(*((lee_identities_residual(ev), {
-        "point": ev.S.point.tolist(), "theta": ev.theta.tolist(),
-        "theta_star": ev.theta_star.tolist(), "omega": ev.omega.tolist(),
-        "theta_star_xi": float(ev.theta_star @ ev.xi0),
-    }) for ev in point_evals(make_provider(cfg), cfg)))
+    r = over_chunks(make_provider(cfg), cfg, lambda ev: {
+        "lee": lee_identities_residual(ev),
+        "samples": {"point": ev.S.point, "theta": ev.theta,
+                    "theta_star": ev.theta_star, "omega": ev.omega,
+                    "theta_star_xi": np.einsum("...i,...i->...",
+                                               ev.theta_star, ev.xi0)}})
     rep = Report("lee", cfg)
-    rep.add_all(worst_of(lee), tol(cfg, "derived"), "lee:")
-    rep.values["samples"] = list(samples)
+    rep.add_all(worst_of(r["lee"]), tol(cfg, "derived"), "lee:")
+    rep.values["samples"] = records(r["samples"])
     return rep
 
 
@@ -320,20 +337,22 @@ def cmd_torse(cfg) -> Report:
     field = ex.expr_table(parse_exprs(texts, provider.coords, "--field"),
                           (d,))
     order = max(1, int(cfg["order"]))
-    residuals, samples = zip(*(
-        torse_forming_analyze(provider, field, p, order=order)
-        for p in config_points(provider, cfg)))
-    worst = worst_of(residuals)
+    parts = [torse_forming_analyze(provider, field, pts, order=order)
+             for pts in chunks(config_points(provider, cfg), order)]
     # the vertical-case identities are computed only where the field is
     # vertical; for a general field verticality is reported as a value
-    all_vertical = all("nabla_xi" in r for r in residuals)
+    all_vertical = all("nabla_xi" in res for res, _ in parts)
+    general = ("torse_fit", "dk_identity", "verticality")
+    worst = worst_of(join([res if all_vertical else
+                           {k: res[k] for k in general}
+                           for res, _ in parts]))
     rep = Report("torse", cfg)
     rep.add_all(worst if all_vertical else {
         k: worst[k] for k in ("torse_fit", "dk_identity")},
         tol(cfg, "derived"))
     rep.values["is_vertical"] = all_vertical
     rep.values["verticality"] = worst["verticality"]
-    rep.values["samples"] = list(samples)
+    rep.values["samples"] = records(join([s for _, s in parts]))
     return rep
 
 
@@ -342,25 +361,26 @@ def cmd_transform(cfg) -> Report:
     triple = make_triple(cfg, provider.coords)
     tstruct = TransformedStructure(provider, triple)
     order = max(1, int(cfg["order"]))
-    families, verdicts = [], []
-    for p in config_points(provider, cfg):
-        S, ev_bar, d = tstruct.evaluate(p, order)
+
+    def chunk(pts):
+        S, ev_bar, d = tstruct.evaluate(pts, order)
         ev = AccrEval.from_jets(S)
-        families.append({
-            "axioms": max(check_axioms(ev_bar).values()),
-            **lee_transformation_residuals(ev, ev_bar, d),
-            **alpha_beta_residuals(d, ev, ev_bar),
-            "metric_roundtrip": metric_roundtrip_residual(ev, ev_bar, d),
-        })
-        verdicts.append(class_residuals(
-            ev_bar, tol=tol(cfg, "class")).verdicts())
-    worst = worst_of(families)
+        return {"axioms": np.max([*check_axioms(ev_bar).values()], axis=0),
+                "laws": {**lee_transformation_residuals(ev, ev_bar, d),
+                         **alpha_beta_residuals(d, ev, ev_bar),
+                         "metric_roundtrip": metric_roundtrip_residual(
+                             ev, ev_bar, d)},
+                "verdicts": class_residuals(
+                    ev_bar, tol=tol(cfg, "class")).verdicts()}
+
+    r = join([chunk(pts)
+              for pts in chunks(config_points(provider, cfg), order)])
     rep = Report("transform", cfg)
-    rep.add("axioms", worst.pop("axioms"), tol(cfg, "struct"))
-    rep.add_all(worst, tol(cfg, "derived"))
+    rep.add_all(worst_of({"axioms": r["axioms"]}), tol(cfg, "struct"))
+    rep.add_all(worst_of(r["laws"]), tol(cfg, "derived"))
     rep.values["triple"] = {"u": str(triple.u), "v": str(triple.v),
                             "w": str(triple.w)}
-    rep.values["class_verdicts"] = all_of(verdicts)
+    rep.values["class_verdicts"] = all_of(r["verdicts"])
     return rep
 
 

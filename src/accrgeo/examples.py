@@ -47,7 +47,7 @@ def build_flat_f0(n: int = 1) -> ChartStructure:
     g, phi, xi, eta = canonical_flat_fields(n)
     S = ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
                        name="flat-f0")
-    S.fk = lambda point: 0.0
+    S.fk = lambda points: np.zeros(np.shape(points)[:-1])
     return S
 
 
@@ -112,7 +112,7 @@ def build_hypersurface(n: int = 1) -> ChartStructure:
     _, phi, xi, eta = canonical_flat_fields(n)
     S = ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
                        name="hypersurface-f5")
-    S.fk = lambda point: 1.0 / np.cosh(float(point[-1]))
+    S.fk = lambda points: 1.0 / np.cosh(np.asarray(points, float)[..., -1])
     return S
 
 
@@ -264,20 +264,20 @@ class EmbeddedSphere(StructureProvider):
             [[cosh_t * re, cosh_t * im] for re, im in comps], (n + 1, 2))
         self.csch = ex.expr_table([1.0 / f("sinh", t)], (1,))
 
-    def embedding_jets(self, point, order: int):
-        """Tensor-jet array Z[m, c] of the ambient position, with m the
-        complex ambient index and c in {0: Re, 1: Im}."""
+    def embedding_jets(self, points, order: int):
+        """Tensor-jet array Z[..., m, c] of the ambient position, with m
+        the complex ambient index and c in {0: Re, 1: Im}."""
         space = jet_space(self.dim, order)
         return space, eval_expr_table(
             space, self.position,
-            coordinate_bindings(self.coords, point, order))
+            coordinate_bindings(self.coords, points, order))
 
-    def structure_at(self, point, order: int) -> StructureJets:
-        parent, Z = self.embedding_jets(point, order + 1)
+    def structure_at(self, points, order: int) -> StructureJets:
+        parent, Z = self.embedding_jets(points, order + 1)
         space = parent.child
         d = self.dim
-        dZ = tgrad(parent, Z)                 # dZ[m, c, j] = d_j Z^m_c
-        dZr, dZi = dZ[:, :, 0, :], dZ[:, :, 1, :]
+        dZ = tgrad(parent, Z)                 # dZ[..., m, c, j] = d_j Z^m_c
+        dZr, dZi = dZ[..., 0, :], dZ[..., 1, :]
         # complex Gram C_jk = d_j Z . d_k Z
         cre = (tmul(space, dZr, dZr, "mj,mk->jk")
                - tmul(space, dZi, dZi, "mj,mk->jk"))
@@ -286,16 +286,16 @@ class EmbeddedSphere(StructureProvider):
         g = tsym(cre)
         ginv = tminv(space, g)
         phi = tmul(space, ginv, -tsym(cim), "km,jm->kj")
-        pt = np.asarray(point, dtype=float)
+        pts = np.asarray(points, dtype=float)
         csch = eval_expr_table(space, self.csch, coordinate_bindings(
-            self.coords, pt, space.order))[:, 0]
-        xi = np.zeros((space.ncoeff, d))
-        xi[:, d - 1] = csch
-        eta = tscale(space, csch, g[:, :, d - 1])
-        return StructureJets(space, pt, g, phi, xi, eta)
+            self.coords, pts, space.order))[..., 0]
+        xi = np.zeros(csch.shape + (d,))
+        xi[..., d - 1] = csch
+        eta = tscale(space, csch, g[..., d - 1])
+        return StructureJets(space, pts, g, phi, xi, eta)
 
-    def fk(self, point) -> float:
-        return 1.0 / np.cosh(float(point[-1]))
+    def fk(self, points):
+        return 1.0 / np.cosh(np.asarray(points, dtype=float)[..., -1])
 
 
 def embedding_invariants(model: EmbeddedSphere, point) -> dict[str, float]:
@@ -317,7 +317,7 @@ def embedding_invariants(model: EmbeddedSphere, point) -> dict[str, float]:
     dZ0 = tvalue(dZ)                          # [m, c, j]
     Z0 = tvalue(Z)                            # [m, c]
     t = float(point[d - 1])
-    ch, shv = np.cosh(t), np.sinh(t)
+    ch = np.cosh(t)
 
     zz = np.sum((Z0[:, 0] + 1j * Z0[:, 1]) ** 2)
     res = {"constraint": max(abs(zz.real - ch * ch), abs(zz.imag))}
@@ -327,37 +327,26 @@ def embedding_invariants(model: EmbeddedSphere, point) -> dict[str, float]:
     res["jacobian_rank"] = 0.0 if sv[d - 1] > 1e-8 * sv[0] else 1.0
 
     def G(x, y):
-        z = np.sum((x[:, 0] + 1j * x[:, 1]) * (y[:, 0] + 1j * y[:, 1]))
-        return z.real
+        """The ambient metric of x (m, c) against y (m, c, ...)."""
+        return np.real(np.tensordot(x[:, 0] + 1j * x[:, 1],
+                                    y[:, 0] + 1j * y[:, 1], axes=(0, 0)))
 
     def J(x):
         return np.stack([-x[:, 1], x[:, 0]], axis=1)
 
     N = J(Z0) / ch
     res["normal_unit"] = abs(G(N, N) + 1.0)
-    res["normal_orth"] = max(abs(G(N, dZ0[:, :, j])) for j in range(d))
+    res["normal_orth"] = float(np.max(np.abs(G(N, dZ0))))
 
     ev = structure_eval(model, point, order=1)
-    xi0, eta0, phi0 = ev.xi0, ev.eta0, ev.phi0
-    xi_amb = np.einsum("mcj,j->mc", dZ0, xi0)
-    res["xi_position"] = _maxabs(xi_amb - Z0 / ch)
-
-    jd = 0.0
-    for j in range(d):
-        lhs = J(dZ0[:, :, j])
-        rhs = np.einsum("mck,k->mc", dZ0, phi0[:, j]) + eta0[j] * N
-        jd = max(jd, _maxabs(lhs - rhs))
-    res["j_decomposition"] = jd
-
-    # Gauss: ambient Hessian minus Christoffel part must be normal
+    xi_amb = np.einsum("mcj,j->mc", dZ0, ev.xi0)
+    res["xi_position"] = float(_maxabs(xi_amb - Z0 / ch, 2))
+    # J dZ(e_j) = dZ(phi e_j) + eta(e_j) N, for every j at once
+    rhs = np.einsum("mck,kj->mcj", dZ0, ev.phi0) + N[..., None] * ev.eta0
+    res["j_decomposition"] = float(_maxabs(J(dZ0) - rhs, 3))
+    # Gauss: ambient Hessian minus Christoffel part must be normal, so it
+    # equals -G(N, .) N as G(N, N) = -1
     ddZ = tvalue(tgrad(space, dZ))            # [m, c, j, i] = d_i d_j Z
-    gamma0 = tvalue(ev.frame.gamma)           # [k, i, j]
-    rem = ddZ - np.einsum("mck,kij->mcji", dZ0, gamma0)
-    gs = 0.0
-    for i in range(d):
-        for j in range(d):
-            v = rem[:, :, j, i]
-            c = -G(v, N)                      # G(N, N) = -1
-            gs = max(gs, _maxabs(v - c * N))
-    res["gauss"] = gs
+    rem = ddZ - np.einsum("mck,kij->mcji", dZ0, tvalue(ev.frame.gamma))
+    res["gauss"] = float(_maxabs(rem + G(N, rem) * N[..., None, None], 4))
     return res

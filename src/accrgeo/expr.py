@@ -14,16 +14,16 @@ numeric literal exponent.  Function application requires parentheses;
 whitespace is insignificant.  Expression trees are immutable and
 evaluation is pure.
 
-Two evaluators read a tree.  :func:`eval_float` computes a plain value.
 :func:`eval_jets` computes the truncated Taylor jets of a sequence of
-trees at one point, under bindings of the variables to jets.  It is the
-one place where scalar jets (coefficient arrays, see
-:mod:`accrgeo.jets`) are combined: ``+``, ``-`` and negation are array
-operations, ``*`` and ``/`` the truncated product ``jmul``; a node
-object that several trees, or several places of one tree, share is
-evaluated once, through a memo keyed by node identity that lives for
-that one call.  :func:`eval_jet` is the same for a single tree.  Trees
-built in code share subtrees by reusing objects, and
+trees at a batch of points, under bindings of the variables to jets.
+It is the one place where scalar jets (coefficient arrays of shape
+``(ncoeff, *batch)``, see :mod:`accrgeo.jets`) are combined: ``+``,
+``-`` and negation are array operations, ``*`` and ``/`` the truncated
+product ``jmul``; a node object that several trees, or several places
+of one tree, share is evaluated once for the whole batch, through a memo
+keyed by node identity that lives for that one call.  :func:`eval_jet`
+is the same for a single tree, and :func:`eval_float` is the order-0
+jet.  Trees built in code share subtrees by reusing objects, and
 :func:`expr_table` makes equal text entries and equal constants of a
 table one object, so a table of d x d entries costs one evaluation per
 distinct node, not per entry.
@@ -44,18 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import (FUNCTION_TABLE, JetDomainError, JetSpace, _reciprocal,
-                   jmul, jpow, tconst)
+                   jet_space, jmul, jpow)
 
 FUNCTIONS = frozenset(FUNCTION_TABLE)
 MAX_DEPTH = 100
-
-_FLOAT_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
-    "arctan": math.atan, "arcsin": math.asin,
-}
-
 
 class ParseError(ValueError):
     """Malformed expression text."""
@@ -166,7 +158,7 @@ def expr_table(entries, shape) -> np.ndarray:
 
     Equal text entries become one tree, and so do constants with equal
     bit patterns (``-0.0`` stays apart from ``0.0``), so that
-    :func:`eval_jets` evaluates each of them once per point."""
+    :func:`eval_jets` evaluates each of them once per batch of points."""
     arr = np.asarray(entries, dtype=object)
     if arr.shape != tuple(shape):
         raise ValueError(f"expected a table of shape {tuple(shape)}, "
@@ -392,21 +384,28 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 def eval_jets(space: JetSpace, exprs,
               bindings: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Evaluate a sequence of trees over jets of ``space`` at one point,
-    with the variables bound to scalar jets (arrays of shape
-    ``(space.ncoeff,)``); each result is the exact truncated Taylor
-    expansion of its expression at the bound point.  One memo, keyed by
-    node identity, spans the whole sequence, so a node shared between or
-    within the trees is evaluated once.
+    """Evaluate a sequence of trees over jets of ``space``, with the
+    variables bound to scalar jets of one shape ``(space.ncoeff, *batch)``
+    (no binding is the empty batch); each result is the exact truncated
+    Taylor expansion of its expression at every bound point.  One memo,
+    keyed by node identity, spans the whole sequence, so a node shared
+    between or within the trees is evaluated once.
 
-    A domain error, and any float overflow, division by zero or invalid
-    operation (the first step at which a jet would turn non-finite),
-    raises :class:`EvalError` naming the node where it happened."""
+    A domain error at any point, and any float overflow, division by zero
+    or invalid operation (the first step at which a jet would turn
+    non-finite), raises :class:`EvalError` naming the node."""
     exprs = list(exprs)     # keeps every node, and so its id, alive
+    batch = next(iter(bindings.values())).shape[1:] if bindings else ()
+    # a batch of one point runs as the empty batch: numpy gathers and
+    # reduces 1-d arrays about twice as fast as (ncoeff, 1) ones
+    inner = () if math.prod(batch) == 1 else batch
+    if inner != batch:
+        bindings = {k: v.reshape(v.shape[:1]) for k, v in bindings.items()}
     memo = {}
     # numpy raises where a jet would turn non-finite, in place of a warning
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return [_eval_node(e, bindings, space, memo) for e in exprs]
+        jets = [_eval_node(e, bindings, space, memo, inner) for e in exprs]
+    return [j.reshape(j.shape[:1] + batch) for j in jets]
 
 
 def eval_jet(space: JetSpace, e: Expr,
@@ -415,9 +414,10 @@ def eval_jet(space: JetSpace, e: Expr,
     return eval_jets(space, [e], bindings)[0]
 
 
-def _eval_node(node: Expr, bindings, space, memo: dict) -> np.ndarray:
+def _eval_node(node: Expr, bindings, space, memo: dict,
+               batch: tuple) -> np.ndarray:
     # the memo is an argument, not a closure cell: a recursive closure
-    # over it would be a reference cycle that keeps every point's jets
+    # over it would be a reference cycle that keeps every call's jets
     # alive until the garbage collector runs
     key = id(node)
     jet = memo.get(key)
@@ -426,17 +426,18 @@ def _eval_node(node: Expr, bindings, space, memo: dict) -> np.ndarray:
     try:
         match node:
             case Const(value):
-                jet = tconst(space, value)
+                jet = np.zeros((space.ncoeff,) + batch)
+                jet[0] = value
             case Var(name):
                 try:
                     jet = bindings[name]
                 except KeyError:
                     raise EvalError(f"unbound variable {name!r}") from None
             case Neg(arg):
-                jet = -_eval_node(arg, bindings, space, memo)
+                jet = -_eval_node(arg, bindings, space, memo, batch)
             case Bin(op, left, right):
-                a = _eval_node(left, bindings, space, memo)
-                b = _eval_node(right, bindings, space, memo)
+                a = _eval_node(left, bindings, space, memo, batch)
+                b = _eval_node(right, bindings, space, memo, batch)
                 if op == "+":
                     jet = a + b
                 elif op == "-":
@@ -446,11 +447,12 @@ def _eval_node(node: Expr, bindings, space, memo: dict) -> np.ndarray:
                 else:
                     jet = jmul(space, a, _reciprocal(space, b))
             case Pow(base, exponent):
-                jet = jpow(space, _eval_node(base, bindings, space, memo),
+                jet = jpow(space,
+                           _eval_node(base, bindings, space, memo, batch),
                            exponent)
             case Func(name, arg):
                 jet = FUNCTION_TABLE[name](
-                    space, _eval_node(arg, bindings, space, memo))
+                    space, _eval_node(arg, bindings, space, memo, batch))
             case _:
                 raise TypeError(f"not an Expr: {node!r}")
     except (JetDomainError, FloatingPointError, OverflowError,
@@ -467,44 +469,10 @@ def _quote(node: Expr, limit: int = 200) -> str:
 
 
 def eval_float(e: Expr, bindings: dict[str, float]) -> float:
-    """Plain order-0 evaluation over floats."""
-    match e:
-        case Const(value):
-            return value
-        case Var(name):
-            try:
-                return float(bindings[name])
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-        case Neg(arg):
-            return -eval_float(arg, bindings)
-        case Bin(op, left, right):
-            a = eval_float(left, bindings)
-            b = eval_float(right, bindings)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        case Pow(base, exponent):
-            b = eval_float(base, bindings)
-            if exponent.is_integer():
-                return b ** int(exponent)
-            if b <= 0.0:
-                raise EvalError("non-integer power of a nonpositive base")
-            return math.exp(exponent * math.log(b))
-        case Func(name, arg):
-            v = eval_float(arg, bindings)
-            if name in ("ln", "sqrt") and v <= 0.0:
-                raise EvalError(f"{name} of a nonpositive value")
-            if name == "arcsin" and not -1.0 < v < 1.0:
-                raise EvalError("arcsin outside (-1, 1)")
-            return _FLOAT_FUNCS[name](v)
-    raise TypeError(f"not an Expr: {e!r}")
+    """Plain value of a tree: its jet at order 0, so that the values and
+    the derivatives of :func:`eval_jets` follow the same rules."""
+    return float(eval_jet(jet_space(1, 0), e, {
+        k: np.array([float(v)]) for k, v in bindings.items()})[0])
 
 
 def _fmt(x: float) -> str:

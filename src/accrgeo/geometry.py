@@ -1,7 +1,7 @@
 """Chart-level pseudo-Riemannian machinery on jet-valued tensors.
 
 All functions operate on coefficient-first tensor-jet arrays produced by
-:mod:`accrgeo.jets`.  Index conventions:
+:mod:`accrgeo.jets` and carry their batch axes through.  Index conventions:
 
 * Christoffel symbols ``gamma[k, i, j]`` = Gamma^k_ij,
 * Riemann tensor ``riem[l, i, j, k]`` = R^l_ijk
@@ -29,23 +29,29 @@ __all__ = [
 ]
 
 
-def coordinate_bindings(coords, point,
+def coordinate_bindings(coords, points,
                         order: int) -> dict[str, np.ndarray]:
-    """Jets of the coordinate functions at a chart point in
+    """Jets of the coordinate functions at chart points in
     ``jet_space(len(coords), order)``, coordinate i seeding variable i:
-    the bindings every chart evaluation uses."""
-    seeds = np.eye(len(coords), jet_space(len(coords), order).ncoeff, 1)
-    seeds[:, 0] = point
+    the bindings every chart evaluation uses.  ``points`` has shape
+    ``(*batch, len(coords))``; one point is the empty batch."""
+    points = np.asarray(points, dtype=float)
+    m, nc = len(coords), jet_space(len(coords), order).ncoeff
+    seeds = np.zeros((m, nc) + points.shape[:-1])
+    seeds[:, 0] = points.transpose((-1, *range(points.ndim - 1)))
+    seeds[:, 1:] = np.eye(m, nc - 1)[(..., *[None] * (points.ndim - 1))]
     return dict(zip(coords, seeds))
 
 
 def eval_expr_table(space: JetSpace, table,
                     bindings: dict[str, np.ndarray]) -> np.ndarray:
     """Evaluate an object array of Expr (see :func:`accrgeo.expr.expr_table`)
-    into a tensor-jet array, under the bindings of one chart point (see
-    :func:`coordinate_bindings`); shared nodes are evaluated once."""
-    return np.stack(ex.eval_jets(space, table.flat, bindings),
-                    axis=1).reshape((-1,) + table.shape)
+    into a tensor-jet array of shape ``(ncoeff, *batch, *table.shape)``,
+    under the bindings of chart points (see :func:`coordinate_bindings`);
+    shared nodes are evaluated once."""
+    jets = np.array(ex.eval_jets(space, table.flat, bindings))
+    return jets.transpose((*range(1, jets.ndim), 0)).reshape(
+        jets.shape[1:] + table.shape)
 
 
 def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
@@ -56,8 +62,8 @@ def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
     dg = tgrad(space, g)                      # dg[i,j,l] = d_l g_ij
     ginv_c = ttrunc(space, ginv, child.order)
     # T_ijl = d_i g_jl + d_j g_il - d_l g_ij
-    t = (np.einsum("pjli->pijl", dg) + np.einsum("pilj->pijl", dg)
-         - np.einsum("pijl->pijl", dg))
+    t = (np.einsum("...jli->...ijl", dg) + np.einsum("...ilj->...ijl", dg)
+         - dg)
     gamma = 0.5 * tmul(child, ginv_c, t, "kl,ijl->kij")
     return child, gamma
 
@@ -68,14 +74,13 @@ def riemann(space: JetSpace, gamma: np.ndarray):
     dgam = tgrad(space, gamma)                # dgam[l,i,j,m] = d_m Gamma^l_ij
     gam_c = ttrunc(space, gamma, child.order)
     quad = tmul(child, gam_c, gam_c, "ljm,mik->lijk")
-    riem = (np.einsum("plikj->plijk", dgam)
-            - np.einsum("plijk->plijk", dgam)
-            + quad - np.einsum("plikj->plijk", quad))
+    riem = (np.swapaxes(dgam, -1, -2) - dgam
+            + quad - np.swapaxes(quad, -1, -2))
     return child, riem
 
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
-    return np.einsum("plilk->pik", riem)
+    return np.einsum("...lilk->...ik", riem)
 
 
 def cov_deriv_tensor11(space: JetSpace, gamma: np.ndarray, phi: np.ndarray):
@@ -83,7 +88,7 @@ def cov_deriv_tensor11(space: JetSpace, gamma: np.ndarray, phi: np.ndarray):
     child = space.child
     dphi = tgrad(space, phi)                  # dphi[k,j,i] = d_i phi^k_j
     phi_c = ttrunc(space, phi, child.order)
-    out = (np.einsum("pkji->pikj", dphi)
+    out = (np.einsum("...kji->...ikj", dphi)
            + tmul(child, gamma, phi_c, "kim,mj->ikj")
            - tmul(child, gamma, phi_c, "mij,km->ikj"))
     return child, out
@@ -94,7 +99,7 @@ def cov_deriv_vector(space: JetSpace, gamma: np.ndarray, v: np.ndarray):
     child = space.child
     dv = tgrad(space, v)                      # dv[k,i] = d_i v^k
     v_c = ttrunc(space, v, child.order)
-    out = np.einsum("pki->pik", dv) + tmul(child, gamma, v_c, "kim,m->ik")
+    out = np.swapaxes(dv, -1, -2) + tmul(child, gamma, v_c, "kim,m->ik")
     return child, out
 
 
@@ -103,7 +108,7 @@ def cov_deriv_covector(space: JetSpace, gamma: np.ndarray, a: np.ndarray):
     child = space.child
     da = tgrad(space, a)                      # da[j,i] = d_i a_j
     a_c = ttrunc(space, a, child.order)
-    out = np.einsum("pji->pij", da) - tmul(child, gamma, a_c, "mij,m->ij")
+    out = np.swapaxes(da, -1, -2) - tmul(child, gamma, a_c, "mij,m->ij")
     return child, out
 
 
@@ -112,7 +117,7 @@ def cov_deriv_metric(space: JetSpace, gamma: np.ndarray, g: np.ndarray):
     child = space.child
     dg = tgrad(space, g)                      # dg[i,j,l]
     g_c = ttrunc(space, g, child.order)
-    out = (np.einsum("pijl->plij", dg)
+    out = (np.einsum("...ijl->...lij", dg)
            - tmul(child, gamma, g_c, "mli,mj->lij")
            - tmul(child, gamma, g_c, "mlj,im->lij"))
     return child, out
@@ -125,8 +130,8 @@ def lie_metric_coord(space: JetSpace, g: np.ndarray, v: np.ndarray):
     dv = tgrad(space, v)                      # dv[k,i] = d_i v^k
     g_c = ttrunc(space, g, child.order)
     v_c = ttrunc(space, v, child.order)
-    dv_r = np.einsum("pki->pik", dv)
-    out = (tmul(child, v_c, np.einsum("pijk->pkij", dg), "k,kij->ij")
+    dv_r = np.swapaxes(dv, -1, -2)
+    out = (tmul(child, v_c, np.einsum("...ijk->...kij", dg), "k,kij->ij")
            + tmul(child, g_c, dv_r, "kj,ik->ij")
            + tmul(child, g_c, dv_r, "ik,jk->ij"))
     return child, out
@@ -138,18 +143,20 @@ def lie_metric_cov(child: JetSpace, g_c: np.ndarray, nabla_v: np.ndarray):
             + tmul(child, g_c, nabla_v, "ik,jk->ij"))
 
 
-def signature(g0: np.ndarray) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of a symmetric matrix."""
-    w = np.linalg.eigvalsh(0.5 * (g0 + g0.T))
-    return int(np.sum(w > 0)), int(np.sum(w < 0))
+def signature(g0: np.ndarray):
+    """(positive, negative) eigenvalue counts of a symmetric matrix, or
+    of each matrix of a batch ``(*batch, d, d)``."""
+    w = np.linalg.eigvalsh(0.5 * (g0 + np.swapaxes(g0, -1, -2)))
+    return np.sum(w > 0, axis=-1), np.sum(w < 0, axis=-1)
 
 
 @dataclass
 class FrameEval:
-    """All pointwise evaluated metric data at one chart point.
+    """All pointwise evaluated metric data at a batch of chart points.
 
     Arrays are tensor-jet arrays; ``space`` is the metric's jet space,
-    gamma lives in ``space.child`` and riem and ricci one order lower.
+    gamma lives in ``space.child`` and riem and ricci one order lower;
+    ``tau`` holds one scalar curvature per point.
     """
 
     space: JetSpace
@@ -158,7 +165,7 @@ class FrameEval:
     gamma: np.ndarray = None
     riem: np.ndarray = None
     ricci: np.ndarray = None
-    tau: float = None
+    tau: np.ndarray = None
 
     @classmethod
     def from_metric(cls, space: JetSpace, g: np.ndarray,
@@ -171,8 +178,7 @@ class FrameEval:
             riem_space, ev.riem = riemann(gamma_space, ev.gamma)
             ev.ricci = ricci_from_riemann(ev.riem)
             ginv_r = ttrunc(space, ginv, riem_space.order)
-            ev.tau = float(tvalue(tmul(riem_space, ginv_r, ev.ricci,
-                                       "ik,ik->")))
+            ev.tau = tvalue(tmul(riem_space, ginv_r, ev.ricci, "ik,ik->"))
         return ev
 
 
@@ -189,21 +195,23 @@ class MetricChart:
         self.dim = len(self.coords)
         self.g = ex.expr_table(g, (self.dim, self.dim))
 
-    def metric_at(self, point, order: int):
-        """(space, g) metric tensor with order-K jet entries; enforces
-        numerical symmetry of the components."""
+    def metric_at(self, points, order: int):
+        """(space, g) metric tensor with order-K jet entries at chart
+        points; enforces numerical symmetry of the components."""
         space = jet_space(self.dim, order)
         g = eval_expr_table(space, self.g,
-                            coordinate_bindings(self.coords, point, order))
+                            coordinate_bindings(self.coords, points, order))
         g0 = tvalue(g)
-        if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, np.max(np.abs(g0))):
+        asym = np.abs(g0 - np.swapaxes(g0, -1, -2)).max(axis=(-2, -1))
+        if (asym > 1e-12 * np.maximum(1.0, np.abs(g0).max(axis=(-2, -1)))
+                ).any():
             raise ValueError("metric components are not symmetric")
         return space, tsym(g)
 
-    def frame_at(self, point, order: int = 2,
+    def frame_at(self, points, order: int = 2,
                  curvature: bool = True) -> FrameEval:
-        space, g = self.metric_at(point, order)
+        space, g = self.metric_at(points, order)
         return FrameEval.from_metric(space, g, curvature=curvature)
 
     def scalar_curvature_at(self, point) -> float:
-        return self.frame_at(point, order=2).tau
+        return float(self.frame_at(point, order=2).tau)

@@ -6,20 +6,24 @@ Taylor-normalized (partial derivative divided by the factorial of the
 multi-index) and stored densely in graded lexicographic order, so
 truncating to a lower order is a prefix slice of the coefficient vector.
 
-Every jet is a coefficient-first ndarray: an array of shape
-``(ncoeff, *tensor_shape)`` holds one jet per tensor component, and a
-scalar jet is an array of shape ``(ncoeff,)``.  Scalar arithmetic
-(``jmul``, ``jpow`` and the elementary functions of ``FUNCTION_TABLE``)
-is used only by the expression evaluator; the tensor machinery uses
-``tmul``, ``tgrad``, ``tminv`` ...  Every function takes the
-:class:`JetSpace` of its operands first.
+Every jet is a coefficient-first ndarray of shape
+``(ncoeff, *batch, *tensor_shape)``: the batch axes (one jet per sample
+point) sit where numpy's ``...`` puts them, before the tensor axes, so a
+single point is the empty batch: a scalar jet at one point has shape
+``(ncoeff,)``, the metric at P points ``(ncoeff, P, d, d)``.  Scalar
+arithmetic (``jmul``, ``jpow`` and ``FUNCTION_TABLE``) is used only by
+the expression evaluator; it takes the value row ``a[0]`` as an array,
+and a domain error at any point fails the batch.  The tensor machinery
+(``tmul``, ``tgrad``, ``tminv`` ...) reads the tensor axes from the end.
+Every function takes the :class:`JetSpace` of its operands first.
 
 Scalar and tensor jets share one truncated-product kernel: a product
 gathers both operands along the :class:`JetSpace` coefficient-pair table,
 which is sorted by target coefficient, multiplies them, and sums each
 target's segment (:func:`_segment_sum`).  A tensor product (:func:`tmul`)
-multiplies matrix stacks planned once per spec: densely for the pairs
-with a value part, by one batched ``np.matmul`` for the cross pairs.
+multiplies matrix stacks planned once per spec and shape, the batch axes
+folded into the stacks: densely for the pairs with a value part, by one
+batched ``np.matmul`` for the cross pairs.
 """
 
 from __future__ import annotations
@@ -137,18 +141,20 @@ class JetSpace:
 
 
 # ---------------------------------------------------------------------------
-# Scalar jets: arrays of shape (ncoeff,), combined only by the expression
-# evaluator.
+# Scalar jets: arrays of shape (ncoeff, *batch), combined only by the
+# expression evaluator.
 # ---------------------------------------------------------------------------
 
 def jmul(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of two scalar jets: every pair of the table."""
-    return _segment_sum(space, a[space._mul_i] * b[space._mul_j])
+    return _segment_sum(space, a.take(space._mul_i, axis=0)
+                        * b.take(space._mul_j, axis=0))
 
 
 def _compose(space: JetSpace, a: np.ndarray, derivs) -> np.ndarray:
-    """Jet of f(a) given [f(a0), f'(a0), f''(a0), f'''(a0)]: the Taylor
-    polynomial of f at a0 in s = a - a0, by Horner's rule."""
+    """Jet of f(a) given [f(a0), f'(a0), f''(a0), f'''(a0)], each of the
+    batch shape: the Taylor polynomial of f at a0 in s = a - a0, by
+    Horner's rule."""
     s = a.copy()
     s[0] = 0.0
     out = s * (derivs[space.order] / math.factorial(space.order))
@@ -160,8 +166,8 @@ def _compose(space: JetSpace, a: np.ndarray, derivs) -> np.ndarray:
 
 
 def _reciprocal(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    if v == 0.0:
+    v = a[0]
+    if np.count_nonzero(v**4 == 0.0):   # the series divides by v .. v^4
         raise JetDomainError("division by zero")
     return _compose(space, a, [1.0 / v, -1.0 / v**2, 2.0 / v**3,
                                -6.0 / v**4])
@@ -175,7 +181,7 @@ def jpow(space: JetSpace, base: np.ndarray, exponent: float) -> np.ndarray:
     if e.is_integer():
         n = int(e)
         if n == 0:
-            return tconst(space, 1.0)
+            return tconst(space, np.ones(base.shape[1:]))
         if n < 0:
             return jpow(space, _reciprocal(space, base), -n)
         out = base
@@ -184,91 +190,62 @@ def jpow(space: JetSpace, base: np.ndarray, exponent: float) -> np.ndarray:
             if bit == "1":
                 out = jmul(space, out, base)
         return out
-    if base[0] <= 0.0:
+    if np.count_nonzero(base[0] <= 0.0):
         raise JetDomainError("non-integer power of a nonpositive base")
     return jexp(space, jln(space, base) * e)
 
 
-def jsin(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    return _compose(space, a, [math.sin(v), math.cos(v),
-                               -math.sin(v), -math.cos(v)])
+def _elementary(name: str, derivs, inside=None, outside: str = ""):
+    """The jet function of f from ``derivs(v)``, the values of f and of
+    its first three derivatives at the value row v; ``inside(v)`` is
+    false outside the domain.  A value beyond the float range (numpy
+    raises it under the evaluator's ``np.errstate``) is the
+    ``OverflowError`` of :mod:`math`, with its message."""
+    def jet(space: JetSpace, a: np.ndarray) -> np.ndarray:
+        v = a[0]
+        if inside is not None and np.count_nonzero(inside(v)) < np.size(v):
+            raise JetDomainError(outside)
+        try:
+            values = derivs(v)
+        except FloatingPointError:
+            raise OverflowError("math range error") from None
+        return _compose(space, a, values)
+    jet.__name__ = jet.__qualname__ = f"j{name}"
+    return jet
 
 
-def jcos(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    return _compose(space, a, [math.cos(v), -math.sin(v),
-                               -math.cos(v), math.sin(v)])
+def _tan_derivs(t, s: float):
+    """Derivatives of tan (s = 1) or tanh (s = -1) from their value t."""
+    d1 = 1.0 + s * t * t
+    return [t, d1, 2.0 * s * t * d1, 2.0 * s * d1 * (1.0 + 3.0 * s * t * t)]
 
 
-def jtan(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    t = math.tan(float(a[0]))
-    d1 = 1.0 + t * t
-    return _compose(space, a, [t, d1, 2.0 * t * d1,
-                               2.0 * d1 * (1.0 + 3.0 * t * t)])
-
-
-def jsinh(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    return _compose(space, a, [math.sinh(v), math.cosh(v),
-                               math.sinh(v), math.cosh(v)])
-
-
-def jcosh(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    return _compose(space, a, [math.cosh(v), math.sinh(v),
-                               math.cosh(v), math.sinh(v)])
-
-
-def jtanh(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    t = math.tanh(float(a[0]))
-    d1 = 1.0 - t * t
-    return _compose(space, a, [t, d1, -2.0 * t * d1,
-                               -2.0 * d1 * (1.0 - 3.0 * t * t)])
-
-
-def jexp(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    e = math.exp(float(a[0]))
-    return _compose(space, a, [e, e, e, e])
-
-
-def jln(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    if v <= 0.0:
-        raise JetDomainError("ln of a nonpositive value")
-    return _compose(space, a, [math.log(v), 1.0 / v, -1.0 / v**2,
-                               2.0 / v**3])
-
-
-def jsqrt(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    if v <= 0.0:
-        raise JetDomainError("sqrt of a nonpositive value")
-    r = math.sqrt(v)
-    return _compose(space, a, [r, 0.5 / r, -0.25 / (r * v),
-                               0.375 / (r * v * v)])
-
-
-def jarctan(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    d = 1.0 + v * v
-    return _compose(space, a, [math.atan(v), 1.0 / d, -2.0 * v / d**2,
-                               (6.0 * v * v - 2.0) / d**3])
-
-
-def jarcsin(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = float(a[0])
-    if not -1.0 < v < 1.0:
-        raise JetDomainError("arcsin outside (-1, 1)")
-    d = 1.0 - v * v
-    r = math.sqrt(d)
-    return _compose(space, a, [math.asin(v), 1.0 / r, v / (r * d),
-                               (1.0 + 2.0 * v * v) / (r * d * d)])
+jsin = _elementary("sin", lambda v: [s := np.sin(v), c := np.cos(v), -s, -c])
+jcos = _elementary("cos", lambda v: [c := np.cos(v), s := -np.sin(v), -c, -s])
+jtan = _elementary("tan", lambda v: _tan_derivs(np.tan(v), 1.0))
+jsinh = _elementary("sinh", lambda v: 2 * [np.sinh(v), np.cosh(v)])
+jcosh = _elementary("cosh", lambda v: 2 * [np.cosh(v), np.sinh(v)])
+jtanh = _elementary("tanh", lambda v: _tan_derivs(np.tanh(v), -1.0))
+jexp = _elementary("exp", lambda v: 4 * [np.exp(v)])
+jln = _elementary("ln", lambda v: [np.log(v), 1.0 / v, -1.0 / v**2,
+                                   2.0 / v**3],
+                  lambda v: v > 0.0, "ln of a nonpositive value")
+jsqrt = _elementary("sqrt", lambda v: [
+    r := np.sqrt(v), 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)],
+    lambda v: v > 0.0, "sqrt of a nonpositive value")
+jarctan = _elementary("arctan", lambda v: [
+    np.arctan(v), 1.0 / (d := 1.0 + v * v), -2.0 * v / d**2,
+    (6.0 * v * v - 2.0) / d**3])
+jarcsin = _elementary("arcsin", lambda v: [
+    np.arcsin(v), 1.0 / (r := np.sqrt(d := 1.0 - v * v)), v / (r * d),
+    (1.0 + 2.0 * v * v) / (r * d * d)],
+    lambda v: (-1.0 < v) & (v < 1.0), "arcsin outside (-1, 1)")
 
 
 # ---------------------------------------------------------------------------
-# Coefficient-first tensor helpers.  An array of shape (ncoeff, *shape)
-# holds one jet per tensor component; all components share one JetSpace.
+# Coefficient-first tensor helpers.  An array of shape
+# (ncoeff, *batch, *shape) holds one jet per point and tensor component;
+# all of them share one JetSpace.
 # ---------------------------------------------------------------------------
 
 def tconst(space: JetSpace, values: np.ndarray) -> np.ndarray:
@@ -280,7 +257,7 @@ def tconst(space: JetSpace, values: np.ndarray) -> np.ndarray:
 
 def tsym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a jet-valued matrix."""
-    return 0.5 * (a + np.einsum("pij->pji", a))
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def tvalue(a: np.ndarray) -> np.ndarray:
@@ -304,55 +281,68 @@ def _segment_sum(space: JetSpace, prod: np.ndarray, starts=None):
 
 @lru_cache(maxsize=None)
 def _tmul_plan(sub: str, ashape: tuple, bshape: tuple):
-    """Axis orders and shapes that make (free, summed) and (summed, free)
-    matrix stacks of the operands, the product, and the output order."""
+    """Axis orders and shapes that make (batch, free, summed) and
+    (batch, summed, free) matrix stacks of the operands, the product's
+    shape, and the output order.  The batch axes, in front of the ones
+    ``sub`` names and the same in both operands, fold into one stack axis
+    (none for one point: numpy loops over fewer axes faster)."""
     lhs, out = sub.split("->")
     sa, sb = lhs.split(",")
     con = [c for c in sa if c in sb]
     free = [c for c in sa if c not in sb] + [c for c in sb if c not in sa]
-    size = dict(zip(sa, ashape))
+    nb = len(ashape) - len(sa)
+    size = dict(zip(sa, ashape[nb:]))
     if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb)
-            or sorted(out) != sorted(free)
-            or (len(sa), len(sb)) != (len(ashape), len(bshape))
-            or any(size.setdefault(c, n) != n for c, n in zip(sb, bshape))):
+            or sorted(out) != sorted(free) or nb < 0
+            or ashape[:nb] != bshape[:len(bshape) - len(sb)]
+            or any(size.setdefault(c, n) != n
+                   for c, n in zip(sb, bshape[nb:]))):
         raise ValueError(f"tmul cannot run {sub!r} on {ashape}, {bshape}")
+    batch = ashape[:nb]
+    stack = () if math.prod(batch) == 1 else (math.prod(batch),)
+    lead = tuple(range(1, 1 + nb))
     na = len(sa) - len(con)
     m, k, n = (math.prod(size[c] for c in part)
                for part in (free[:na], con, free[na:]))
-    return ((0, *(1 + sa.index(c) for c in free[:na] + con)), (m, k),
-            (0, *(1 + sb.index(c) for c in con + free[na:])), (k, n),
+    return ((0, *lead, *(1 + nb + sa.index(c) for c in free[:na] + con)),
+            stack + (m, k),
+            (0, *lead, *(1 + nb + sb.index(c) for c in con + free[na:])),
+            stack + (k, n),
             np.matmul if con else np.multiply,
-            tuple(size[c] for c in free),
-            (0, *(1 + free.index(c) for c in out)))
+            batch + tuple(size[c] for c in free),
+            (0, *lead, *(1 + nb + free.index(c) for c in out)))
 
 
 def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
     """Jet-valued einsum: ``sub`` is an einsum spec over the tensor axes,
-    e.g. ``"ij,jk->ik"``; the coefficient axis is convolved.
+    e.g. ``"ij,jk->ik"``; the coefficient axis is convolved and the batch
+    axes in front of the tensor axes are carried through.
 
     A spec may name an index once per operand; an index of both operands
-    is summed and every other one is an output axis (no trace, diagonal,
-    batch axis or one-sided sum), else ``ValueError``.  The pairs with a
-    value part multiply as dense matrix stacks, the cross pairs in one
-    batched ``np.matmul`` (broadcast when nothing is summed) over their
-    part of the pair table, summed by :func:`_segment_sum`."""
-    perm_a, mk, perm_b, kn, op, shape, perm_out = _tmul_plan(
+    is summed and every other one is an output axis (no trace, diagonal
+    or one-sided sum), else ``ValueError``.  The pairs with a value part
+    multiply as dense matrix stacks, the cross pairs in one batched
+    ``np.matmul`` (broadcast when nothing is summed) over their part of
+    the pair table, summed by :func:`_segment_sum`."""
+    perm_a, amk, perm_b, bkn, op, shape, perm_out = _tmul_plan(
         sub, a.shape[1:], b.shape[1:])
-    a = a.transpose(perm_a).reshape((-1,) + mk)
-    b = b.transpose(perm_b).reshape((-1,) + kn)
+    a = a.transpose(perm_a).reshape((-1,) + amk)
+    b = b.transpose(perm_b).reshape((-1,) + bkn)
     out = op(a[0], b)                       # the pairs (0, t)
     out[1:] += op(a[1:], b[0])              # the pairs (t, 0), t > 0
     if space.order >= 2:
         out[space._cross_first:] += _segment_sum(
-            space, op(a[space._cross_i], b[space._cross_j]),
+            space, op(a.take(space._cross_i, axis=0),
+                      b.take(space._cross_j, axis=0)),
             space._cross_starts)
     return out.reshape((-1,) + shape).transpose(perm_out)
 
 
 def tscale(space: JetSpace, scalar: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Multiply a tensor-jet array by a scalar jet: one :func:`tmul`
-    with the spec ``",ij->ij"`` for a matrix, ``",i->i"`` for a vector."""
-    axes = "ijklmn"[:a.ndim - 1]
+    """Multiply a tensor-jet array by a scalar jet of the same batch: one
+    :func:`tmul` with the spec ``",ij->ij"`` for a matrix, ``",i->i"``
+    for a vector."""
+    axes = "ijklmn"[:a.ndim - scalar.ndim]
     return tmul(space, scalar, a, f",{axes}->{axes}")
 
 
@@ -374,29 +364,28 @@ class SingularMetricError(ArithmeticError):
 
 
 def tminv(space: JetSpace, g: np.ndarray) -> np.ndarray:
-    """Inverse of a jet-valued square matrix.
+    """Inverse of a jet-valued square matrix, at every point.
 
     The value part is inverted by LU (numpy); the derivative parts follow
     from the truncated Neumann series, which is exact because the
-    non-constant part is nilpotent in the truncated algebra.  The value
-    part is singular when sigma_min <= 1e-12 sigma_max, at any scale.
-    """
+    non-constant part is nilpotent in the truncated algebra.  A point is
+    singular when sigma_min <= 1e-12 sigma_max, at any scale."""
     g0 = g[0]
-    d = g0.shape[0]
     sv = np.linalg.svd(g0, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
+    singular = sv[..., -1] <= 1e-12 * sv[..., 0]
+    if singular.any():
+        sv = sv[singular][0]
         raise SingularMetricError(f"singular values {sv[-1]:.3e} .. "
                                   f"{sv[0]:.3e}: ratio below threshold")
     g0i = np.linalg.inv(g0)
     n = g.copy()
     n[0] = 0.0
-    # X = -g0i @ N  (constant matrix times jet matrix)
-    x = -np.einsum("ab,pbc->pac", g0i, n)
-    eye = tconst(space, np.eye(d))
+    x = -(g0i @ n)                  # constant matrix times jet matrix
+    eye = tconst(space, np.broadcast_to(np.eye(g0.shape[-1]), g0.shape))
     series = eye
     for _ in range(space.order):
         series = eye + tmul(space, series, x, "ab,bc->ac")
-    return np.einsum("pab,bc->pac", series, g0i)
+    return series @ g0i
 
 
 FUNCTION_TABLE = {

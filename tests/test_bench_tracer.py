@@ -1,21 +1,25 @@
 """The benchmark's tracer against the current source: every name it
-wraps must still exist, and a traced soliton report evaluates the base
-structure and the (u, v, w) triple once per sample point."""
+wraps must still exist, and a traced report evaluates the base structure
+and the (u, v, w) triple exactly once at every sample point, chunk by
+chunk."""
 
 import contextlib
 import io
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from tracer import Tracer  # noqa: E402
 
+from accrgeo import accr, transform  # noqa: E402
 from accrgeo.cli import main  # noqa: E402
+from accrgeo.examples import sample_points  # noqa: E402
 
 
 def test_tracer_installs_and_uninstalls():
-    from accrgeo import transform
     original = transform.TransformedStructure.structure_at
     tracer = Tracer()
     tracer.install()
@@ -27,18 +31,50 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_one_base_and_triple_evaluation_per_point():
+    # the tracer counts calls, and one call now covers a chunk of points:
+    # the points each call receives are counted by wrappers of our own
+    n, order, samples, seed = 2, 3, 12, 3
+    points = sample_points(2 * n + 1, samples, seed=seed)
+    seen = {"base": [], "triple": []}
+    originals = {"base": accr.ChartStructure.structure_at,
+                 "triple": transform.TransformTriple.jets}
+
+    def base(self, pts, order):
+        seen["base"].append(np.array(pts))
+        return originals["base"](self, pts, order)
+
+    def triple(self, provider, pts, order):
+        seen["triple"].append(np.array(pts))
+        return originals["triple"](self, provider, pts, order)
+
+    accr.ChartStructure.structure_at = base
+    transform.TransformTriple.jets = triple
     tracer = Tracer()
     tracer.install()
     try:
         for cmd in ("transform", "soliton"):
+            seen["base"].clear()
+            seen["triple"].clear()
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main([cmd, "--example", "hypersurface-f5", "--n", "1",
-                             "--samples", "3", "--preset", "soliton",
-                             "--json"])
+                code = main([cmd, "--example", "hypersurface-f5", "--n",
+                             str(n), "--order", str(order), "--samples",
+                             str(samples), "--seed", str(seed), "--preset",
+                             "soliton", "--json"])
             assert code == 0
-            tracer.end_case(cmd, 3, True)
+            tracer.end_case(cmd, samples, True)
+            chunks = accr.chunks(points, order, curvature=cmd == "soliton")
+            assert len(chunks) >= 2
+            for calls in seen.values():
+                # one call per chunk, and every point exactly once, in order
+                assert [len(c) for c in calls] == [len(c) for c in chunks]
+                assert np.array_equal(np.concatenate(calls), points)
     finally:
         tracer.uninstall()
+        accr.ChartStructure.structure_at = originals["base"]
+        transform.TransformTriple.jets = originals["triple"]
+    # the tracer's per-point counters read calls per point: 1 per chunk
     layers = tracer.metrics()
-    assert layers["transform.base_evals_per_point"] == 1.0
-    assert layers["transform.triple_evals_per_point"] == 1.0
+    calls = (len(accr.chunks(points, order))
+             + len(accr.chunks(points, order, curvature=True)))
+    assert layers["transform.base_evals_per_point"] == calls / (2 * samples)
+    assert layers["transform.triple_evals_per_point"] == calls / (2 * samples)

@@ -110,3 +110,41 @@ def test_nan_against_a_number_is_infinite():
                      {"a": record(report(tau=1.0))})
     assert counts["max_float_deviation"] == math.inf
     assert counts["max_float_deviation_at"] == "a: $.values.tau"
+
+
+def write(tmp_path, name, records):
+    path = tmp_path / name
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
+@pytest.mark.parametrize("second,code", [
+    (record(report()), 0),
+    (record(report(value=0.5 + 1e-13)), 0),          # within 1e-12
+    (record(report(value=0.5 + 1e-11)), 1),          # a float deviation
+    (record(report(passed=False)), 1),               # a verdict change
+    (record(report(), code=1), 1),                   # an exit-code change
+])
+def test_compare_exits_1_on_a_contract_change(tmp_path, capsys, second,
+                                              code):
+    first = write(tmp_path, "a.json", {"a": record(report())})
+    other = write(tmp_path, "b.json", {"a": second})
+    assert report_matrix.main(["--compare", first, other]) == code
+    assert "max_float_deviation" in capsys.readouterr().out
+
+
+def test_multi_chunk_slice_crosses_a_chunk_boundary():
+    from accrgeo import accr
+    from accrgeo.examples import sample_points
+    slice_ = {name: argv for name, argv in report_matrix.cases().items()
+              if argv[argv.index("--samples") + 1] != "4"}
+    assert {argv[0] for argv in slice_.values()} == {
+        "check", "classify", "lee", "torse", "transform", "soliton"}
+    for argv in slice_.values():
+        opt = dict(zip(argv[1::2], argv[2::2]))
+        dim = 2 * int(opt["--n"]) + 1
+        points = sample_points(dim, int(opt["--samples"]))
+        order = max(int(opt["--order"]), 2 if argv[0] == "soliton" else 1)
+        sizes = [len(c) for c in accr.chunks(points, order,
+                                             curvature=argv[0] == "soliton")]
+        assert len(sizes) >= 2 and sizes[-1] <= sizes[0]

@@ -1,13 +1,17 @@
 """Record the CLI reports of a fixed command matrix, or compare two
 records: the behavioural contract of a refactor.
 
-Every case runs ``accrgeo.cli.main`` in-process (4 samples, seed 7) and
-keeps its exit code, the sha256 of its stdout and the stdout text.  The
-matrix is
+Every case runs ``accrgeo.cli.main`` in-process (seed 7) and keeps its
+exit code, the sha256 of its stdout and the stdout text.  The matrix is
 
 * check, classify, lee, torse x 3 models x n = 1..3 x order 1..3;
 * transform (order 1..3) and soliton (order 2..3) x 6 presets
-  x 3 models x n = 1..3.
+  x 3 models x n = 1..3;
+
+all with 4 samples, which fit one chunk of points, and a multi-chunk
+slice: every command on hypersurface-f5 at n = 4, order 1, with 70
+samples, which span several chunks (28 order-1 points fit one chunk at
+n = 4, 76 or more at n <= 3; soliton runs at order 2, one point a chunk).
 
 Record the ``accrgeo`` found on ``PYTHONPATH``, then compare two
 records:
@@ -17,7 +21,8 @@ records:
 
 The comparison counts byte-identical reports, exit-code changes and
 verdict changes (the report's or any check's ``passed``), and names the
-largest float deviation, relative to max(1, |x|).
+largest float deviation, relative to max(1, |x|).  It exits 1 on any
+exit-code or verdict change or a deviation above ``MAX_DEVIATION``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ MODELS = ("flat-f0", "hypersurface-f5", "random")
 PRESETS = ("identity", "soliton", "negative-du", "negative-dv",
            "negative-dw", "holomorphic")
 NS = (1, 2, 3)
-COMMON = ["--samples", "4", "--seed", "7", "--json"]
+COMMON = ["--seed", "7", "--json"]
+MAX_DEVIATION = 1e-12
 
 
 def cases() -> dict:
@@ -45,7 +51,7 @@ def cases() -> dict:
                 for order in (1, 2, 3):
                     out[f"{cmd}-{model}-n{n}-k{order}"] = [
                         cmd, "--example", model, "--n", str(n),
-                        "--order", str(order)]
+                        "--order", str(order), "--samples", "4"]
     for cmd, orders in (("transform", (1, 2, 3)), ("soliton", (2, 3))):
         for preset in PRESETS:
             for model in MODELS:
@@ -53,7 +59,14 @@ def cases() -> dict:
                     for order in orders:
                         out[f"{cmd}-{preset}-{model}-n{n}-k{order}"] = [
                             cmd, "--example", model, "--n", str(n),
-                            "--order", str(order), "--preset", preset]
+                            "--order", str(order), "--preset", preset,
+                            "--samples", "4"]
+    for cmd in ("check", "classify", "lee", "torse", "transform", "soliton"):
+        preset = ["--preset", "soliton"] if cmd in ("transform",
+                                                    "soliton") else []
+        out[f"{cmd}-hypersurface-f5-n4-k1-s70"] = [
+            cmd, "--example", "hypersurface-f5", "--n", "4", "--order", "1",
+            *preset, "--samples", "70"]
     return out
 
 
@@ -125,6 +138,13 @@ def compare(a: dict, b: dict) -> dict:
     return counts
 
 
+def changed(counts: dict) -> bool:
+    """Whether a comparison breaks the contract: an exit code or verdict
+    changed, or a float moved by more than ``MAX_DEVIATION``."""
+    return bool(counts["exit_changed"] or counts["verdict_changed"]
+                or counts["max_float_deviation"] > MAX_DEVIATION)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -140,9 +160,10 @@ def main(argv=None) -> int:
         print(f"recorded {len(data)} cases in {args.out}")
         return 0
     first, second = (json.load(open(path)) for path in args.compare)
-    for key, value in compare(first, second).items():
+    counts = compare(first, second)
+    for key, value in counts.items():
         print(f"{key}: {value}")
-    return 0
+    return 1 if changed(counts) else 0
 
 
 if __name__ == "__main__":
