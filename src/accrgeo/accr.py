@@ -66,11 +66,19 @@ def canonical_flat_fields(n: int):
     phi maps d/dx_i -> d/dx_{n+i}, xi is the last coordinate field,
     g is the block B-metric diag(1..1, -1..-1, 1)."""
     d = 2 * n + 1
+    g = np.zeros((d, d))
     phi = np.zeros((d, d))
-    phi[n:2 * n, :n] = np.eye(n)
-    phi[:n, n:2 * n] = -np.eye(n)
-    return (np.diag([1.0] * n + [-1.0] * n + [1.0]), phi, np.eye(d)[-1],
-            np.eye(d)[-1])
+    xi = np.zeros(d)
+    eta = np.zeros(d)
+    for i in range(n):
+        g[i, i] = 1.0
+        g[n + i, n + i] = -1.0
+        phi[n + i, i] = 1.0
+        phi[i, n + i] = -1.0
+    g[d - 1, d - 1] = 1.0
+    xi[d - 1] = 1.0
+    eta[d - 1] = 1.0
+    return g, phi, xi, eta
 
 
 class ChartStructure(StructureProvider):

@@ -14,6 +14,7 @@ numeric literal exponent.  Function application requires parentheses;
 whitespace is insignificant.  Expression trees are immutable and
 evaluation is pure.
 
+Two evaluators read a tree.  :func:`eval_float` computes a plain value.
 :func:`eval_jets` computes the truncated Taylor jets of a sequence of
 trees at a batch of points, under bindings of the variables to jets.
 It is the one place where scalar jets (coefficient arrays of shape
@@ -22,11 +23,10 @@ It is the one place where scalar jets (coefficient arrays of shape
 product ``jmul``; a node object that several trees, or several places
 of one tree, share is evaluated once for the whole batch, through a memo
 keyed by node identity that lives for that one call.  :func:`eval_jet`
-is the same for a single tree, and :func:`eval_float` is the order-0
-jet.  Trees built in code share subtrees by reusing objects, and
-:func:`expr_table` makes equal text entries and equal constants of a
-table one object, so a table of d x d entries costs one evaluation per
-distinct node, not per entry.
+is the same for a single tree.  Trees built in code share subtrees by
+reusing objects, and :func:`expr_table` makes equal text entries and
+equal constants of a table one object, so a table of d x d entries
+costs one evaluation per distinct node, not per entry.
 
 Parsing rejects text that opens more than ``MAX_DEPTH`` parentheses
 inside one another, or whose tree nests more than ``MAX_DEPTH``
@@ -44,10 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import (FUNCTION_TABLE, JetDomainError, JetSpace, _reciprocal,
-                   jet_space, jmul, jpow)
+                   jmul, jpow)
 
 FUNCTIONS = frozenset(FUNCTION_TABLE)
 MAX_DEPTH = 100
+
+_FLOAT_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
+    "arctan": math.atan, "arcsin": math.asin,
+}
+
 
 class ParseError(ValueError):
     """Malformed expression text."""
@@ -469,10 +477,44 @@ def _quote(node: Expr, limit: int = 200) -> str:
 
 
 def eval_float(e: Expr, bindings: dict[str, float]) -> float:
-    """Plain value of a tree: its jet at order 0, so that the values and
-    the derivatives of :func:`eval_jets` follow the same rules."""
-    return float(eval_jet(jet_space(1, 0), e, {
-        k: np.array([float(v)]) for k, v in bindings.items()})[0])
+    """Plain order-0 evaluation over floats."""
+    match e:
+        case Const(value):
+            return value
+        case Var(name):
+            try:
+                return float(bindings[name])
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+        case Neg(arg):
+            return -eval_float(arg, bindings)
+        case Bin(op, left, right):
+            a = eval_float(left, bindings)
+            b = eval_float(right, bindings)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if b == 0.0:
+                raise EvalError("division by zero")
+            return a / b
+        case Pow(base, exponent):
+            b = eval_float(base, bindings)
+            if exponent.is_integer():
+                return b ** int(exponent)
+            if b <= 0.0:
+                raise EvalError("non-integer power of a nonpositive base")
+            return math.exp(exponent * math.log(b))
+        case Func(name, arg):
+            v = eval_float(arg, bindings)
+            if name in ("ln", "sqrt") and v <= 0.0:
+                raise EvalError(f"{name} of a nonpositive value")
+            if name == "arcsin" and not -1.0 < v < 1.0:
+                raise EvalError("arcsin outside (-1, 1)")
+            return _FLOAT_FUNCS[name](v)
+    raise TypeError(f"not an Expr: {e!r}")
 
 
 def _fmt(x: float) -> str:

@@ -165,14 +165,6 @@ def _compose(space: JetSpace, a: np.ndarray, derivs) -> np.ndarray:
     return out
 
 
-def _reciprocal(space: JetSpace, a: np.ndarray) -> np.ndarray:
-    v = a[0]
-    if np.count_nonzero(v**4 == 0.0):   # the series divides by v .. v^4
-        raise JetDomainError("division by zero")
-    return _compose(space, a, [1.0 / v, -1.0 / v**2, 2.0 / v**3,
-                               -6.0 / v**4])
-
-
 def jpow(space: JetSpace, base: np.ndarray, exponent: float) -> np.ndarray:
     """Integer exponents square and multiply, left to right, so x^n takes
     at most 2 log2(n) products (x^2 is x*x, x^3 is (x*x)*x) for any base;
@@ -220,6 +212,10 @@ def _tan_derivs(t, s: float):
     return [t, d1, 2.0 * s * t * d1, 2.0 * s * d1 * (1.0 + 3.0 * s * t * t)]
 
 
+# the series of 1/v divides by v, ..., v^4
+_reciprocal = _elementary("reciprocal", lambda v: [
+    1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4],
+    lambda v: v**4 != 0.0, "division by zero")
 jsin = _elementary("sin", lambda v: [s := np.sin(v), c := np.cos(v), -s, -c])
 jcos = _elementary("cos", lambda v: [c := np.cos(v), s := -np.sin(v), -c, -s])
 jtan = _elementary("tan", lambda v: _tan_derivs(np.tan(v), 1.0))
