@@ -31,7 +31,7 @@ TOL_DERIVED = 1e-8
 TOL_CLASS = 1e-6
 CLASS_FLOOR = 1e-10
 # the working set of one chunk of sample points, as point_bytes counts it:
-# 32 order-1 points fit at n <= 3, one or two order-3 points at n >= 2
+# 32 order-1 points at n <= 3, one or two order-3 soliton points at n >= 2
 CHUNK_BYTES = 3 * 2**20
 
 
