@@ -317,7 +317,7 @@ def embedding_invariants(model: EmbeddedSphere, point) -> dict[str, float]:
     dZ0 = tvalue(dZ)                          # [m, c, j]
     Z0 = tvalue(Z)                            # [m, c]
     t = float(point[d - 1])
-    ch = np.cosh(t)
+    ch, shv = np.cosh(t), np.sinh(t)
 
     zz = np.sum((Z0[:, 0] + 1j * Z0[:, 1]) ** 2)
     res = {"constraint": max(abs(zz.real - ch * ch), abs(zz.imag))}
@@ -327,26 +327,37 @@ def embedding_invariants(model: EmbeddedSphere, point) -> dict[str, float]:
     res["jacobian_rank"] = 0.0 if sv[d - 1] > 1e-8 * sv[0] else 1.0
 
     def G(x, y):
-        """The ambient metric of x (m, c) against y (m, c, ...)."""
-        return np.real(np.tensordot(x[:, 0] + 1j * x[:, 1],
-                                    y[:, 0] + 1j * y[:, 1], axes=(0, 0)))
+        z = np.sum((x[:, 0] + 1j * x[:, 1]) * (y[:, 0] + 1j * y[:, 1]))
+        return z.real
 
     def J(x):
         return np.stack([-x[:, 1], x[:, 0]], axis=1)
 
     N = J(Z0) / ch
     res["normal_unit"] = abs(G(N, N) + 1.0)
-    res["normal_orth"] = float(np.max(np.abs(G(N, dZ0))))
+    res["normal_orth"] = max(abs(G(N, dZ0[:, :, j])) for j in range(d))
 
     ev = structure_eval(model, point, order=1)
-    xi_amb = np.einsum("mcj,j->mc", dZ0, ev.xi0)
+    xi0, eta0, phi0 = ev.xi0, ev.eta0, ev.phi0
+    xi_amb = np.einsum("mcj,j->mc", dZ0, xi0)
     res["xi_position"] = float(_maxabs(xi_amb - Z0 / ch, 2))
-    # J dZ(e_j) = dZ(phi e_j) + eta(e_j) N, for every j at once
-    rhs = np.einsum("mck,kj->mcj", dZ0, ev.phi0) + N[..., None] * ev.eta0
-    res["j_decomposition"] = float(_maxabs(J(dZ0) - rhs, 3))
-    # Gauss: ambient Hessian minus Christoffel part must be normal, so it
-    # equals -G(N, .) N as G(N, N) = -1
+
+    jd = 0.0
+    for j in range(d):
+        lhs = J(dZ0[:, :, j])
+        rhs = np.einsum("mck,k->mc", dZ0, phi0[:, j]) + eta0[j] * N
+        jd = max(jd, float(_maxabs(lhs - rhs, 2)))
+    res["j_decomposition"] = jd
+
+    # Gauss: ambient Hessian minus Christoffel part must be normal
     ddZ = tvalue(tgrad(space, dZ))            # [m, c, j, i] = d_i d_j Z
-    rem = ddZ - np.einsum("mck,kij->mcji", dZ0, tvalue(ev.frame.gamma))
-    res["gauss"] = float(_maxabs(rem + G(N, rem) * N[..., None, None], 4))
+    gamma0 = tvalue(ev.frame.gamma)           # [k, i, j]
+    rem = ddZ - np.einsum("mck,kij->mcji", dZ0, gamma0)
+    gs = 0.0
+    for i in range(d):
+        for j in range(d):
+            v = rem[:, :, j, i]
+            c = -G(v, N)                      # G(N, N) = -1
+            gs = max(gs, float(_maxabs(v - c * N, 2)))
+    res["gauss"] = gs
     return res
