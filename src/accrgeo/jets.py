@@ -311,8 +311,9 @@ def _tmul_plan(sub: str, ashape: tuple, bshape: tuple):
 
 def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
     """Jet-valued einsum: ``sub`` is an einsum spec over the tensor axes,
-    e.g. ``"ij,jk->ik"``; the coefficient axis is convolved and the batch
-    axes in front of the tensor axes are carried through.
+    e.g. ``"ij,jk->ik"``; the coefficient axis is convolved, and the axes
+    between it and the ones ``sub`` names are batch axes, carried
+    through: they must be the same in both operands (no broadcasting).
 
     A spec may name an index once per operand; an index of both operands
     is summed and every other one is an output axis (no trace, diagonal

@@ -320,6 +320,38 @@ def test_tmul_rejects_a_spec_it_cannot_plan(sub, shapes):
         tmul(space, a, b, sub)
 
 
+@pytest.mark.parametrize("sub", TMUL_SPECS)
+def test_batched_tmul_matches_per_point_calls(sub):
+    sa, sb = sub.split("->")[0].split(",")
+    for order in range(4):
+        space = jet_space(2, order)
+        for batch in [(3,), (2, 3)]:
+            a = RNG.uniform(-1, 1, (space.ncoeff, *batch,
+                                    *(AXIS_LENGTH[c] for c in sa)))
+            b = RNG.uniform(-1, 1, (space.ncoeff, *batch,
+                                    *(AXIS_LENGTH[c] for c in sb)))
+            got = tmul(space, a, b, sub)
+            for idx in np.ndindex(batch):
+                at = (slice(None), *idx)
+                want = tmul(space, a[at], b[at], sub)
+                assert np.all(np.abs(got[at] - want)
+                              <= 1e-13 * np.maximum(1, np.abs(want)))
+
+
+@pytest.mark.parametrize("abatch,bbatch", [
+    ((3,), (2,)),                       # different batch shapes
+    ((3,), (1,)),                       # no broadcasting between batches
+    ((3,), ()),                         # one operand batched, one not
+    ((), (3,)),
+])
+def test_tmul_rejects_operands_of_different_batches(abatch, bbatch):
+    space = jet_space(2, 2)
+    a = np.ones((space.ncoeff, *abatch, 3, 3))
+    b = np.ones((space.ncoeff, *bbatch, 3, 3))
+    with pytest.raises(ValueError):
+        tmul(space, a, b, "ij,jk->ik")
+
+
 def test_tgrad_extracts_partials():
     space = jet_space(2, 2)
     x = var(space, 0, 0.3)
@@ -352,6 +384,29 @@ def test_tminv_accepts_a_well_conditioned_matrix_of_large_scale():
     inv = tminv(space, a)
     assert np.allclose(tmul(space, a, inv, "ij,jk->ik"),
                        tconst(space, np.eye(7)), atol=1e-12)
+
+
+def test_batched_tminv_matches_per_point_calls():
+    # the scales differ by 1e16 between points, so only a ratio test per
+    # point admits every one of them
+    space = jet_space(3, 3)
+    scales = np.array([1e-8, 1.0, 1e8, 3.0])
+    a = (tconst(space, np.diag([2.0, -1.0, 3.0]))[:, None]
+         + 0.1 * RNG.uniform(-1, 1, (space.ncoeff, 4, 3, 3)))
+    a = a * scales[:, None, None]
+    inv = tminv(space, a)
+    assert inv.shape == a.shape
+    for p in range(4):
+        want = tminv(space, a[:, p])
+        assert np.allclose(inv[:, p], want, rtol=1e-12,
+                           atol=1e-12 * np.abs(want).max())
+
+
+def test_batched_tminv_rejects_a_batch_with_one_singular_point():
+    space = jet_space(2, 1)
+    a = tconst(space, np.stack([np.eye(2), np.ones((2, 2)), 2 * np.eye(2)]))
+    with pytest.raises(SingularMetricError):
+        tminv(space, a)
 
 
 def test_tminv_rejects_singular():
