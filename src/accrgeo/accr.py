@@ -236,21 +236,25 @@ def chunks(points: np.ndarray, order: int, curvature: bool = False):
     :data:`CHUNK_BYTES` (at least one point each)."""
     size = max(1, CHUNK_BYTES // point_bytes(points.shape[-1], order,
                                              curvature))
-    # glibc's malloc returns its freed heap top once twice its largest freed
-    # mapped block is free: one freed block of the budget lets each chunk
-    # reuse the memory of the last instead of faulting it in anew
-    np.empty(CHUNK_BYTES // 8)
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 
 def join(parts: list):
     """Per-chunk dicts (nested or not) of per-point arrays, joined in
-    point order; they must hold no view of a jet, which keeps it alive."""
+    point order, without the keys some chunk lacks; they must hold no
+    view of a jet, which keeps it alive."""
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], dict):
-        return {k: join([p[k] for p in parts]) for k in parts[0]}
+        return {k: join([p[k] for p in parts]) for k in parts[0]
+                if all(k in p for p in parts)}
     return np.concatenate(parts)
+
+
+def over_chunks(fn, points: np.ndarray, order: int,
+                curvature: bool = False):
+    """``fn`` of each chunk of the points, joined in point order."""
+    return join([fn(pts) for pts in chunks(points, order, curvature)])
 
 
 def worst_of(residuals: dict) -> dict[str, float]:

@@ -9,18 +9,20 @@ failure, 2 usage/config error, 3 numeric/domain error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
 from . import __version__
 from . import expr as ex
-from .accr import (TOL_CLASS, TOL_DERIVED, TOL_STRUCT, AccrEval, all_of,
-                   check_axioms, chunks, class_residuals, f_prop_residual,
-                   join, lee_identities_residual, structure_eval,
-                   torse_forming_analyze, worst_of)
+from .accr import (CHUNK_BYTES, TOL_CLASS, TOL_DERIVED, TOL_STRUCT,
+                   AccrEval, all_of, check_axioms, class_residuals,
+                   f_prop_residual, lee_identities_residual, over_chunks,
+                   structure_eval, torse_forming_analyze, worst_of)
 from .examples import (DEFAULT_BOX, REGISTRY, get_example, sample_points,
                        soliton_uvw, holomorphic_pair_uvw)
 from .jets import JetDomainError, SingularMetricError
@@ -253,12 +255,12 @@ def config_points(provider, cfg) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
-def over_chunks(provider, cfg, fn) -> dict:
+def over_evals(provider, cfg, fn) -> dict:
     """``fn`` of the structure evaluation of each chunk of the samples,
     joined in point order."""
     order = max(1, int(cfg["order"]))
-    return join([fn(structure_eval(provider, pts, order=order))
-                 for pts in chunks(config_points(provider, cfg), order)])
+    return over_chunks(lambda pts: fn(structure_eval(provider, pts, order)),
+                       config_points(provider, cfg), order)
 
 
 def records(arrays: dict) -> list:
@@ -278,7 +280,7 @@ def cmd_check(cfg) -> Report:
                 "norm": {"norm_F": classes.res_F0},
                 "verdicts": classes.verdicts()}
 
-    r = over_chunks(make_provider(cfg), cfg, chunk)
+    r = over_evals(make_provider(cfg), cfg, chunk)
     td = tol(cfg, "derived")
     rep = Report("check", cfg)
     rep.add_all(worst_of(r["axioms"]), tol(cfg, "struct"), "axiom:")
@@ -303,7 +305,7 @@ def cmd_classify(cfg) -> Report:
                              "norm_F": c.res_F0},
                 "verdicts": c.verdicts()}
 
-    r = over_chunks(make_provider(cfg), cfg, chunk)
+    r = over_evals(make_provider(cfg), cfg, chunk)
     rep = Report("classify", cfg)
     rep.add_all(worst_of(r["axioms"]), tol(cfg, "struct"))
     rep.values["relative_residuals"] = worst_of(r["relative"])
@@ -312,7 +314,7 @@ def cmd_classify(cfg) -> Report:
 
 
 def cmd_lee(cfg) -> Report:
-    r = over_chunks(make_provider(cfg), cfg, lambda ev: {
+    r = over_evals(make_provider(cfg), cfg, lambda ev: {
         "lee": lee_identities_residual(ev),
         "samples": {"point": ev.S.point, "theta": ev.theta,
                     "theta_star": ev.theta_star, "omega": ev.omega,
@@ -337,22 +339,24 @@ def cmd_torse(cfg) -> Report:
     field = ex.expr_table(parse_exprs(texts, provider.coords, "--field"),
                           (d,))
     order = max(1, int(cfg["order"]))
-    parts = [torse_forming_analyze(provider, field, pts, order=order)
-             for pts in chunks(config_points(provider, cfg), order)]
-    # the vertical-case identities are computed only where the field is
-    # vertical; for a general field verticality is reported as a value
-    all_vertical = all("nabla_xi" in res for res, _ in parts)
-    general = ("torse_fit", "dk_identity", "verticality")
-    worst = worst_of(join([res if all_vertical else
-                           {k: res[k] for k in general}
-                           for res, _ in parts]))
+
+    def chunk(pts):
+        res, samples = torse_forming_analyze(provider, field, pts, order)
+        return {"res": res, "samples": samples}
+
+    r = over_chunks(chunk, config_points(provider, cfg), order)
+    # the vertical-case identities are computed only for chunks where the
+    # field is vertical, and joined only if every chunk has them; for a
+    # general field verticality is reported as a value
+    all_vertical = "nabla_xi" in r["res"]
+    worst = worst_of(r["res"])
     rep = Report("torse", cfg)
     rep.add_all(worst if all_vertical else {
         k: worst[k] for k in ("torse_fit", "dk_identity")},
         tol(cfg, "derived"))
     rep.values["is_vertical"] = all_vertical
     rep.values["verticality"] = worst["verticality"]
-    rep.values["samples"] = records(join([s for _, s in parts]))
+    rep.values["samples"] = records(r["samples"])
     return rep
 
 
@@ -373,8 +377,7 @@ def cmd_transform(cfg) -> Report:
                 "verdicts": class_residuals(
                     ev_bar, tol=tol(cfg, "class")).verdicts()}
 
-    r = join([chunk(pts)
-              for pts in chunks(config_points(provider, cfg), order)])
+    r = over_chunks(chunk, config_points(provider, cfg), order)
     rep = Report("transform", cfg)
     rep.add_all(worst_of({"axioms": r["axioms"]}), tol(cfg, "struct"))
     rep.add_all(worst_of(r["laws"]), tol(cfg, "derived"))
@@ -457,7 +460,20 @@ COMMANDS = {
 }
 
 
+@cache
+def keep_chunk_memory() -> None:
+    """Have glibc's malloc serve blocks up to CHUNK_BYTES from its heap and
+    keep up to twice that free there, so each chunk reuses the memory of
+    the last: with the default, adaptive thresholds an order-3 chunk at
+    n = 3 faults its memory in anew.  Other C libraries ignore it."""
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, CHUNK_BYTES)               # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 2 * CHUNK_BYTES)           # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    keep_chunk_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

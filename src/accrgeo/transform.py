@@ -20,8 +20,8 @@ import numpy as np
 
 from . import expr as ex
 from .accr import (TOL_CLASS, AccrEval, StructureJets, StructureProvider,
-                   _dot, _maxabs, _outer, _sym_yz, _T, _vm, chunks,
-                   class_residuals, join, worst_of)
+                   _dot, _maxabs, _outer, _sym_yz, _T, _vm,
+                   class_residuals, over_chunks, worst_of)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
 from .jets import jet_space, tmul, tscale, tsym, ttrunc, tvalue
@@ -302,8 +302,8 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                                  "cond:dw_vertical": c["dw_vertical"]}
         return out
 
-    r = join([chunk(pts) for pts in chunks(np.asarray(points, dtype=float),
-                                           order, curvature=True)])
+    r = over_chunks(chunk, np.asarray(points, dtype=float), order,
+                    curvature=True)
     taus = r["tau"]
     tau_mean = float(np.mean(taus))
     tau_std = float(np.std(taus))

@@ -6,6 +6,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import platform
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,41 @@ def test_samples_keep_point_order_across_partial_chunks(monkeypatch):
     for rep in (split, single):
         dev, path = report_matrix._deviation(whole, rep)
         assert dev <= REL, path
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_torse_field_vertical_at_some_chunks_only(monkeypatch, sign):
+    # the field is the Reeb field where x1 < 1 (sign +) or x1 > 1 (sign -)
+    # and leaves it elsewhere; in one-point chunks the first chunk is not
+    # vertical (sign +) or is (sign -), and the vertical-case identities
+    # must drop out of the report either way, as they do in one chunk
+    argv = ["torse", "--example", "hypersurface-f5", "--n", "1",
+            "--samples", "12", "--seed", "5",
+            "--field", f"x1 - 1 {sign} sqrt((x1 - 1)^2); 0; 1"]
+    x1 = sample_points(3, 12, seed=5)[:, 0]
+    assert x1[0] > 1.0 > x1[1]
+    code, whole, _ = run(argv)
+    one_point_chunks(monkeypatch)
+    code1, single, _ = run(argv)
+    assert code1 == code
+    assert whole["values"]["is_vertical"] is False
+    assert [c["name"] for c in whole["checks"]] == ["torse_fit",
+                                                    "dk_identity"]
+    dev, path = report_matrix._deviation(whole, single)
+    assert dev <= REL, path
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="tunes glibc's malloc only")
+def test_order3_chunks_reuse_their_memory():
+    # one point per chunk at n = 3: with glibc's adaptive thresholds every
+    # chunk faulted its working set in anew (about 600 pages a point)
+    argv = ["soliton", "--example", "hypersurface-f5", "--n", "3",
+            "--order", "3", "--preset", "soliton", "--samples", "4"]
+    run(argv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run(argv)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 @pytest.mark.parametrize("one_point", [False, True])
