@@ -467,9 +467,10 @@ def keep_chunk_memory() -> None:
     the last: with the default, adaptive thresholds an order-3 chunk at
     n = 3 faults its memory in anew.  Other C libraries ignore it."""
     if sys.platform.startswith("linux"):
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, CHUNK_BYTES)               # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 2 * CHUNK_BYTES)           # M_TRIM_THRESHOLD
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(-3, CHUNK_BYTES)                    # M_MMAP_THRESHOLD
+        mallopt(-1, 2 * CHUNK_BYTES)                # M_TRIM_THRESHOLD
 
 
 def main(argv=None) -> int:
