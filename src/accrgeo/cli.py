@@ -465,12 +465,15 @@ def keep_chunk_memory() -> None:
     """Have glibc's malloc serve blocks up to CHUNK_BYTES from its heap and
     keep up to twice that free there, so each chunk reuses the memory of
     the last: with the default, adaptive thresholds an order-3 chunk at
-    n = 3 faults its memory in anew.  Other C libraries ignore it."""
-    if sys.platform.startswith("linux"):
+    n = 3 faults its memory in anew.  Without a C library's mallopt
+    there is nothing to set."""
+    try:
         mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-        mallopt(-3, CHUNK_BYTES)                    # M_MMAP_THRESHOLD
-        mallopt(-1, 2 * CHUNK_BYTES)                # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    mallopt(-3, CHUNK_BYTES)                        # M_MMAP_THRESHOLD
+    mallopt(-1, 2 * CHUNK_BYTES)                    # M_TRIM_THRESHOLD
 
 
 def main(argv=None) -> int:
