@@ -31,7 +31,8 @@ TOL_DERIVED = 1e-8
 TOL_CLASS = 1e-6
 CLASS_FLOOR = 1e-10
 # the working set of one chunk of sample points, as point_bytes counts it:
-# 32 order-1 points at n <= 3, one or two order-3 soliton points at n >= 2
+# 76 or more order-1 points at n <= 3 and 28 at n = 4; 9 order-2
+# soliton points (with curvature) at n = 2 and one at n >= 3
 CHUNK_BYTES = 3 * 2**20
 
 
@@ -395,10 +396,11 @@ def class_residuals(ev: AccrEval, tol: float = TOL_CLASS) -> ClassResiduals:
 # ---------------------------------------------------------------------------
 
 def torse_forming_analyze(provider: StructureProvider, theta_field, points,
-                          order: int = 1, tol: float = 1e-7):
+                          tol: float = 1e-7):
     """Identify the conformal scalar f and generating form gamma of a
     candidate torse-forming field by least squares on
-    nabla theta = f*id + theta (x) gamma, at each point.
+    nabla theta = f*id + theta (x) gamma, at each point, from jets of
+    order 1.
 
     ``theta_field`` is the field's table of component expressions over
     the chart coordinates, as built by :func:`accrgeo.expr.expr_table`
@@ -409,7 +411,7 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points,
     is vertical (k = eta(theta) away from 0), the vertical-case
     identities; and the report's sample records.
     """
-    ev = structure_eval(provider, points, order=max(order, 1))
+    ev = structure_eval(provider, points)
     S = ev.S
     space = S.space
     d = S.g.shape[-1]

@@ -4,6 +4,10 @@ Commands: check, classify, lee, torse, transform, soliton, example.
 JSON report goes to stdout; a human-readable table goes to stderr when
 attached to a terminal.  Exit codes: 0 all verdicts pass, 1 verdict
 failure, 2 usage/config error, 3 numeric/domain error.
+
+Each command evaluates its jets at the order its report reads: 1, and 2
+for the scalar curvature of soliton.  ``--order`` is only validated and
+echoed in the report's config.
 """
 
 from __future__ import annotations
@@ -124,8 +128,9 @@ CONFIG_TYPES = {
 # the tolerance families --tol can override, with their defaults
 TOLERANCES = {"struct": TOL_STRUCT, "derived": TOL_DERIVED,
               "class": TOL_CLASS, "soliton": 1e-6}
-# the largest problem admitted: one `soliton --order 3` sample takes 0.07 s
-# and 42 MB at n=4 but 13 s and 700 MB at n=12
+# the largest problem admitted: one `soliton` sample (order-2 jets) takes
+# 0.009 s and 38 MB at n=4 and 0.22 s and 66 MB at n=12 (best of 3, peak
+# RSS of the process, 2-core VM)
 MAX_N = 4
 MAX_SAMPLES = 1024
 
@@ -256,11 +261,10 @@ def config_points(provider, cfg) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def over_evals(provider, cfg, fn) -> dict:
-    """``fn`` of the structure evaluation of each chunk of the samples,
-    joined in point order."""
-    order = max(1, int(cfg["order"]))
-    return over_chunks(lambda pts: fn(structure_eval(provider, pts, order)),
-                       config_points(provider, cfg), order)
+    """``fn`` of the order-1 structure evaluation of each chunk of the
+    samples, joined in point order."""
+    return over_chunks(lambda pts: fn(structure_eval(provider, pts)),
+                       config_points(provider, cfg), 1)
 
 
 def records(arrays: dict) -> list:
@@ -338,13 +342,12 @@ def cmd_torse(cfg) -> Report:
         texts = ["0"] * (d - 1) + ["1"]       # the Reeb field
     field = ex.expr_table(parse_exprs(texts, provider.coords, "--field"),
                           (d,))
-    order = max(1, int(cfg["order"]))
 
     def chunk(pts):
-        res, samples = torse_forming_analyze(provider, field, pts, order)
+        res, samples = torse_forming_analyze(provider, field, pts)
         return {"res": res, "samples": samples}
 
-    r = over_chunks(chunk, config_points(provider, cfg), order)
+    r = over_chunks(chunk, config_points(provider, cfg), 1)
     # the vertical-case identities are computed only for chunks where the
     # field is vertical, and joined only if every chunk has them; for a
     # general field verticality is reported as a value
@@ -364,10 +367,9 @@ def cmd_transform(cfg) -> Report:
     provider = make_provider(cfg)
     triple = make_triple(cfg, provider.coords)
     tstruct = TransformedStructure(provider, triple)
-    order = max(1, int(cfg["order"]))
 
     def chunk(pts):
-        S, ev_bar, d = tstruct.evaluate(pts, order)
+        S, ev_bar, d = tstruct.evaluate(pts, 1)
         ev = AccrEval.from_jets(S)
         return {"axioms": np.max([*check_axioms(ev_bar).values()], axis=0),
                 "laws": {**lee_transformation_residuals(ev, ev_bar, d),
@@ -377,7 +379,7 @@ def cmd_transform(cfg) -> Report:
                 "verdicts": class_residuals(
                     ev_bar, tol=tol(cfg, "class")).verdicts()}
 
-    r = over_chunks(chunk, config_points(provider, cfg), order)
+    r = over_chunks(chunk, config_points(provider, cfg), 1)
     rep = Report("transform", cfg)
     rep.add_all(worst_of({"axioms": r["axioms"]}), tol(cfg, "struct"))
     rep.add_all(worst_of(r["laws"]), tol(cfg, "derived"))
@@ -393,8 +395,8 @@ def cmd_soliton(cfg) -> Report:
     tstruct = TransformedStructure(provider, triple)
     checks, values = yamabe_check(
         tstruct, config_points(provider, cfg), sigma=cfg["sigma"],
-        fk=getattr(provider, "fk", None), order=max(2, int(cfg["order"])),
-        tol=tol(cfg, "soliton"), class_tol=tol(cfg, "class"))
+        fk=getattr(provider, "fk", None), tol=tol(cfg, "soliton"),
+        class_tol=tol(cfg, "class"))
     rep = Report("soliton", cfg)
     for name, residual in checks.items():
         rep.add(name, residual, 0.5 if name == "is_F1" else tol(
@@ -419,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--example", help="registry name of the structure")
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--n", type=int, help="structure parameter n")
-    common.add_argument("--order", type=int, help="jet order (1-3)")
+    common.add_argument("--order", type=int,
+                        help="jet order (1-3), echoed in the report; each "
+                        "command evaluates the order its checks read")
     common.add_argument("--samples", type=int, help="sample point count")
     common.add_argument("--seed", type=int, help="sampling seed")
     common.add_argument("--box", help="sample box lo,hi")
@@ -464,7 +468,7 @@ COMMANDS = {
 def keep_chunk_memory() -> None:
     """Have glibc's malloc serve blocks up to CHUNK_BYTES from its heap and
     keep up to twice that free there, so each chunk reuses the memory of
-    the last: with the default, adaptive thresholds an order-3 chunk at
+    the last: with the default, adaptive thresholds a soliton chunk at
     n = 3 faults its memory in anew.  Without a C library's mallopt
     there is nothing to set."""
     try:

@@ -188,17 +188,23 @@ def jpow(space: JetSpace, base: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _elementary(name: str, derivs, inside=None, outside: str = ""):
-    """The jet function of f from ``derivs(v)``, the values of f and of
-    its first three derivatives at the value row v; ``inside(v)`` is
-    false outside the domain.  A value beyond the float range (numpy
+    """The jet function of f from ``derivs``, four functions giving f and
+    its first three derivatives at the value row v, each from v and the
+    list d of the ones before it; only those up to the jet order k are
+    computed, so an unused high derivative can neither overflow nor
+    divide by zero.  ``inside(v, k)`` is false outside the domain of f
+    and its first k derivatives.  A value beyond the float range (numpy
     raises it under the evaluator's ``np.errstate``) is the
     ``OverflowError`` of :mod:`math`, with its message."""
     def jet(space: JetSpace, a: np.ndarray) -> np.ndarray:
         v = a[0]
-        if inside is not None and np.count_nonzero(inside(v)) < np.size(v):
+        if inside is not None and (np.count_nonzero(inside(v, space.order))
+                                   < np.size(v)):
             raise JetDomainError(outside)
+        values = []
         try:
-            values = derivs(v)
+            for f in derivs[:space.order + 1]:
+                values.append(f(v, values))
         except FloatingPointError:
             raise OverflowError("math range error") from None
         return _compose(space, a, values)
@@ -206,36 +212,51 @@ def _elementary(name: str, derivs, inside=None, outside: str = ""):
     return jet
 
 
-def _tan_derivs(t, s: float):
+def _tan_derivs(f, s: float):
     """Derivatives of tan (s = 1) or tanh (s = -1) from their value t."""
-    d1 = 1.0 + s * t * t
-    return [t, d1, 2.0 * s * t * d1, 2.0 * s * d1 * (1.0 + 3.0 * s * t * t)]
+    return (lambda v, d: f(v),
+            lambda v, d: 1.0 + s * d[0] * d[0],
+            lambda v, d: 2.0 * s * d[0] * d[1],
+            lambda v, d: 2.0 * s * d[1] * (1.0 + 3.0 * s * d[0] * d[0]))
 
 
-# the series of 1/v divides by v, ..., v^4
-_reciprocal = _elementary("reciprocal", lambda v: [
-    1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4],
-    lambda v: v**4 != 0.0, "division by zero")
-jsin = _elementary("sin", lambda v: [s := np.sin(v), c := np.cos(v), -s, -c])
-jcos = _elementary("cos", lambda v: [c := np.cos(v), s := -np.sin(v), -c, -s])
-jtan = _elementary("tan", lambda v: _tan_derivs(np.tan(v), 1.0))
-jsinh = _elementary("sinh", lambda v: 2 * [np.sinh(v), np.cosh(v)])
-jcosh = _elementary("cosh", lambda v: 2 * [np.cosh(v), np.sinh(v)])
-jtanh = _elementary("tanh", lambda v: _tan_derivs(np.tanh(v), -1.0))
-jexp = _elementary("exp", lambda v: 4 * [np.exp(v)])
-jln = _elementary("ln", lambda v: [np.log(v), 1.0 / v, -1.0 / v**2,
-                                   2.0 / v**3],
-                  lambda v: v > 0.0, "ln of a nonpositive value")
-jsqrt = _elementary("sqrt", lambda v: [
-    r := np.sqrt(v), 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)],
-    lambda v: v > 0.0, "sqrt of a nonpositive value")
-jarctan = _elementary("arctan", lambda v: [
-    np.arctan(v), 1.0 / (d := 1.0 + v * v), -2.0 * v / d**2,
-    (6.0 * v * v - 2.0) / d**3])
-jarcsin = _elementary("arcsin", lambda v: [
-    np.arcsin(v), 1.0 / (r := np.sqrt(d := 1.0 - v * v)), v / (r * d),
-    (1.0 + 2.0 * v * v) / (r * d * d)],
-    lambda v: (-1.0 < v) & (v < 1.0), "arcsin outside (-1, 1)")
+# the series of 1/v to order k divides by v, ..., v^(k+1)
+_reciprocal = _elementary("reciprocal", (
+    lambda v, d: 1.0 / v, lambda v, d: -1.0 / v**2,
+    lambda v, d: 2.0 / v**3, lambda v, d: -6.0 / v**4),
+    lambda v, k: v**(k + 1) != 0.0, "division by zero")
+jsin = _elementary("sin", (lambda v, d: np.sin(v), lambda v, d: np.cos(v),
+                           lambda v, d: -d[0], lambda v, d: -d[1]))
+jcos = _elementary("cos", (lambda v, d: np.cos(v), lambda v, d: -np.sin(v),
+                           lambda v, d: -d[0], lambda v, d: -d[1]))
+jtan = _elementary("tan", _tan_derivs(np.tan, 1.0))
+jsinh = _elementary("sinh", (lambda v, d: np.sinh(v),
+                             lambda v, d: np.cosh(v),
+                             lambda v, d: d[0], lambda v, d: d[1]))
+jcosh = _elementary("cosh", (lambda v, d: np.cosh(v),
+                             lambda v, d: np.sinh(v),
+                             lambda v, d: d[0], lambda v, d: d[1]))
+jtanh = _elementary("tanh", _tan_derivs(np.tanh, -1.0))
+jexp = _elementary("exp", (lambda v, d: np.exp(v), lambda v, d: d[0],
+                           lambda v, d: d[0], lambda v, d: d[0]))
+jln = _elementary("ln", (
+    lambda v, d: np.log(v), lambda v, d: 1.0 / v,
+    lambda v, d: -1.0 / v**2, lambda v, d: 2.0 / v**3),
+    lambda v, k: v > 0.0, "ln of a nonpositive value")
+jsqrt = _elementary("sqrt", (
+    lambda v, d: np.sqrt(v), lambda v, d: 0.5 / d[0],
+    lambda v, d: -0.25 / (d[0] * v), lambda v, d: 0.375 / (d[0] * v * v)),
+    lambda v, k: v > 0.0, "sqrt of a nonpositive value")
+jarctan = _elementary("arctan", (
+    lambda v, d: np.arctan(v), lambda v, d: 1.0 / (1.0 + v * v),
+    lambda v, d: -2.0 * v / (1.0 + v * v)**2,
+    lambda v, d: (6.0 * v * v - 2.0) / (1.0 + v * v)**3))
+jarcsin = _elementary("arcsin", (
+    lambda v, d: np.arcsin(v), lambda v, d: 1.0 / np.sqrt(1.0 - v * v),
+    lambda v, d: v / (np.sqrt(1.0 - v * v) * (1.0 - v * v)),
+    lambda v, d: (1.0 + 2.0 * v * v)
+    / (np.sqrt(1.0 - v * v) * (1.0 - v * v) * (1.0 - v * v))),
+    lambda v, k: (-1.0 < v) & (v < 1.0), "arcsin outside (-1, 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,11 @@ def condition_residuals(d: Differentials, S: StructureJets, fk) -> dict:
 
 
 def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
-                 fk=None, order: int = 2, tol: float = 1e-6,
-                 class_tol: float = TOL_CLASS):
+                 fk=None, tol: float = 1e-6, class_tol: float = TOL_CLASS):
     """Verify the soliton identity (1/2) L_{xi_bar} g_bar
-    = (tau_bar - sigma) g_bar over the sample points, chunk by chunk.
+    = (tau_bar - sigma) g_bar over the sample points, chunk by chunk, on
+    jets of order 2: tau_bar reads the second derivatives of g_bar and
+    every other check the first.
 
     If ``sigma`` is None it is set to the mean of the sampled scalar
     curvatures, so the reported standard deviation doubles as the
@@ -262,12 +263,10 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     the points, in report order (``is_F1`` as 0/1, the ``cond:`` checks
     only with ``fk``), and the reported values.
     """
-    if order < 2:
-        raise ValueError("soliton verification needs jets of order >= 2")
     n = tstruct.n
 
     def chunk(pts):
-        S, ev_bar, d = tstruct.evaluate(pts, order, curvature=True)
+        S, ev_bar, d = tstruct.evaluate(pts, 2, curvature=True)
         Sb, space = ev_bar.S, ev_bar.S.space
         child, lie_c = lie_metric_coord(space, Sb.g, Sb.xi)
         _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, Sb.xi)
@@ -302,7 +301,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                                  "cond:dw_vertical": c["dw_vertical"]}
         return out
 
-    r = over_chunks(chunk, np.asarray(points, dtype=float), order,
+    r = over_chunks(chunk, np.asarray(points, dtype=float), 2,
                     curvature=True)
     taus = r["tau"]
     tau_mean = float(np.mean(taus))

@@ -32,9 +32,11 @@ def test_tracer_installs_and_uninstalls():
 
 def test_one_base_and_triple_evaluation_per_point():
     # the tracer counts calls, and one call now covers a chunk of points:
-    # the points each call receives are counted by wrappers of our own
-    n, order, samples, seed = 2, 3, 12, 3
-    points = sample_points(2 * n + 1, samples, seed=seed)
+    # the points each call receives are counted by wrappers of our own.
+    # transform evaluates order-1 jets and soliton order-2 jets with
+    # curvature; each run spans two chunks at the order it evaluates.
+    n, seed = 2, 3
+    dim = 2 * n + 1
     seen = {"base": [], "triple": []}
     originals = {"base": accr.ChartStructure.structure_at,
                  "triple": transform.TransformTriple.jets}
@@ -51,30 +53,36 @@ def test_one_base_and_triple_evaluation_per_point():
     transform.TransformTriple.jets = triple
     tracer = Tracer()
     tracer.install()
+    calls = total = 0
     try:
-        for cmd in ("transform", "soliton"):
+        for cmd, order, curvature in (("transform", 1, False),
+                                      ("soliton", 2, True)):
+            size = len(accr.chunks(sample_points(dim, 1024), order,
+                                   curvature)[0])
+            samples = size + 3
             seen["base"].clear()
             seen["triple"].clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([cmd, "--example", "hypersurface-f5", "--n",
-                             str(n), "--order", str(order), "--samples",
+                             str(n), "--order", "3", "--samples",
                              str(samples), "--seed", str(seed), "--preset",
                              "soliton", "--json"])
             assert code == 0
             tracer.end_case(cmd, samples, True)
-            chunks = accr.chunks(points, order, curvature=cmd == "soliton")
-            assert len(chunks) >= 2
-            for calls in seen.values():
+            points = sample_points(dim, samples, seed=seed)
+            chunks = accr.chunks(points, order, curvature)
+            assert [len(c) for c in chunks] == [size, 3]
+            calls += len(chunks)
+            total += samples
+            for got in seen.values():
                 # one call per chunk, and every point exactly once, in order
-                assert [len(c) for c in calls] == [len(c) for c in chunks]
-                assert np.array_equal(np.concatenate(calls), points)
+                assert [len(c) for c in got] == [len(c) for c in chunks]
+                assert np.array_equal(np.concatenate(got), points)
     finally:
         tracer.uninstall()
         accr.ChartStructure.structure_at = originals["base"]
         transform.TransformTriple.jets = originals["triple"]
     # the tracer's per-point counters read calls per point: 1 per chunk
     layers = tracer.metrics()
-    calls = (len(accr.chunks(points, order))
-             + len(accr.chunks(points, order, curvature=True)))
-    assert layers["transform.base_evals_per_point"] == calls / (2 * samples)
-    assert layers["transform.triple_evals_per_point"] == calls / (2 * samples)
+    assert layers["transform.base_evals_per_point"] == calls / total
+    assert layers["transform.triple_evals_per_point"] == calls / total

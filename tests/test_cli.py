@@ -129,6 +129,30 @@ def test_output_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
+# the jet order each command evaluates is the one its report reads (1, and
+# 2 for the scalar curvature of soliton): --order only appears in config
+ORDER_CASES = [
+    [cmd, "--example", model, "--n", str(n), *extra]
+    for model in ("flat-f0", "hypersurface-f5", "random") for n in (1, 2)
+    for cmd, extra in [(c, []) for c in ("check", "classify", "lee",
+                                         "torse")]
+    + [(c, ["--preset", preset]) for c in ("transform", "soliton")
+       for preset in sorted(cli.PRESETS)]]
+
+
+@pytest.mark.parametrize("argv", ORDER_CASES, ids=" ".join)
+def test_report_does_not_depend_on_the_order_flag(capsys, argv):
+    runs = []
+    for order in ("1", "2", "3"):
+        code, out = run(capsys, *argv, "--order", order, "--samples", "3",
+                        "--seed", "4", "--json")
+        report = json.loads(out) if out else None
+        if report is not None:
+            assert report["config"].pop("order") == int(order)
+        runs.append((code, report))
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_seed_changes_sample_points(capsys):
     _, r1 = run_json(capsys, "lee", "--example", "hypersurface-f5",
                      "--n", "1", "--samples", "2", "--seed", "1")

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from accrgeo import jets
-from accrgeo.jets import (JetDomainError, SingularMetricError, _reciprocal,
-                          jarcsin, jarctan, jcos, jcosh, jexp, jln, jmul,
-                          jpow, jsin, jsinh, jsqrt, jtan, jtanh, jet_space,
-                          tconst, tgrad, tminv, tmul, tscale, ttrunc, tvalue)
+from accrgeo.jets import (FUNCTION_TABLE, JetDomainError, SingularMetricError,
+                          _reciprocal, jarcsin, jarctan, jcos, jcosh, jexp,
+                          jln, jmul, jpow, jsin, jsinh, jsqrt, jtan, jtanh,
+                          jet_space, tconst, tgrad, tminv, tmul, tscale,
+                          ttrunc, tvalue)
 
 RNG = np.random.default_rng(42)
 
@@ -257,6 +258,24 @@ def test_domain_errors():
         jarcsin(space, var(space, 0, 1.5))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("jf,v,derivs", [
+    (_reciprocal, 1e-80, lambda v: [1.0 / v, -1.0 / v**2, 2.0 / v**3]),
+    (_reciprocal, 1e-100, lambda v: [1.0 / v, -1.0 / v**2, 2.0 / v**3]),
+    (jln, 1e-120, lambda v: [math.log(v), 1.0 / v, -1.0 / v**2]),
+], ids=["reciprocal-1e-80", "reciprocal-1e-100", "ln-1e-120"])
+def test_functions_compute_only_the_derivatives_of_the_jet_order(jf, v,
+                                                                 derivs,
+                                                                 order):
+    # a derivative above the order (-6/v^4, 2/v^3) overflows, and v^4
+    # underflows to 0 at v = 1e-100: neither may fail the jet
+    space = jet_space(1, order)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = jf(space, var(space, 0, v))
+    want = [d / math.factorial(k) for k, d in enumerate(derivs(v))]
+    assert np.allclose(got, want[:order + 1], rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # Tensor-jet helpers
 # ---------------------------------------------------------------------------
@@ -433,3 +452,61 @@ def test_coordinate_jets_and_rank0_tmul():
     s = tmul(space, arr, arr, "i,i->")
     assert s[0] == pytest.approx(0.25 + 2.25 + 6.25)
     assert space.partial(s, 1) == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# Truncation commutes with every operation: a degree-d coefficient reads
+# only the coefficients of degree <= d of the operands
+# ---------------------------------------------------------------------------
+
+def _close(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1, np.abs(want)))
+
+
+def _orders():
+    return [(K, k) for K in (1, 2, 3) for k in range(K)]
+
+
+@pytest.mark.parametrize("K,k", _orders())
+@pytest.mark.parametrize("sub", TMUL_SPECS)
+def test_tmul_commutes_with_truncation(sub, K, k):
+    space, low = jet_space(2, K), jet_space(2, k)
+    sa, sb = sub.split("->")[0].split(",")
+    a = RNG.uniform(-1, 1, (space.ncoeff, 3,
+                            *(AXIS_LENGTH[c] for c in sa)))
+    b = RNG.uniform(-1, 1, (space.ncoeff, 3,
+                            *(AXIS_LENGTH[c] for c in sb)))
+    _close(ttrunc(space, tmul(space, a, b, sub), k),
+           tmul(low, ttrunc(space, a, k), ttrunc(space, b, k), sub))
+
+
+@pytest.mark.parametrize("K,k", _orders())
+def test_tminv_tgrad_and_jmul_commute_with_truncation(K, k):
+    space, low = jet_space(3, K), jet_space(3, k)
+    g = RNG.uniform(-0.3, 0.3, (space.ncoeff, 2, 4, 4))
+    g[0] += 2.0 * np.eye(4)
+    _close(ttrunc(space, tminv(space, g), k),
+           tminv(low, ttrunc(space, g, k)))
+    if k >= 1:
+        _close(ttrunc(space.child, tgrad(space, g), k - 1),
+               tgrad(low, ttrunc(space, g, k)))
+    a, b = (RNG.uniform(-1, 1, (space.ncoeff, 5)) for _ in range(2))
+    _close(ttrunc(space, jmul(space, a, b), k),
+           jmul(low, ttrunc(space, a, k), ttrunc(space, b, k)))
+
+
+@pytest.mark.parametrize("K,k", _orders())
+@pytest.mark.parametrize("name", [*FUNCTION_TABLE, "reciprocal", "pow 3",
+                                  "pow -2", "pow 2.5"])
+def test_scalar_functions_commute_with_truncation(name, K, k):
+    space, low = jet_space(2, K), jet_space(2, k)
+    a = RNG.uniform(-0.2, 0.2, (space.ncoeff, 4))
+    a[0] = RNG.uniform(0.2, 0.8, 4)     # inside every function's domain
+    if name.startswith("pow"):
+        def f(sp, x):
+            return jpow(sp, x, float(name.split()[1]))
+    else:
+        f = FUNCTION_TABLE.get(name, _reciprocal)
+    _close(ttrunc(space, f(space, a), k), f(low, ttrunc(space, a, k)))
+

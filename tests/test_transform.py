@@ -220,7 +220,7 @@ def test_yamabe_soliton_positive(n):
     prov = build_hypersurface(n)
     ts = tr.TransformedStructure(prov, soliton_uvw(n))
     points = sample_points(prov.dim, 4, seed=23)
-    checks, values = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
+    checks, values = tr.yamabe_check(ts, points, fk=prov.fk)
     assert soliton_passed(checks)
     assert checks["soliton"] < 1e-9
     assert checks["tau_constancy"] < 1e-9
@@ -242,9 +242,9 @@ def test_sigma_override_changes_residual():
     prov = build_hypersurface(n)
     ts = tr.TransformedStructure(prov, soliton_uvw(n))
     points = sample_points(3, 3, seed=29)
-    _, values = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
+    _, values = tr.yamabe_check(ts, points, fk=prov.fk)
     off, off_values = tr.yamabe_check(ts, points,
-                                      sigma=values["sigma"] + 1.0, order=2)
+                                      sigma=values["sigma"] + 1.0)
     assert off_values["sigma_given"]
     assert off["soliton"] > 1e-2
 
@@ -273,7 +273,7 @@ def test_yamabe_soliton_negative_controls(kind):
                                     triple.w)
     ts = tr.TransformedStructure(prov, triple)
     points = sample_points(3, 3, seed=31)
-    checks, _ = tr.yamabe_check(ts, points, fk=prov.fk, order=2)
+    checks, _ = tr.yamabe_check(ts, points, fk=prov.fk)
     assert not soliton_passed(checks)
     assert checks["soliton"] > 1e-3
 
@@ -284,8 +284,8 @@ def test_lxi00_gate_uses_the_residual_at_each_point():
     prov = build_hypersurface(1)
     ts = tr.TransformedStructure(prov, soliton_uvw(1))
     points = sample_points(prov.dim, 4, seed=0)
-    sigma = tr.yamabe_check(ts, points, order=2)[1]["sigma"]
-    single = [tr.yamabe_check(ts, [p], sigma=sigma, order=2)
+    sigma = tr.yamabe_check(ts, points)[1]["sigma"]
+    single = [tr.yamabe_check(ts, [p], sigma=sigma)
               for p in points]
     assert all(abs(v["tau_mean"] - sigma) <= 1e-12 for _, v in single)
     by_residual = sorted(range(len(points)),
@@ -293,7 +293,7 @@ def test_lxi00_gate_uses_the_residual_at_each_point():
     # the worst point comes first and alone fails the tolerance
     tol = single[by_residual[1]][0]["soliton"]
     _, values = tr.yamabe_check(ts, points[by_residual], sigma=sigma,
-                                order=2, tol=tol)
+                                tol=tol)
     expect = max(single[i][1]["lxi00_residual"] for i in by_residual[1:])
     assert expect > 0.0
     assert values["lxi00_residual"] == expect

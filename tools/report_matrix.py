@@ -11,7 +11,13 @@ exit code, the sha256 of its stdout and the stdout text.  The matrix is
 all with 4 samples, which fit one chunk of points, and a multi-chunk
 slice: every command on hypersurface-f5 at n = 4, order 1, with 70
 samples, which span several chunks (28 order-1 points fit one chunk at
-n = 4, 76 or more at n <= 3; soliton runs at order 2, one point a chunk).
+n = 4, 76 or more at n <= 3; soliton, with curvature, one point a chunk).
+
+Every command evaluates the jet order its report reads (1, and 2 for
+soliton) whatever ``--order`` says, so the cases of the order axis
+report alike but for ``config.order``; against a record of a build that
+evaluated at ``--order``, the axis checks that the order each command
+evaluates is high enough.
 
 Record the ``accrgeo`` found on ``PYTHONPATH``, then compare two
 records:
