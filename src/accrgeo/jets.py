@@ -212,8 +212,16 @@ def _elementary(name: str, derivs, inside=None, outside: str = ""):
     return jet
 
 
+def _oscillator_derivs(f, df, s: float):
+    """Derivatives of f with f'' = s f: sin and cos (s = -1), sinh and
+    cosh (s = 1), given f and f'."""
+    return (lambda v, d: f(v), lambda v, d: df(v),
+            lambda v, d: s * d[0], lambda v, d: s * d[1])
+
+
 def _tan_derivs(f, s: float):
-    """Derivatives of tan (s = 1) or tanh (s = -1) from their value t."""
+    """Derivatives of tan (s = 1) or tanh (s = -1), the later ones from
+    the value t = d[0]."""
     return (lambda v, d: f(v),
             lambda v, d: 1.0 + s * d[0] * d[0],
             lambda v, d: 2.0 * s * d[0] * d[1],
@@ -225,17 +233,12 @@ _reciprocal = _elementary("reciprocal", (
     lambda v, d: 1.0 / v, lambda v, d: -1.0 / v**2,
     lambda v, d: 2.0 / v**3, lambda v, d: -6.0 / v**4),
     lambda v, k: v**(k + 1) != 0.0, "division by zero")
-jsin = _elementary("sin", (lambda v, d: np.sin(v), lambda v, d: np.cos(v),
-                           lambda v, d: -d[0], lambda v, d: -d[1]))
-jcos = _elementary("cos", (lambda v, d: np.cos(v), lambda v, d: -np.sin(v),
-                           lambda v, d: -d[0], lambda v, d: -d[1]))
+jsin = _elementary("sin", _oscillator_derivs(np.sin, np.cos, -1.0))
+jcos = _elementary("cos", _oscillator_derivs(np.cos, lambda v: -np.sin(v),
+                                             -1.0))
 jtan = _elementary("tan", _tan_derivs(np.tan, 1.0))
-jsinh = _elementary("sinh", (lambda v, d: np.sinh(v),
-                             lambda v, d: np.cosh(v),
-                             lambda v, d: d[0], lambda v, d: d[1]))
-jcosh = _elementary("cosh", (lambda v, d: np.cosh(v),
-                             lambda v, d: np.sinh(v),
-                             lambda v, d: d[0], lambda v, d: d[1]))
+jsinh = _elementary("sinh", _oscillator_derivs(np.sinh, np.cosh, 1.0))
+jcosh = _elementary("cosh", _oscillator_derivs(np.cosh, np.sinh, 1.0))
 jtanh = _elementary("tanh", _tan_derivs(np.tanh, -1.0))
 jexp = _elementary("exp", (lambda v, d: np.exp(v), lambda v, d: d[0],
                            lambda v, d: d[0], lambda v, d: d[0]))

@@ -131,13 +131,14 @@ def test_output_byte_identical_across_runs(capsys):
 
 # the jet order each command evaluates is the one its report reads (1, and
 # 2 for the scalar curvature of soliton): --order only appears in config
-ORDER_CASES = [
-    [cmd, "--example", model, "--n", str(n), *extra]
-    for model in ("flat-f0", "hypersurface-f5", "random") for n in (1, 2)
-    for cmd, extra in [(c, []) for c in ("check", "classify", "lee",
-                                         "torse")]
-    + [(c, ["--preset", preset]) for c in ("transform", "soliton")
-       for preset in sorted(cli.PRESETS)]]
+ORDER_COMMANDS = ([[cmd] for cmd in ("check", "classify", "lee", "torse")]
+                  + [[cmd, "--preset", preset]
+                     for cmd in ("transform", "soliton")
+                     for preset in sorted(cli.PRESETS)])
+ORDER_CASES = [[*cmd, "--example", model, "--n", str(n)]
+               for cmd in ORDER_COMMANDS
+               for model in ("flat-f0", "hypersurface-f5", "random")
+               for n in (1, 2)]
 
 
 @pytest.mark.parametrize("argv", ORDER_CASES, ids=" ".join)

@@ -464,11 +464,11 @@ def _close(got, want):
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1, np.abs(want)))
 
 
-def _orders():
-    return [(K, k) for K in (1, 2, 3) for k in range(K)]
+# (K, k): an operation at order K truncated to k < K
+ORDER_PAIRS = [(K, k) for K in (1, 2, 3) for k in range(K)]
 
 
-@pytest.mark.parametrize("K,k", _orders())
+@pytest.mark.parametrize("K,k", ORDER_PAIRS)
 @pytest.mark.parametrize("sub", TMUL_SPECS)
 def test_tmul_commutes_with_truncation(sub, K, k):
     space, low = jet_space(2, K), jet_space(2, k)
@@ -481,7 +481,7 @@ def test_tmul_commutes_with_truncation(sub, K, k):
            tmul(low, ttrunc(space, a, k), ttrunc(space, b, k), sub))
 
 
-@pytest.mark.parametrize("K,k", _orders())
+@pytest.mark.parametrize("K,k", ORDER_PAIRS)
 def test_tminv_tgrad_and_jmul_commute_with_truncation(K, k):
     space, low = jet_space(3, K), jet_space(3, k)
     g = RNG.uniform(-0.3, 0.3, (space.ncoeff, 2, 4, 4))
@@ -496,7 +496,7 @@ def test_tminv_tgrad_and_jmul_commute_with_truncation(K, k):
            jmul(low, ttrunc(space, a, k), ttrunc(space, b, k)))
 
 
-@pytest.mark.parametrize("K,k", _orders())
+@pytest.mark.parametrize("K,k", ORDER_PAIRS)
 @pytest.mark.parametrize("name", [*FUNCTION_TABLE, "reciprocal", "pow 3",
                                   "pow -2", "pow 2.5"])
 def test_scalar_functions_commute_with_truncation(name, K, k):
@@ -507,6 +507,5 @@ def test_scalar_functions_commute_with_truncation(name, K, k):
         def f(sp, x):
             return jpow(sp, x, float(name.split()[1]))
     else:
-        f = FUNCTION_TABLE.get(name, _reciprocal)
+        f = {**FUNCTION_TABLE, "reciprocal": _reciprocal}[name]
     _close(ttrunc(space, f(space, a), k), f(low, ttrunc(space, a, k)))
-
