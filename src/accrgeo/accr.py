@@ -32,7 +32,7 @@ TOL_CLASS = 1e-6
 CLASS_FLOOR = 1e-10
 # the working set of one chunk of sample points, as point_bytes counts it:
 # 76 or more order-1 points at n <= 3 and 28 at n = 4; 9 order-2
-# soliton points (with curvature) at n = 2 and one at n >= 3
+# points at n = 2 and one at n >= 3
 CHUNK_BYTES = 3 * 2**20
 
 
@@ -53,6 +53,9 @@ class StructureProvider:
 
     coords: list[str]
     n: int
+    # f/k of the vertical torse-forming Reeb field at a batch of points,
+    # where the model knows it in closed form
+    fk = None
 
     @property
     def dim(self) -> int:
@@ -85,7 +88,8 @@ def canonical_flat_fields(n: int):
 class ChartStructure(StructureProvider):
     """Structure fields given as expression tables over the chart."""
 
-    def __init__(self, n: int, coords, g, phi, xi, eta, name: str = "chart"):
+    def __init__(self, n: int, coords, g, phi, xi, eta, name: str = "chart",
+                 fk=None):
         self.n = n
         self.coords = list(coords)
         if len(self.coords) != self.dim:
@@ -95,7 +99,7 @@ class ChartStructure(StructureProvider):
         self.phi_expr = ex.expr_table(phi, (d, d))
         self.xi_expr = ex.expr_table(xi, (d,))
         self.eta_expr = ex.expr_table(eta, (d,))
-        self.name = name
+        self.fk, self.name = fk, name
 
     def structure_at(self, points, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
@@ -185,12 +189,10 @@ class AccrEval:
     omega: np.ndarray = None
 
     @classmethod
-    def from_jets(cls, S: StructureJets,
-                  curvature: bool = False) -> "AccrEval":
-        """Derived tensors of already evaluated structure jets; curvature
-        needs jets of order >= 2."""
-        frame = FrameEval.from_metric(
-            S.space, S.g, curvature=curvature and S.space.order >= 2)
+    def from_jets(cls, S: StructureJets) -> "AccrEval":
+        """Derived tensors of already evaluated structure jets, with
+        curvature from jets of order >= 2."""
+        frame = FrameEval.from_metric(S.space, S.g)
         ev = cls(S, frame, *map(tvalue, (S.g, frame.ginv, S.phi, S.xi,
                                          S.eta)))
         g0 = ev.g0
@@ -225,18 +227,18 @@ def structure_eval(provider: StructureProvider, points,
 # Chunks of sample points and the reductions over them
 # ---------------------------------------------------------------------------
 
-def point_bytes(dim: int, order: int, curvature: bool = False) -> int:
+def point_bytes(dim: int, order: int) -> int:
     """Working set of one point: the pair-gathered product of a rank-3
-    tensor (rank 4 with curvature) over ``jet_space(dim, order)``."""
+    tensor (rank 4, curvature, from order 2) over ``jet_space(dim,
+    order)``."""
     pairs = len(jet_space(dim, order)._mul_i)
-    return 8 * pairs * dim ** (4 if curvature else 3)
+    return 8 * pairs * dim ** (4 if order >= 2 else 3)
 
 
-def chunks(points: np.ndarray, order: int, curvature: bool = False):
+def chunks(points: np.ndarray, order: int):
     """Consecutive slices of the points ``(P, dim)`` that fit
     :data:`CHUNK_BYTES` (at least one point each)."""
-    size = max(1, CHUNK_BYTES // point_bytes(points.shape[-1], order,
-                                             curvature))
+    size = max(1, CHUNK_BYTES // point_bytes(points.shape[-1], order))
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 
@@ -252,10 +254,9 @@ def join(parts: list):
     return np.concatenate(parts)
 
 
-def over_chunks(fn, points: np.ndarray, order: int,
-                curvature: bool = False):
+def over_chunks(fn, points: np.ndarray, order: int):
     """``fn`` of each chunk of the points, joined in point order."""
-    return join([fn(pts) for pts in chunks(points, order, curvature)])
+    return join([fn(pts) for pts in chunks(points, order)])
 
 
 def worst_of(residuals: dict) -> dict[str, float]:
@@ -352,51 +353,32 @@ def f5_component(ev: AccrEval) -> np.ndarray:
             * _sym_yz(ev.g0 @ ev.phi0, ev.eta0))
 
 
-@dataclass
-class ClassResiduals:
-    """Euclidean component distance of F from the closed-form class
-    components, at each point; ``res_F0`` is the norm of F itself."""
+def class_residuals(ev: AccrEval, tol: float = TOL_CLASS):
+    """Euclidean component distance of F from each closed-form class
+    component (F itself for F0), at each point.
 
-    res_F0: np.ndarray
-    res_F1: np.ndarray
-    res_F5: np.ndarray
-    res_F1_plus_F5: np.ndarray
-    is_F0: np.ndarray
-    is_F1: np.ndarray
-    is_F5: np.ndarray
-    is_F1_plus_F5: np.ndarray
-    denom: np.ndarray
-
-    def verdicts(self) -> dict:
-        return {"is_F0": self.is_F0, "is_F1": self.is_F1,
-                "is_F5": self.is_F5, "is_F1_plus_F5": self.is_F1_plus_F5}
-
-
-def class_residuals(ev: AccrEval, tol: float = TOL_CLASS) -> ClassResiduals:
-    F = ev.F
-    F1 = f1_component(ev)
-    F5 = f5_component(ev)
-    r0 = tensor_norm_e(F)
-    denom = np.maximum(r0, CLASS_FLOOR)
-    r1 = tensor_norm_e(F - F1)
-    r5 = tensor_norm_e(F - F5)
-    r15 = tensor_norm_e(F - F1 - F5)
-    return ClassResiduals(
-        res_F0=r0, res_F1=r1, res_F5=r5, res_F1_plus_F5=r15,
-        is_F0=r0 <= tol * denom + CLASS_FLOOR,
-        is_F1=r1 <= tol * denom + CLASS_FLOOR,
-        is_F5=r5 <= tol * denom + CLASS_FLOOR,
-        is_F1_plus_F5=r15 <= tol * denom + CLASS_FLOOR,
-        denom=denom,
-    )
+    Returns ``(relative, verdicts)``: ``res_F0`` ... ``res_F1_plus_F5``
+    over the norm of F (at least CLASS_FLOOR), with ``norm_F`` itself, and
+    the ``is_*`` verdicts.
+    """
+    F, F1, F5 = ev.F, f1_component(ev), f5_component(ev)
+    norm = tensor_norm_e(F)
+    denom = np.maximum(norm, CLASS_FLOOR)
+    res = {"res_F0": norm, "res_F1": tensor_norm_e(F - F1),
+           "res_F5": tensor_norm_e(F - F5),
+           "res_F1_plus_F5": tensor_norm_e(F - F1 - F5)}
+    verdicts = {"is" + k[3:]: r <= tol * denom + CLASS_FLOOR
+                for k, r in res.items()}
+    relative = {k: r / denom for k, r in res.items()}
+    relative["norm_F"] = norm
+    return relative, verdicts
 
 
 # ---------------------------------------------------------------------------
 # Torse-forming analysis
 # ---------------------------------------------------------------------------
 
-def torse_forming_analyze(provider: StructureProvider, theta_field, points,
-                          tol: float = 1e-7):
+def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     """Identify the conformal scalar f and generating form gamma of a
     candidate torse-forming field by least squares on
     nabla theta = f*id + theta (x) gamma, at each point, from jets of
@@ -434,15 +416,17 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points,
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
     k_val = _dot(eta0, v0)
     verticality = _maxabs(v0 - k_val[..., None] * xi0, 1) / vscale
-    # dk = f eta + k gamma: k as a jet via eta_i v^i
+    # dk = f eta + k gamma: k as a jet via eta_i v^i; the residual is
+    # relative to the largest of |v| and the three terms it cancels
     dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
+    terms = (dk, f[..., None] * eta0, k_val[..., None] * gamma_form)
+    dk_scale = np.max([vscale, *(_maxabs(x, 1) for x in terms)], axis=0)
     res = {"torse_fit": _maxabs(fit, 2) / np.where(scale > 0.0, scale, 1.0),
-           "dk_identity": _maxabs(dk - f[..., None] * eta0
-                                  - k_val[..., None] * gamma_form, 1)
-           / vscale,
+           "dk_identity": _maxabs(terms[0] - terms[1] - terms[2], 1)
+           / dk_scale,
            "verticality": verticality}
     # the vertical identities divide by k, so they need k away from 0
-    if ((verticality <= tol) & (np.abs(k_val) > 1e-12 * vscale)).all():
+    if ((verticality <= 1e-7) & (np.abs(k_val) > 1e-12 * vscale)).all():
         fk = f / k_val
         nxi0 = tvalue(cov_deriv_vector(space, ev.frame.gamma, S.xi)[1])
         fxi = np.einsum("...ija,...a->...ij", ev.F, xi0)

@@ -277,12 +277,12 @@ def cmd_check(cfg) -> Report:
     tc = tol(cfg, "class")
 
     def chunk(ev):
-        classes = class_residuals(ev, tol=tc)
+        relative, verdicts = class_residuals(ev, tol=tc)
         return {"axioms": check_axioms(ev),
                 "fsym": {"f_symmetry": f_prop_residual(ev)},
                 "lee": lee_identities_residual(ev),
-                "norm": {"norm_F": classes.res_F0},
-                "verdicts": classes.verdicts()}
+                "norm": {"norm_F": relative["norm_F"]},
+                "verdicts": verdicts}
 
     r = over_evals(make_provider(cfg), cfg, chunk)
     td = tol(cfg, "derived")
@@ -299,15 +299,10 @@ def cmd_classify(cfg) -> Report:
     tc = tol(cfg, "class")
 
     def chunk(ev):
-        c = class_residuals(ev, tol=tc)
+        relative, verdicts = class_residuals(ev, tol=tc)
         return {"axioms": {"axioms": np.max([*check_axioms(ev).values()],
                                             axis=0)},
-                "relative": {"res_F0": c.res_F0 / c.denom,
-                             "res_F1": c.res_F1 / c.denom,
-                             "res_F5": c.res_F5 / c.denom,
-                             "res_F1_plus_F5": c.res_F1_plus_F5 / c.denom,
-                             "norm_F": c.res_F0},
-                "verdicts": c.verdicts()}
+                "relative": relative, "verdicts": verdicts}
 
     r = over_evals(make_provider(cfg), cfg, chunk)
     rep = Report("classify", cfg)
@@ -376,8 +371,7 @@ def cmd_transform(cfg) -> Report:
                          **alpha_beta_residuals(d, ev, ev_bar),
                          "metric_roundtrip": metric_roundtrip_residual(
                              ev, ev_bar, d)},
-                "verdicts": class_residuals(
-                    ev_bar, tol=tol(cfg, "class")).verdicts()}
+                "verdicts": class_residuals(ev_bar, tol=tol(cfg, "class"))[1]}
 
     r = over_chunks(chunk, config_points(provider, cfg), 1)
     rep = Report("transform", cfg)
@@ -395,7 +389,7 @@ def cmd_soliton(cfg) -> Report:
     tstruct = TransformedStructure(provider, triple)
     checks, values = yamabe_check(
         tstruct, config_points(provider, cfg), sigma=cfg["sigma"],
-        fk=getattr(provider, "fk", None), tol=tol(cfg, "soliton"),
+        fk=provider.fk, tol=tol(cfg, "soliton"),
         class_tol=tol(cfg, "class"))
     rep = Report("soliton", cfg)
     for name, residual in checks.items():

@@ -45,10 +45,9 @@ def coord_names(n: int) -> list[str]:
 
 def build_flat_f0(n: int = 1) -> ChartStructure:
     g, phi, xi, eta = canonical_flat_fields(n)
-    S = ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
-                       name="flat-f0")
-    S.fk = lambda points: np.zeros(np.shape(points)[:-1])
-    return S
+    return ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
+                          name="flat-f0",
+                          fk=lambda points: np.zeros(np.shape(points)[:-1]))
 
 
 def build_hypersurface(n: int = 1) -> ChartStructure:
@@ -110,10 +109,10 @@ def build_hypersurface(n: int = 1) -> ChartStructure:
         g[n + j][j] = -b
     g[d - 1][d - 1] = ex.Const(1.0)
     _, phi, xi, eta = canonical_flat_fields(n)
-    S = ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
-                       name="hypersurface-f5")
-    S.fk = lambda points: 1.0 / np.cosh(np.asarray(points, float)[..., -1])
-    return S
+    return ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
+                          name="hypersurface-f5",
+                          fk=lambda points: 1.0 / np.cosh(
+                              np.asarray(points, float)[..., -1]))
 
 
 def random_structure(n: int = 1, seed: int = 0) -> FrameStructure:
@@ -158,20 +157,10 @@ def get_example(name: str, n: int = 1, seed: int = 0) -> StructureProvider:
 
 def sample_points(dim: int, count: int, seed: int = 0,
                   box=DEFAULT_BOX) -> np.ndarray:
-    """Deterministic uniform sample of chart points inside ``box``
-    (either one (lo, hi) pair for all coordinates or one per
-    coordinate)."""
-    rng = np.random.default_rng(seed)
-    box_arr = np.asarray(box, dtype=float)
-    if box_arr.ndim == 1:
-        lo = np.full(dim, box_arr[0])
-        hi = np.full(dim, box_arr[1])
-    else:
-        if box_arr.shape != (dim, 2):
-            raise ValueError("box must be (lo, hi) or one pair per "
-                             "coordinate")
-        lo, hi = box_arr[:, 0], box_arr[:, 1]
-    return lo + (hi - lo) * rng.random((count, dim))
+    """Deterministic uniform sample of chart points inside the cube
+    ``box`` = (lo, hi)."""
+    lo, hi = map(float, box)
+    return lo + (hi - lo) * np.random.default_rng(seed).random((count, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +229,6 @@ class EmbeddedSphere(StructureProvider):
         self.coords = ([f"a{i + 1}" for i in range(n)]
                        + [f"b{i + 1}" for i in range(n)] + ["t"])
         self.name = "embedded-sphere"
-        self.ambient_dim = 2 * n + 2
         a, b = ([ex.Var(c) for c in self.coords[k * n:(k + 1) * n]]
                 for k in (0, 1))
         t = ex.Var("t")

@@ -156,7 +156,8 @@ class FrameEval:
 
     Arrays are tensor-jet arrays; ``space`` is the metric's jet space,
     gamma lives in ``space.child`` and riem and ricci one order lower;
-    ``tau`` holds one scalar curvature per point.
+    ``tau`` holds one scalar curvature per point.  Curvature is computed
+    exactly when the metric jets have order >= 2.
     """
 
     space: JetSpace
@@ -168,13 +169,12 @@ class FrameEval:
     tau: np.ndarray = None
 
     @classmethod
-    def from_metric(cls, space: JetSpace, g: np.ndarray,
-                    curvature: bool = True) -> "FrameEval":
+    def from_metric(cls, space: JetSpace, g: np.ndarray) -> "FrameEval":
         ginv = tminv(space, g)
         ev = cls(space=space, g=g, ginv=ginv)
         if space.order >= 1:
             gamma_space, ev.gamma = christoffels(space, g, ginv)
-        if curvature and space.order >= 2:
+        if space.order >= 2:
             riem_space, ev.riem = riemann(gamma_space, ev.gamma)
             ev.ricci = ricci_from_riemann(ev.riem)
             ginv_r = ttrunc(space, ginv, riem_space.order)
@@ -208,10 +208,8 @@ class MetricChart:
             raise ValueError("metric components are not symmetric")
         return space, tsym(g)
 
-    def frame_at(self, points, order: int = 2,
-                 curvature: bool = True) -> FrameEval:
-        space, g = self.metric_at(points, order)
-        return FrameEval.from_metric(space, g, curvature=curvature)
+    def frame_at(self, points, order: int = 2) -> FrameEval:
+        return FrameEval.from_metric(*self.metric_at(points, order))
 
     def scalar_curvature_at(self, point) -> float:
         return float(self.frame_at(point, order=2).tau)

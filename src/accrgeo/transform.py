@@ -92,13 +92,13 @@ class TransformedStructure(StructureProvider):
         S = self.base.structure_at(points, order)
         return deform(S, *self.triple.jets(self.base, points, order)[3:])
 
-    def evaluate(self, points, order: int, curvature: bool = False):
+    def evaluate(self, points, order: int):
         """(base structure jets, deformed evaluation, differentials of
         (u, v, w)) at chart points, from one evaluation of the base
         structure and of the triple; needs ``order`` >= 1."""
         S = self.base.structure_at(points, order)
         u, v, w, *factors = self.triple.jets(self.base, points, order)
-        ev_bar = AccrEval.from_jets(deform(S, *factors), curvature)
+        ev_bar = AccrEval.from_jets(deform(S, *factors))
         return S, ev_bar, Differentials.from_jets(u, v, w, S)
 
 
@@ -266,7 +266,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     n = tstruct.n
 
     def chunk(pts):
-        S, ev_bar, d = tstruct.evaluate(pts, 2, curvature=True)
+        S, ev_bar, d = tstruct.evaluate(pts, 2)
         Sb, space = ev_bar.S, ev_bar.S.space
         child, lie_c = lie_metric_coord(space, Sb.g, Sb.xi)
         _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, Sb.xi)
@@ -277,7 +277,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         phi2 = phi0 @ phi0
         lscale = _lee_scale(ev_bar)
         out = {"tau": ev_bar.frame.tau.copy(),
-               "is_F1": class_residuals(ev_bar, tol=class_tol).is_F1,
+               "is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
                "residuals": {
                    "killing": _maxabs(lie0, 2)
                    / np.maximum(1.0, _maxabs(gb0, 2)),
@@ -301,8 +301,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                                  "cond:dw_vertical": c["dw_vertical"]}
         return out
 
-    r = over_chunks(chunk, np.asarray(points, dtype=float), 2,
-                    curvature=True)
+    r = over_chunks(chunk, np.asarray(points, dtype=float), 2)
     taus = r["tau"]
     tau_mean = float(np.mean(taus))
     tau_std = float(np.std(taus))

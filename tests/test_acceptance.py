@@ -53,8 +53,8 @@ def test_acceptance_2_class_reproduction():
         prov = build_hypersurface(n)
         for p in sample_points(prov.dim, 16, seed=0):
             ev = structure_eval(prov, p, order=1)
-            cr = class_residuals(ev)
-            assert cr.res_F5 / cr.denom < 1e-6
+            rel, _ = class_residuals(ev)
+            assert rel["res_F5"] < 1e-6
             assert np.max(np.abs(ev.theta)) < 1e-6
             assert np.max(np.abs(ev.omega)) < 1e-6
             ts_xi = float(ev.theta_star @ ev.xi0)
@@ -254,9 +254,9 @@ def test_acceptance_8_holomorphic_pair_gives_f0():
         assert np.max(np.abs(evb.theta)) < 1e-7
         assert np.max(np.abs(evb.theta_star)) < 1e-7
         assert np.max(np.abs(evb.omega)) < 1e-7
-        cr = class_residuals(evb)
-        assert cr.is_F0
-        assert cr.res_F0 / max(cr.denom, 1.0) < 1e-7
+        rel, verdicts = class_residuals(evb)
+        assert verdicts["is_F0"]
+        assert rel["norm_F"] / max(rel["norm_F"], 1.0) < 1e-7
 
 
 # ---------------------------------------------------------------------------

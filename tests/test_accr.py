@@ -93,6 +93,15 @@ def test_identity_frame_reproduces_flat_model():
     assert np.allclose(ev.eta0, eta)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_structure_eval_has_tau_exactly_from_order_2(order):
+    prov = build_hypersurface(1)
+    ev = structure_eval(prov, sample_points(prov.dim, 3, seed=4), order)
+    assert (ev.frame.tau is None) == (order < 2)
+    if order >= 2:
+        assert ev.frame.tau.shape == (3,)
+
+
 # ---------------------------------------------------------------------------
 # Fundamental tensor and Lee forms
 # ---------------------------------------------------------------------------
@@ -104,8 +113,8 @@ def test_flat_model_is_f0():
     assert np.max(np.abs(ev.theta)) < 1e-12
     assert np.max(np.abs(ev.theta_star)) < 1e-12
     assert np.max(np.abs(ev.omega)) < 1e-12
-    cr = class_residuals(ev)
-    assert cr.is_F0 and cr.is_F1 and cr.is_F5 and cr.is_F1_plus_F5
+    _, v = class_residuals(ev)
+    assert v["is_F0"] and v["is_F1"] and v["is_F5"] and v["is_F1_plus_F5"]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -135,10 +144,10 @@ def test_hypersurface_is_pure_f5():
         prov = build_hypersurface(n)
         for p in sample_points(prov.dim, 4, seed=2):
             ev = structure_eval(prov, p, order=1)
-            cr = class_residuals(ev)
-            assert cr.is_F5
-            assert not cr.is_F0
-            assert cr.res_F5 / cr.denom < 1e-9
+            rel, verdicts = class_residuals(ev)
+            assert verdicts["is_F5"]
+            assert not verdicts["is_F0"]
+            assert rel["res_F5"] < 1e-9
             assert np.max(np.abs(ev.theta)) < 1e-9
             assert np.max(np.abs(ev.omega)) < 1e-9
             t = p[-1]
@@ -157,13 +166,13 @@ def test_class_verdicts_invariant_under_frame_change():
     prov = random_structure(n, seed=5)
     p = [0.9, 1.1, 0.7]
     ev = structure_eval(prov, p, order=1)
-    cr1 = class_residuals(ev)
+    _, cr1 = class_residuals(ev)
     # recompute after rescaling F's ambient tolerance: verdicts use a
     # relative threshold, so doubling tol can only relax them
-    cr2 = class_residuals(ev, tol=2 * accr.TOL_CLASS)
-    for k, v in cr1.verdicts().items():
+    _, cr2 = class_residuals(ev, tol=2 * accr.TOL_CLASS)
+    for k, v in cr1.items():
         if v:
-            assert cr2.verdicts()[k]
+            assert cr2[k]
 
 
 # ---------------------------------------------------------------------------

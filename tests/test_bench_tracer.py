@@ -33,8 +33,8 @@ def test_tracer_installs_and_uninstalls():
 def test_one_base_and_triple_evaluation_per_point():
     # the tracer counts calls, and one call now covers a chunk of points:
     # the points each call receives are counted by wrappers of our own.
-    # transform evaluates order-1 jets and soliton order-2 jets with
-    # curvature; each run spans two chunks at the order it evaluates.
+    # transform evaluates order-1 jets and soliton order-2 jets (with
+    # curvature); each run spans two chunks at the order it evaluates.
     n, seed = 2, 3
     dim = 2 * n + 1
     seen = {"base": [], "triple": []}
@@ -55,10 +55,8 @@ def test_one_base_and_triple_evaluation_per_point():
     tracer.install()
     calls = total = 0
     try:
-        for cmd, order, curvature in (("transform", 1, False),
-                                      ("soliton", 2, True)):
-            size = len(accr.chunks(sample_points(dim, 1024), order,
-                                   curvature)[0])
+        for cmd, order in (("transform", 1), ("soliton", 2)):
+            size = len(accr.chunks(sample_points(dim, 1024), order)[0])
             samples = size + 3
             seen["base"].clear()
             seen["triple"].clear()
@@ -70,7 +68,7 @@ def test_one_base_and_triple_evaluation_per_point():
             assert code == 0
             tracer.end_case(cmd, samples, True)
             points = sample_points(dim, samples, seed=seed)
-            chunks = accr.chunks(points, order, curvature)
+            chunks = accr.chunks(points, order)
             assert [len(c) for c in chunks] == [size, 3]
             calls += len(chunks)
             total += samples

@@ -37,6 +37,14 @@ def one_point_chunks(monkeypatch):
     monkeypatch.setattr(accr, "CHUNK_BYTES", 1)
 
 
+@pytest.mark.parametrize("order, sizes", [(1, [2080, 285, 76, 28]),
+                                          (2, [173, 9, 1, 1])])
+def test_chunk_sizes_at_n_1_to_4(order, sizes):
+    # curvature, with its rank-4 working set, comes with order 2
+    assert [len(accr.chunks(sample_points(2 * n + 1, 4096), order)[0])
+            for n in (1, 2, 3, 4)] == sizes
+
+
 CASES = [[cmd, "--example", model, "--n", "2", "--order", str(order),
           "--samples", "12", "--seed", "5", *extra]
          for cmd, model, extra in (

@@ -465,6 +465,17 @@ def test_scaled_reeb_field_passes_every_torse_check(capsys, c):
     assert all(passed for _, passed in checks)
 
 
+@pytest.mark.parametrize("box", ["1e-80,2e-80", "1,2"])
+def test_dk_identity_is_relative_to_the_terms_it_cancels(capsys, box):
+    # v = (1/x1) xi on the flat model: dk - f eta - k gamma = 0 with f = 0,
+    # k = 1/x1, gamma = -dx1/x1; near x1 = 1e-80 each term is about 1e160
+    # against |v| = 1e80
+    code, rep = run_json(capsys, "torse", "--example", "flat-f0", "--n", "1",
+                         "--field", "0;0;1/x1", f"--box={box}")
+    checks = {c["name"]: c["residual"] for c in rep["checks"]}
+    assert code == 0 and checks["dk_identity"] < 1e-15
+
+
 @pytest.mark.parametrize("flags", [
     ["--seed", "-1"],
     ["--box=-1e308,1e308"],               # hi - lo overflows to inf

@@ -31,10 +31,8 @@ def test_sample_points_deterministic_and_boxed():
     assert np.array_equal(a, b)
     assert a.shape == (10, 3)
     assert np.all(a >= DEFAULT_BOX[0]) and np.all(a <= DEFAULT_BOX[1])
-    c = sample_points(2, 4, seed=5, box=[[0.0, 1.0], [2.0, 3.0]])
-    assert np.all(c[:, 0] <= 1.0) and np.all(c[:, 1] >= 2.0)
-    with pytest.raises(ValueError):
-        sample_points(2, 4, box=[[0.0, 1.0]] * 3)
+    c = sample_points(2, 4, seed=5, box=(2.0, 3.0))
+    assert np.all(c >= 2.0) and np.all(c <= 3.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -56,8 +54,8 @@ def test_hypersurface_class_and_lee_values(n):
     for p in sample_points(prov.dim, 3, seed=9):
         ev = structure_eval(prov, p, order=1)
         assert max(check_axioms(ev).values()) < 1e-9
-        cr = class_residuals(ev)
-        assert cr.is_F5 and not cr.is_F0
+        _, verdicts = class_residuals(ev)
+        assert verdicts["is_F5"] and not verdicts["is_F0"]
         t = p[-1]
         ts_xi = float(ev.theta_star @ ev.xi0)
         assert ts_xi == pytest.approx(2 * n / np.cosh(t), abs=1e-9)
@@ -93,6 +91,11 @@ def test_flat_model_fk_is_zero():
     assert prov.fk([1.0, 1.0, 1.0]) == 0.0
 
 
+def test_fk_is_none_where_the_model_does_not_know_it():
+    assert random_structure(1).fk is None
+    assert get_example("random", n=2).fk is None
+
+
 # ---------------------------------------------------------------------------
 # Embedded sphere
 # ---------------------------------------------------------------------------
@@ -103,8 +106,8 @@ def test_embedded_sphere_axioms_and_class(n):
     for p in sample_points(model.dim, 2, seed=21, box=(0.6, 1.2)):
         ev = structure_eval(model, p, order=1)
         assert max(check_axioms(ev).values()) < 1e-9
-        cr = class_residuals(ev)
-        assert cr.is_F5
+        _, verdicts = class_residuals(ev)
+        assert verdicts["is_F5"]
         t = p[-1]
         assert float(ev.theta_star @ ev.xi0) == pytest.approx(
             2 * n / np.cosh(t), abs=1e-8)

@@ -72,7 +72,7 @@ def test_polar_plane_christoffels():
 def test_christoffels_match_koszul_finite_differences():
     chart = random_chart(3, seed=11)
     p = np.array([0.4, -0.2, 0.6])
-    ev = chart.frame_at(p, order=1, curvature=False)
+    ev = chart.frame_at(p, order=1)
     gam = tvalue(ev.gamma)
     d = 3
     h = 1e-6
@@ -98,8 +98,7 @@ def test_christoffels_match_koszul_finite_differences():
 
 
 def test_christoffels_symmetric_lower_indices():
-    ev = random_chart(4, seed=3).frame_at([0.1, 0.5, -0.3, 0.2], order=1,
-                                          curvature=False)
+    ev = random_chart(4, seed=3).frame_at([0.1, 0.5, -0.3, 0.2], order=1)
     gam = tvalue(ev.gamma)
     assert np.max(np.abs(gam - np.einsum("kij->kji", gam))) < 1e-13
 
@@ -302,7 +301,7 @@ def test_signature():
 def test_singular_metric_rejected():
     chart = geo.MetricChart(["x", "y"], [["x", 0.0], [0.0, 1.0]])
     with pytest.raises(geo.SingularMetricError):
-        chart.frame_at([0.0, 1.0], order=1, curvature=False)
+        chart.frame_at([0.0, 1.0], order=1)
 
 
 def test_asymmetric_metric_rejected():

@@ -28,14 +28,13 @@ def peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
-# the jet order each command evaluates, whatever --order says, whether with
-# curvature, and the full chunks of the large run: as many as MAX_SAMPLES
+# the jet order each command evaluates, whatever --order says (curvature
+# from order 2), and the full chunks of the large run: as many as MAX_SAMPLES
 # holds for check; 4 for lee, whose report keeps a record per sample (from
 # 8 chunks, about 600 samples, its report outgrows the chunk); 8 for
 # soliton, which keeps value matrices per point until sigma is known
 # (about 1.4 KB a point)
-EVALUATED = {"check": (1, False, 13), "lee": (1, False, 4),
-             "soliton": (2, True, 8)}
+EVALUATED = {"check": (1, 13), "lee": (1, 4), "soliton": (2, 8)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -44,9 +43,9 @@ EVALUATED = {"check": (1, False, 13), "lee": (1, False, 4),
     ["soliton", "--n", "2", "--preset", "soliton"],
 ])
 def test_peak_memory_is_flat_in_the_sample_count(argv):
-    order, curvature, chunks = EVALUATED[argv[0]]
+    order, chunks = EVALUATED[argv[0]]
     size = len(accr.chunks(sample_points(2 * int(argv[2]) + 1, MAX_SAMPLES),
-                           order, curvature)[0])
+                           order)[0])
     assert chunks * size <= MAX_SAMPLES
     argv = argv + ["--example", "hypersurface-f5", "--order", "3"]
     run_quietly(argv + ["--samples", "1"])    # warm the jet-space caches

@@ -145,6 +145,5 @@ def test_multi_chunk_slice_crosses_a_chunk_boundary():
         dim = 2 * int(opt["--n"]) + 1
         points = sample_points(dim, int(opt["--samples"]))
         order = max(int(opt["--order"]), 2 if argv[0] == "soliton" else 1)
-        sizes = [len(c) for c in accr.chunks(points, order,
-                                             curvature=argv[0] == "soliton")]
+        sizes = [len(c) for c in accr.chunks(points, order)]
         assert len(sizes) >= 2 and sizes[-1] <= sizes[0]

@@ -203,9 +203,9 @@ def test_holomorphic_pair_detected_and_preserves_f0():
         c = tr.condition_residuals(d, ev.S, fk=0.0)
         assert max(c["holo_1"], c["holo_2"]) <= 1e-8
         evb = structure_eval(ts, p, order=1)
-        cr = class_residuals(evb)
-        assert cr.is_F0
-        assert cr.res_F0 / max(cr.denom, 1.0) < 1e-7
+        rel, verdicts = class_residuals(evb)
+        assert verdicts["is_F0"]
+        assert rel["norm_F"] / max(rel["norm_F"], 1.0) < 1e-7
 
 
 def soliton_passed(checks, tol=1e-6) -> bool:

@@ -11,7 +11,7 @@ exit code, the sha256 of its stdout and the stdout text.  The matrix is
 all with 4 samples, which fit one chunk of points, and a multi-chunk
 slice: every command on hypersurface-f5 at n = 4, order 1, with 70
 samples, which span several chunks (28 order-1 points fit one chunk at
-n = 4, 76 or more at n <= 3; soliton, with curvature, one point a chunk).
+n = 4, 76 or more at n <= 3; soliton, at order 2, one point a chunk).
 
 Every command evaluates the jet order its report reads (1, and 2 for
 soliton) whatever ``--order`` says, so the cases of the order axis
@@ -24,6 +24,9 @@ records:
 
     PYTHONPATH=src python tools/report_matrix.py --out after.json
     python tools/report_matrix.py --compare before.json after.json
+
+CI does this for every pull request, with the base commit checked out
+in a git worktree as the "before" build.
 
 The comparison counts byte-identical reports, exit-code changes and
 verdict changes (the report's or any check's ``passed``), and names the
