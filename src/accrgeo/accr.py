@@ -228,9 +228,12 @@ def structure_eval(provider: StructureProvider, points,
 # ---------------------------------------------------------------------------
 
 def point_bytes(dim: int, order: int) -> int:
-    """Working set of one point: the pair-gathered product of a rank-3
-    tensor (rank 4, curvature, from order 2) over ``jet_space(dim,
-    order)``."""
+    """The chunk budget's charge for one point: 8 bytes for every pair of
+    the product table of ``jet_space(dim, order)`` times dim^3 (dim^4
+    from order 2, with curvature).  No kernel builds an array that size,
+    so the charge is pessimistic: an order-2 point at n = 3 is charged
+    2.30 MB, and a ``soliton --n 3`` run measured about 0.18 MB a point
+    (tracemalloc peak growth from 1- to 16-point chunks)."""
     pairs = len(jet_space(dim, order)._mul_i)
     return 8 * pairs * dim ** (4 if order >= 2 else 3)
 
@@ -405,13 +408,16 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
         raise ValueError("torse-forming analysis needs a nonzero field")
     A = tvalue(cov_deriv_vector(space, ev.frame.gamma, vf)[1])
     # A[i, k] = (nabla_i v)^k = f delta_ik + gamma_i v_k by least squares,
-    # in closed form: gamma = (A v - f v) / |v|^2, and from the trace
-    # (d - 1) f = tr A - v.A v / |v|^2
-    vv = _dot(v0, v0)
-    av = np.einsum("...ik,...k->...i", A, v0)
-    f = (np.trace(A, axis1=-2, axis2=-1) - _dot(v0, av) / vv) / (d - 1)
-    gamma_form = (av - f[..., None] * v0) / vv[..., None]
-    fit = f[..., None, None] * np.eye(d) + _outer(gamma_form, v0) - A
+    # in closed form on u = v / max|v|, so that no square of the field's
+    # scale under- or overflows: gamma max|v| = (A u - f u) / |u|^2, and
+    # from the trace (d - 1) f = tr A - u.A u / |u|^2
+    u = v0 / vscale[..., None]
+    uu = _dot(u, u)
+    au = np.einsum("...ik,...k->...i", A, u)
+    f = (np.trace(A, axis1=-2, axis2=-1) - _dot(u, au) / uu) / (d - 1)
+    gamma_v = (au - f[..., None] * u) / uu[..., None]
+    gamma_form = gamma_v / vscale[..., None]
+    fit = f[..., None, None] * np.eye(d) + _outer(gamma_v, u) - A
     scale = _maxabs(A, 2)       # an exactly zero A fits exactly: f = 0
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
     k_val = _dot(eta0, v0)
@@ -419,7 +425,7 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     # dk = f eta + k gamma: k as a jet via eta_i v^i; the residual is
     # relative to the largest of |v| and the three terms it cancels
     dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
-    terms = (dk, f[..., None] * eta0, k_val[..., None] * gamma_form)
+    terms = (dk, f[..., None] * eta0, _dot(eta0, u)[..., None] * gamma_v)
     dk_scale = np.max([vscale, *(_maxabs(x, 1) for x in terms)], axis=0)
     res = {"torse_fit": _maxabs(fit, 2) / np.where(scale > 0.0, scale, 1.0),
            "dk_identity": _maxabs(terms[0] - terms[1] - terms[2], 1)

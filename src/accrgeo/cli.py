@@ -84,7 +84,10 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+        """The report as JSON text; ``ValueError`` for a value that is
+        not finite, which RFC 8259 JSON cannot hold."""
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2,
+                          allow_nan=False)
 
     def render_table(self) -> str:
         lines = [f"{self.command}  (accrgeo {__version__})"]
@@ -481,6 +484,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         rep = COMMANDS[args.cmd](cfg)
+        print(rep.to_json())
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -489,7 +493,6 @@ def main(argv=None) -> int:
             ValueError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
-    print(rep.to_json())
     if sys.stderr.isatty() and not args.json:
         print(rep.render_table(), file=sys.stderr)
     return 0 if rep.passed else 1

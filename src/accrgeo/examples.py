@@ -15,14 +15,16 @@ Registry names:
                         with a randomly generated near-identity frame
                         matrix of expression entries; exercises charts
                         with no special class membership.
-
-The module also builds an isometrically embedded model: the time-like
-sphere of complexified radius in C^(n+1) (viewed as R^(2n+2) with its
-canonical complex structure and the real part of the complex bilinear
-dot product as metric).  It is used to validate the intrinsic machinery
-against ambient data: constraint equations, the unit normal, tangency of
-the Reeb field and the Gauss relation between ambient second derivatives
-and intrinsic Christoffel symbols.
+* ``embedded-sphere`` -- the time-like sphere of complexified radius in
+                        C^(n+1) (viewed as R^(2n+2) with its
+                        canonical complex structure and the real part of
+                        the complex bilinear dot product as metric), with
+                        the induced structure: the classical F5 model,
+                        with theta*(xi) = 2n / cosh t and the vertical
+                        torse-forming xi = (1/sinh t) d/dt.  Its chart
+                        pairs the coordinates as ``hypersurface-f5`` does,
+                        so every command and preset runs on it; the tests
+                        check it against its ambient data.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ import numpy as np
 
 from . import expr as ex
 from .accr import (ChartStructure, FrameStructure, StructureJets,
-                   StructureProvider, canonical_flat_fields, structure_eval,
-                   _maxabs)
+                   StructureProvider, canonical_flat_fields)
 from .geometry import coordinate_bindings, eval_expr_table
-from .jets import jet_space, tgrad, tminv, tmul, tscale, tsym, tvalue
+from .jets import jet_space, tgrad, tminv, tmul, tscale, tsym
 
 DEFAULT_BOX = (0.5, 1.5)
 
@@ -139,22 +140,6 @@ def random_structure(n: int = 1, seed: int = 0) -> FrameStructure:
     return FrameStructure(n, names, frame, name=f"random-{seed}")
 
 
-REGISTRY = {
-    "flat-f0": build_flat_f0,
-    "hypersurface-f5": build_hypersurface,
-    "random": random_structure,
-}
-
-
-def get_example(name: str, n: int = 1, seed: int = 0) -> StructureProvider:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown example {name!r}; "
-                       f"choose from {sorted(REGISTRY)}")
-    if name == "random":
-        return random_structure(n=n, seed=seed)
-    return REGISTRY[name](n=n)
-
-
 def sample_points(dim: int, count: int, seed: int = 0,
                   box=DEFAULT_BOX) -> np.ndarray:
     """Deterministic uniform sample of chart points inside the cube
@@ -207,7 +192,8 @@ def holomorphic_pair_uvw(n: int = 1):
 
 class EmbeddedSphere(StructureProvider):
     """Hypersurface sum_j (z^j)^2 = cosh^2(t) in C^(n+1), parametrized by
-    n complex angles zeta_k = a_k + i b_k and the radial coordinate t:
+    n complex angles zeta_k = x_k + i x_{n+k} and the radial coordinate t
+    (the chart of :func:`coord_names`):
 
         Z = cosh(t) * zhat(zeta),   zhat = spherical unit vector,
         zhat^1 = cos zeta_1, zhat^2 = sin zeta_1 cos zeta_2, ...,
@@ -226,8 +212,7 @@ class EmbeddedSphere(StructureProvider):
 
     def __init__(self, n: int = 1):
         self.n = n
-        self.coords = ([f"a{i + 1}" for i in range(n)]
-                       + [f"b{i + 1}" for i in range(n)] + ["t"])
+        self.coords = coord_names(n)
         self.name = "embedded-sphere"
         a, b = ([ex.Var(c) for c in self.coords[k * n:(k + 1) * n]]
                 for k in (0, 1))
@@ -286,66 +271,22 @@ class EmbeddedSphere(StructureProvider):
         return 1.0 / np.cosh(np.asarray(points, dtype=float)[..., -1])
 
 
-def embedding_invariants(model: EmbeddedSphere, point) -> dict[str, float]:
-    """Residuals tying the intrinsic chart data to the ambient picture.
+# ---------------------------------------------------------------------------
+# The models the commands can name
+# ---------------------------------------------------------------------------
 
-    * ``constraint``     : sum (z^j)^2 - cosh^2 t (real and imaginary).
-    * ``jacobian_rank``  : 0 if the embedding differential has full rank.
-    * ``normal_unit``    : G(N, N) + 1 for N = (1/cosh t) J Z.
-    * ``normal_orth``    : G(N, d_j Z) for all j.
-    * ``xi_position``    : ambient xi - Z / cosh t (so xi = -J N).
-    * ``j_decomposition``: J dZ(X) - dZ(phi X) - eta(X) N over a basis.
-    * ``gauss``          : tangential part of d_i d_j Z - Gamma^k_ij d_k Z
-                           (the remainder must be purely normal).
-    """
-    d = model.dim
-    parent, Z = model.embedding_jets(point, 2)
-    space = parent.child
-    dZ = tgrad(parent, Z)
-    dZ0 = tvalue(dZ)                          # [m, c, j]
-    Z0 = tvalue(Z)                            # [m, c]
-    t = float(point[d - 1])
-    ch, shv = np.cosh(t), np.sinh(t)
+REGISTRY = {
+    "flat-f0": build_flat_f0,
+    "hypersurface-f5": build_hypersurface,
+    "random": random_structure,
+    "embedded-sphere": EmbeddedSphere,
+}
 
-    zz = np.sum((Z0[:, 0] + 1j * Z0[:, 1]) ** 2)
-    res = {"constraint": max(abs(zz.real - ch * ch), abs(zz.imag))}
 
-    jac = dZ0.reshape(2 * (model.n + 1), d)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    res["jacobian_rank"] = 0.0 if sv[d - 1] > 1e-8 * sv[0] else 1.0
-
-    def G(x, y):
-        z = np.sum((x[:, 0] + 1j * x[:, 1]) * (y[:, 0] + 1j * y[:, 1]))
-        return z.real
-
-    def J(x):
-        return np.stack([-x[:, 1], x[:, 0]], axis=1)
-
-    N = J(Z0) / ch
-    res["normal_unit"] = abs(G(N, N) + 1.0)
-    res["normal_orth"] = max(abs(G(N, dZ0[:, :, j])) for j in range(d))
-
-    ev = structure_eval(model, point, order=1)
-    xi0, eta0, phi0 = ev.xi0, ev.eta0, ev.phi0
-    xi_amb = np.einsum("mcj,j->mc", dZ0, xi0)
-    res["xi_position"] = float(_maxabs(xi_amb - Z0 / ch, 2))
-
-    jd = 0.0
-    for j in range(d):
-        lhs = J(dZ0[:, :, j])
-        rhs = np.einsum("mck,k->mc", dZ0, phi0[:, j]) + eta0[j] * N
-        jd = max(jd, float(_maxabs(lhs - rhs, 2)))
-    res["j_decomposition"] = jd
-
-    # Gauss: ambient Hessian minus Christoffel part must be normal
-    ddZ = tvalue(tgrad(space, dZ))            # [m, c, j, i] = d_i d_j Z
-    gamma0 = tvalue(ev.frame.gamma)           # [k, i, j]
-    rem = ddZ - np.einsum("mck,kij->mcji", dZ0, gamma0)
-    gs = 0.0
-    for i in range(d):
-        for j in range(d):
-            v = rem[:, :, j, i]
-            c = -G(v, N)                      # G(N, N) = -1
-            gs = max(gs, float(_maxabs(v - c * N, 2)))
-    res["gauss"] = gs
-    return res
+def get_example(name: str, n: int = 1, seed: int = 0) -> StructureProvider:
+    if name not in REGISTRY:
+        raise KeyError(f"unknown example {name!r}; "
+                       f"choose from {sorted(REGISTRY)}")
+    if name == "random":
+        return random_structure(n=n, seed=seed)
+    return REGISTRY[name](n=n)

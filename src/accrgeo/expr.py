@@ -14,9 +14,10 @@ numeric literal exponent.  Function application requires parentheses;
 whitespace is insignificant.  Expression trees are immutable and
 evaluation is pure.
 
-Two evaluators read a tree.  :func:`eval_float` computes a plain value.
-:func:`eval_jets` computes the truncated Taylor jets of a sequence of
-trees at a batch of points, under bindings of the variables to jets.
+One evaluator reads a tree: :func:`eval_jets` computes the truncated
+Taylor jets of a sequence of trees at a batch of points, under bindings
+of the variables to jets (a plain value is the jet's value row; the
+tests keep a float evaluator as an independent oracle).
 It is the one place where scalar jets (coefficient arrays of shape
 ``(ncoeff, *batch)``, see :mod:`accrgeo.jets`) are combined: ``+``,
 ``-`` and negation are array operations, ``*`` and ``/`` the truncated
@@ -30,7 +31,7 @@ costs one evaluation per distinct node, not per entry.
 
 Parsing rejects text that opens more than ``MAX_DEPTH`` parentheses
 inside one another, or whose tree nests more than ``MAX_DEPTH``
-operations: the parser, the evaluators, ``free_vars`` and ``serialize``
+operations: the parser, the evaluator, ``free_vars`` and ``serialize``
 all recurse, and the bound keeps them within Python's stack.
 """
 
@@ -48,13 +49,6 @@ from .jets import (FUNCTION_TABLE, JetDomainError, JetSpace, _reciprocal,
 
 FUNCTIONS = frozenset(FUNCTION_TABLE)
 MAX_DEPTH = 100
-
-_FLOAT_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
-    "arctan": math.atan, "arcsin": math.asin,
-}
 
 
 class ParseError(ValueError):
@@ -87,9 +81,6 @@ class Expr:
 
     def __sub__(self, other):
         return Bin("-", self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Bin("-", as_expr(other), self)
 
     def __mul__(self, other):
         return Bin("*", self, as_expr(other))
@@ -474,47 +465,6 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
 def _quote(node: Expr, limit: int = 200) -> str:
     text = serialize(node)
     return text if len(text) <= limit else text[:limit - 3] + "..."
-
-
-def eval_float(e: Expr, bindings: dict[str, float]) -> float:
-    """Plain order-0 evaluation over floats."""
-    match e:
-        case Const(value):
-            return value
-        case Var(name):
-            try:
-                return float(bindings[name])
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-        case Neg(arg):
-            return -eval_float(arg, bindings)
-        case Bin(op, left, right):
-            a = eval_float(left, bindings)
-            b = eval_float(right, bindings)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if b == 0.0:
-                raise EvalError("division by zero")
-            return a / b
-        case Pow(base, exponent):
-            b = eval_float(base, bindings)
-            if exponent.is_integer():
-                return b ** int(exponent)
-            if b <= 0.0:
-                raise EvalError("non-integer power of a nonpositive base")
-            return math.exp(exponent * math.log(b))
-        case Func(name, arg):
-            v = eval_float(arg, bindings)
-            if name in ("ln", "sqrt") and v <= 0.0:
-                raise EvalError(f"{name} of a nonpositive value")
-            if name == "arcsin" and not -1.0 < v < 1.0:
-                raise EvalError("arcsin outside (-1, 1)")
-            return _FLOAT_FUNCS[name](v)
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 def _fmt(x: float) -> str:

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import expr as ex
 from .jets import (JetSpace, SingularMetricError, jet_space, tgrad, tminv,
-                   tmul, tsym, ttrunc, tvalue)
+                   tmul, ttrunc, tvalue)
 
 __all__ = [
-    "MetricChart", "FrameEval", "SingularMetricError",
+    "FrameEval", "SingularMetricError",
     "christoffels", "riemann", "ricci_from_riemann",
     "cov_deriv_tensor11", "cov_deriv_vector", "cov_deriv_covector",
     "cov_deriv_metric", "lie_metric_coord", "lie_metric_cov", "signature",
@@ -180,36 +180,3 @@ class FrameEval:
             ginv_r = ttrunc(space, ginv, riem_space.order)
             ev.tau = tvalue(tmul(riem_space, ginv_r, ev.ricci, "ik,ik->"))
         return ev
-
-
-class MetricChart:
-    """A coordinate chart carrying only a metric given by expressions.
-
-    Components may be Expr trees, expression strings, or plain numbers.
-    Used directly for plain-metric tests (spheres, polar charts) and as a
-    building block for structured charts.
-    """
-
-    def __init__(self, coords: list[str], g):
-        self.coords = list(coords)
-        self.dim = len(self.coords)
-        self.g = ex.expr_table(g, (self.dim, self.dim))
-
-    def metric_at(self, points, order: int):
-        """(space, g) metric tensor with order-K jet entries at chart
-        points; enforces numerical symmetry of the components."""
-        space = jet_space(self.dim, order)
-        g = eval_expr_table(space, self.g,
-                            coordinate_bindings(self.coords, points, order))
-        g0 = tvalue(g)
-        asym = np.abs(g0 - np.swapaxes(g0, -1, -2)).max(axis=(-2, -1))
-        if (asym > 1e-12 * np.maximum(1.0, np.abs(g0).max(axis=(-2, -1)))
-                ).any():
-            raise ValueError("metric components are not symmetric")
-        return space, tsym(g)
-
-    def frame_at(self, points, order: int = 2) -> FrameEval:
-        return FrameEval.from_metric(*self.metric_at(points, order))
-
-    def scalar_curvature_at(self, point) -> float:
-        return float(self.frame_at(point, order=2).tau)

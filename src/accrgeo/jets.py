@@ -126,19 +126,6 @@ class JetSpace:
     def child(self) -> "JetSpace":
         return jet_space(self.m, self.order - 1)
 
-    def partial(self, a: np.ndarray, *vars_: int) -> float:
-        """Raw partial derivative of the scalar jet ``a`` for the given
-        (unordered) variable list."""
-        e = [0] * self.m
-        for v in vars_:
-            e[v] += 1
-        if sum(e) > self.order:
-            raise ValueError("derivative order exceeds jet order")
-        fact = 1.0
-        for k in e:
-            fact *= math.factorial(k)
-        return float(a[self.index_of[tuple(e)]] * fact)
-
 
 # ---------------------------------------------------------------------------
 # Scalar jets: arrays of shape (ncoeff, *batch), combined only by the

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .accr import (TOL_CLASS, AccrEval, StructureJets, StructureProvider,
-                   _dot, _maxabs, _outer, _sym_yz, _T, _vm,
+                   _dot, _maxabs, _outer, _T, _vm,
                    class_residuals, over_chunks, worst_of)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
@@ -34,10 +34,6 @@ class TransformTriple:
     u: ex.Expr
     v: ex.Expr
     w: ex.Expr
-
-    @classmethod
-    def make(cls, u, v, w) -> "TransformTriple":
-        return cls(ex.as_expr(u), ex.as_expr(v), ex.as_expr(w))
 
     @classmethod
     def identity(cls) -> "TransformTriple":
@@ -195,37 +191,6 @@ def metric_roundtrip_residual(ev: AccrEval, ev_bar: AccrEval,
     r2 = gp - e * (c * gbp - s * gbpp)
     scale = np.maximum(1.0, _maxabs(gb, 2))
     return np.maximum(_maxabs(r1, 2), _maxabs(r2, 2)) / scale
-
-
-def fbar_f5_closed_form(ev: AccrEval, ev_bar: AccrEval, d: Differentials,
-                        fk) -> dict:
-    """Deviation of the directly computed deformed F from the two closed
-    forms available for a pure-F5 input with vertical torse-forming data
-    (conformal scalar ratio ``fk`` = f/k at each point).
-
-    Returns max-norm deviations for the g-expressed and the
-    gbar-expressed forms, relative to the deformed F's scale.
-    """
-    g0, phi0, eta0 = ev.g0, ev.phi0, ev.eta0
-    gb, etab = ev_bar.g0, ev_bar.eta0
-    c, s = np.cos(2.0 * d.v)[..., None], np.sin(2.0 * d.v)[..., None]
-    e2u = np.exp(2.0 * d.u)[..., None, None, None]
-    e2w = np.exp(2.0 * d.w)[..., None, None, None]
-    bfk = d.beta + np.asarray(fk)[..., None] * eta0
-    lam = c * d.alpha + s * bfk
-    mu = c * bfk - s * d.alpha
-    dwp = _vm(d.dw, phi0)
-    F_g = (e2w * _sym_yz(_outer(eta0, eta0), dwp)
-           - e2u * (_sym_yz(_T(phi0) @ g0 @ phi0, lam)
-                    + _sym_yz(g0 @ phi0, mu)))
-    F_gb = (_sym_yz(_outer(etab, etab), dwp)
-            - _sym_yz(_T(phi0) @ gb @ phi0, d.alpha)
-            - _sym_yz(gb @ phi0, bfk))
-    scale = np.maximum(1.0, _maxabs(ev_bar.F, 3))
-    return {
-        "fbar_vs_g_form": _maxabs(ev_bar.F - F_g, 3) / scale,
-        "fbar_vs_gbar_form": _maxabs(ev_bar.F - F_gb, 3) / scale,
-    }
 
 
 def condition_residuals(d: Differentials, S: StructureJets, fk) -> dict:

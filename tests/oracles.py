@@ -1,0 +1,223 @@
+"""Reference code the tests compare the package against.
+
+Nothing here runs on a command's path.  Each helper either computes a
+quantity by a route independent of the one it checks (a plain float
+evaluation of an expression, the closed forms of a deformed F, the
+ambient data of an embedding), or reads jets through the public data of
+a ``JetSpace`` (its ``index_of`` and the factorials), so that a test of a
+kernel such as ``tgrad`` does not go through that kernel.  The metric
+helpers build a chart metric on the path the commands use:
+``eval_expr_table`` over ``coordinate_bindings``, then
+``FrameEval.from_metric``.
+"""
+
+import math
+
+import numpy as np
+
+from accrgeo import expr as ex
+from accrgeo.accr import (AccrEval, _maxabs, _outer, _sym_yz, _T, _vm,
+                          structure_eval)
+from accrgeo.expr import Bin, Const, EvalError, Func, Neg, Pow, Var
+from accrgeo.geometry import FrameEval, coordinate_bindings, eval_expr_table
+from accrgeo.jets import jet_space, tgrad, tsym, tvalue
+from accrgeo.transform import Differentials, TransformTriple
+
+
+# ---------------------------------------------------------------------------
+# Jets, triples and chart metrics
+# ---------------------------------------------------------------------------
+
+def partial(space, a: np.ndarray, *vars_: int) -> float:
+    """Raw partial derivative of the scalar jet ``a`` at one point for
+    the given (unordered) variable list: the Taylor coefficient times the
+    factorials of the multi-index."""
+    e = [0] * space.m
+    for v in vars_:
+        e[v] += 1
+    if sum(e) > space.order:
+        raise ValueError("derivative order exceeds jet order")
+    fact = 1.0
+    for k in e:
+        fact *= math.factorial(k)
+    return float(a[space.index_of[tuple(e)]] * fact)
+
+
+def uvw(u, v, w) -> TransformTriple:
+    """The triple of three expressions, texts or numbers."""
+    return TransformTriple(*map(ex.as_expr, (u, v, w)))
+
+
+def metric_jets(coords, g, points, order: int):
+    """(space, g): the symmetrized jets of the metric with components
+    ``g`` (trees, texts or numbers) at chart points."""
+    d = len(coords)
+    space = jet_space(d, order)
+    jets = eval_expr_table(space, ex.expr_table(g, (d, d)),
+                           coordinate_bindings(coords, points, order))
+    return space, tsym(jets)
+
+
+def metric_frame(coords, g, points, order: int = 2) -> FrameEval:
+    return FrameEval.from_metric(*metric_jets(coords, g, points, order))
+
+
+def scalar_curvature(coords, g, point) -> float:
+    return float(metric_frame(coords, g, point, order=2).tau)
+
+
+# ---------------------------------------------------------------------------
+# Plain float evaluation of an expression
+# ---------------------------------------------------------------------------
+
+_FLOAT_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+    "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
+    "arctan": math.atan, "arcsin": math.asin,
+}
+
+
+def eval_float(e: ex.Expr, bindings: dict[str, float]) -> float:
+    """Plain order-0 evaluation over floats."""
+    match e:
+        case Const(value):
+            return value
+        case Var(name):
+            try:
+                return float(bindings[name])
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+        case Neg(arg):
+            return -eval_float(arg, bindings)
+        case Bin(op, left, right):
+            a = eval_float(left, bindings)
+            b = eval_float(right, bindings)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if b == 0.0:
+                raise EvalError("division by zero")
+            return a / b
+        case Pow(base, exponent):
+            b = eval_float(base, bindings)
+            if exponent.is_integer():
+                return b ** int(exponent)
+            if b <= 0.0:
+                raise EvalError("non-integer power of a nonpositive base")
+            return math.exp(exponent * math.log(b))
+        case Func(name, arg):
+            v = eval_float(arg, bindings)
+            if name in ("ln", "sqrt") and v <= 0.0:
+                raise EvalError(f"{name} of a nonpositive value")
+            if name == "arcsin" and not -1.0 < v < 1.0:
+                raise EvalError("arcsin outside (-1, 1)")
+            return _FLOAT_FUNCS[name](v)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the deformed F on a pure-F5 base
+# ---------------------------------------------------------------------------
+
+def fbar_f5_closed_form(ev: AccrEval, ev_bar: AccrEval, d: Differentials,
+                        fk) -> dict:
+    """Deviation of the directly computed deformed F from the two closed
+    forms available for a pure-F5 input with vertical torse-forming data
+    (conformal scalar ratio ``fk`` = f/k at each point).
+
+    Returns max-norm deviations for the g-expressed and the
+    gbar-expressed forms, relative to the deformed F's scale.
+    """
+    g0, phi0, eta0 = ev.g0, ev.phi0, ev.eta0
+    gb, etab = ev_bar.g0, ev_bar.eta0
+    c, s = np.cos(2.0 * d.v)[..., None], np.sin(2.0 * d.v)[..., None]
+    e2u = np.exp(2.0 * d.u)[..., None, None, None]
+    e2w = np.exp(2.0 * d.w)[..., None, None, None]
+    bfk = d.beta + np.asarray(fk)[..., None] * eta0
+    lam = c * d.alpha + s * bfk
+    mu = c * bfk - s * d.alpha
+    dwp = _vm(d.dw, phi0)
+    F_g = (e2w * _sym_yz(_outer(eta0, eta0), dwp)
+           - e2u * (_sym_yz(_T(phi0) @ g0 @ phi0, lam)
+                    + _sym_yz(g0 @ phi0, mu)))
+    F_gb = (_sym_yz(_outer(etab, etab), dwp)
+            - _sym_yz(_T(phi0) @ gb @ phi0, d.alpha)
+            - _sym_yz(gb @ phi0, bfk))
+    scale = np.maximum(1.0, _maxabs(ev_bar.F, 3))
+    return {
+        "fbar_vs_g_form": _maxabs(ev_bar.F - F_g, 3) / scale,
+        "fbar_vs_gbar_form": _maxabs(ev_bar.F - F_gb, 3) / scale,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Ambient data of the embedded sphere
+# ---------------------------------------------------------------------------
+
+def embedding_invariants(model, point) -> dict[str, float]:
+    """Residuals tying the intrinsic chart data to the ambient picture.
+
+    * ``constraint``     : sum (z^j)^2 - cosh^2 t (real and imaginary).
+    * ``jacobian_rank``  : 0 if the embedding differential has full rank.
+    * ``normal_unit``    : G(N, N) + 1 for N = (1/cosh t) J Z.
+    * ``normal_orth``    : G(N, d_j Z) for all j.
+    * ``xi_position``    : ambient xi - Z / cosh t (so xi = -J N).
+    * ``j_decomposition``: J dZ(X) - dZ(phi X) - eta(X) N over a basis.
+    * ``gauss``          : tangential part of d_i d_j Z - Gamma^k_ij d_k Z
+                           (the remainder must be purely normal).
+    """
+    d = model.dim
+    parent, Z = model.embedding_jets(point, 2)
+    space = parent.child
+    dZ = tgrad(parent, Z)
+    dZ0 = tvalue(dZ)                          # [m, c, j]
+    Z0 = tvalue(Z)                            # [m, c]
+    t = float(point[d - 1])
+    ch, shv = np.cosh(t), np.sinh(t)
+
+    zz = np.sum((Z0[:, 0] + 1j * Z0[:, 1]) ** 2)
+    res = {"constraint": max(abs(zz.real - ch * ch), abs(zz.imag))}
+
+    jac = dZ0.reshape(2 * (model.n + 1), d)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    res["jacobian_rank"] = 0.0 if sv[d - 1] > 1e-8 * sv[0] else 1.0
+
+    def G(x, y):
+        z = np.sum((x[:, 0] + 1j * x[:, 1]) * (y[:, 0] + 1j * y[:, 1]))
+        return z.real
+
+    def J(x):
+        return np.stack([-x[:, 1], x[:, 0]], axis=1)
+
+    N = J(Z0) / ch
+    res["normal_unit"] = abs(G(N, N) + 1.0)
+    res["normal_orth"] = max(abs(G(N, dZ0[:, :, j])) for j in range(d))
+
+    ev = structure_eval(model, point, order=1)
+    xi0, eta0, phi0 = ev.xi0, ev.eta0, ev.phi0
+    xi_amb = np.einsum("mcj,j->mc", dZ0, xi0)
+    res["xi_position"] = float(_maxabs(xi_amb - Z0 / ch, 2))
+
+    jd = 0.0
+    for j in range(d):
+        lhs = J(dZ0[:, :, j])
+        rhs = np.einsum("mck,k->mc", dZ0, phi0[:, j]) + eta0[j] * N
+        jd = max(jd, float(_maxabs(lhs - rhs, 2)))
+    res["j_decomposition"] = jd
+
+    # Gauss: ambient Hessian minus Christoffel part must be normal
+    ddZ = tvalue(tgrad(space, dZ))            # [m, c, j, i] = d_i d_j Z
+    gamma0 = tvalue(ev.frame.gamma)           # [k, i, j]
+    rem = ddZ - np.einsum("mck,kij->mcji", dZ0, gamma0)
+    gs = 0.0
+    for i in range(d):
+        for j in range(d):
+            v = rem[:, :, j, i]
+            c = -G(v, N)                      # G(N, N) = -1
+            gs = max(gs, float(_maxabs(v - c * N, 2)))
+    res["gauss"] = gs
+    return res

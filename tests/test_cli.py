@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON output, determinism,
 config handling."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from accrgeo import cli
 from accrgeo import expr as ex
 from accrgeo.cli import main
+from accrgeo.examples import REGISTRY
 
 
 def run(capsys, *argv):
@@ -113,8 +116,8 @@ def test_soliton_negative_presets_fail(capsys, preset):
 def test_example_list(capsys):
     code, rep = run_json(capsys, "example", "list")
     assert code == 0
-    assert rep["values"]["examples"] == ["flat-f0", "hypersurface-f5",
-                                         "random"]
+    assert rep["values"]["examples"] == ["embedded-sphere", "flat-f0",
+                                         "hypersurface-f5", "random"]
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +466,66 @@ def test_scaled_reeb_field_passes_every_torse_check(capsys, c):
     code, vertical, checks = torse_verdicts(capsys, "hypersurface-f5", c)
     assert code == 0 and vertical and len(checks) == 8
     assert all(passed for _, passed in checks)
+
+
+def torse_checks(capsys, example, c):
+    code, rep = run_json(capsys, "torse", "--example", example, "--n", "1",
+                         "--samples", "4", "--field", f"0;0;{c}")
+    return code, {ch["name"]: ch["residual"] for ch in rep["checks"]}
+
+
+@pytest.mark.parametrize("example", sorted(REGISTRY))
+@pytest.mark.parametrize("c", ["1e-200", "1e-150", "1e150"])
+def test_torse_checks_do_not_depend_on_the_field_scale(capsys, example, c):
+    # the fit forms no square of the field's scale, which would underflow
+    # to a NaN or overflow
+    code, checks = torse_checks(capsys, example, c)
+    code_1, checks_1 = torse_checks(capsys, example, "1")
+    assert code == code_1 and list(checks) == list(checks_1)
+    for name, residual in checks_1.items():
+        assert abs(checks[name] - residual) <= 1e-12 * max(1.0,
+                                                           abs(residual))
+
+
+def test_non_finite_report_value_exits_3(capsys):
+    # g(v, v) of v = 1e200 xi is beyond the float range; JSON (RFC 8259)
+    # has no Infinity
+    code = main(["torse", "--example", "flat-f0", "--n", "1",
+                 "--field", "0;0;1e200", "--samples", "1"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("numeric error:")
+
+
+class Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--example", "flat-f0", "--n", "1", "--samples", "2"],
+    ["soliton", "--example", "hypersurface-f5", "--n", "1", "--samples",
+     "2", "--preset", "negative-du"],
+])
+def test_stderr_table_on_a_terminal(capsys, argv):
+    code, out = run(capsys, *argv)                  # stderr is no terminal
+    rep = json.loads(out)
+    for flags, table in (([], True), (["--json"], False)):
+        with contextlib.redirect_stderr(Terminal()) as err:
+            assert main(argv + flags) == code
+        assert capsys.readouterr().out == out
+        lines = err.getvalue().splitlines()
+        if not table:
+            assert lines == []
+            continue
+        assert lines[0].startswith(rep["command"])
+        assert len(lines) == len(rep["checks"]) + 2
+        for line, check in zip(lines[1:], rep["checks"]):
+            name, *_, mark = line.split()
+            assert (name, mark) == (check["name"],
+                                    "pass" if check["passed"] else "FAIL")
+        assert lines[-1].split() == ["=>", "PASS" if rep["passed"]
+                                     else "FAIL"]
 
 
 @pytest.mark.parametrize("box", ["1e-80,2e-80", "1,2"])

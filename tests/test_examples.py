@@ -7,9 +7,9 @@ from accrgeo import expr as ex
 from accrgeo.accr import (check_axioms, class_residuals, structure_eval,
                           torse_forming_analyze)
 from accrgeo.examples import (DEFAULT_BOX, EmbeddedSphere, build_flat_f0,
-                              build_hypersurface, coord_names,
-                              embedding_invariants, get_example,
+                              build_hypersurface, coord_names, get_example,
                               random_structure, sample_points)
+from oracles import embedding_invariants
 
 
 def test_coord_names():
@@ -21,6 +21,7 @@ def test_registry_lookup():
     assert get_example("flat-f0", n=1).name == "flat-f0"
     assert get_example("hypersurface-f5", n=2).name == "hypersurface-f5"
     assert get_example("random", n=1, seed=3).name == "random-3"
+    assert get_example("embedded-sphere", n=2).name == "embedded-sphere"
     with pytest.raises(KeyError):
         get_example("no-such-model")
 

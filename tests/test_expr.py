@@ -12,30 +12,31 @@ from accrgeo.examples import build_hypersurface, soliton_uvw
 from accrgeo.geometry import coordinate_bindings
 from accrgeo.jets import (FUNCTION_TABLE, _reciprocal, jet_space, jmul, jpow,
                           tconst)
+from oracles import eval_float
 
 
 def test_parse_basic_arithmetic():
     e = ex.parse("1 + 2 * 3")
-    assert ex.eval_float(e, {}) == 7.0
+    assert eval_float(e, {}) == 7.0
     e = ex.parse("(1 + 2) * 3")
-    assert ex.eval_float(e, {}) == 9.0
+    assert eval_float(e, {}) == 9.0
     with pytest.raises(ex.ParseError):
         ex.parse("2 ^ 3 ^")
 
 
 def test_power_binds_tighter_than_unary_minus():
     e = ex.parse("-x^2")
-    assert ex.eval_float(e, {"x": 3.0}) == -9.0
+    assert eval_float(e, {"x": 3.0}) == -9.0
 
 
 def test_negative_exponent():
     e = ex.parse("x ^ -2")
-    assert ex.eval_float(e, {"x": 2.0}) == 0.25
+    assert eval_float(e, {"x": 2.0}) == 0.25
 
 
 def test_functions_require_parentheses():
     e = ex.parse("sin(x) + cos(y)")
-    v = ex.eval_float(e, {"x": 0.3, "y": 1.1})
+    v = eval_float(e, {"x": 0.3, "y": 1.1})
     assert v == pytest.approx(math.sin(0.3) + math.cos(1.1))
     with pytest.raises(ex.ParseError):
         ex.parse("foo(x)")      # unknown function name
@@ -66,7 +67,7 @@ def test_parse_accepts_nesting_at_the_depth_bound(text):
     e = ex.parse(text)
     assert ex.depth(e) <= ex.MAX_DEPTH
     assert ex.parse(ex.serialize(e)) == e
-    assert math.isfinite(ex.eval_float(e, {"x": 0.5}))
+    assert math.isfinite(eval_float(e, {"x": 0.5}))
     assert ex.free_vars(e) == frozenset({"x"})
 
 
@@ -91,7 +92,7 @@ def test_free_vars():
 
 def test_unbound_variable_raises():
     with pytest.raises(ex.EvalError):
-        ex.eval_float(ex.parse("x + y"), {"x": 1.0})
+        eval_float(ex.parse("x + y"), {"x": 1.0})
     space = jet_space(1, 1)
     with pytest.raises(ex.EvalError):
         ex.eval_jet(space, ex.parse("x + y"),
@@ -100,13 +101,13 @@ def test_unbound_variable_raises():
 
 def test_domain_errors_become_eval_errors():
     with pytest.raises(ex.EvalError):
-        ex.eval_float(ex.parse("ln(x)"), {"x": -1.0})
+        eval_float(ex.parse("ln(x)"), {"x": -1.0})
     space = jet_space(1, 2)
     with pytest.raises(ex.EvalError):
         ex.eval_jet(space, ex.parse("sqrt(x)"),
                     coordinate_bindings(["x"], [-2.0], 2))
     with pytest.raises(ex.EvalError):
-        ex.eval_float(ex.parse("1 / x"), {"x": 0.0})
+        eval_float(ex.parse("1 / x"), {"x": 0.0})
 
 
 def test_serialize_round_trip_structural():
@@ -124,7 +125,7 @@ def test_serialize_round_trip_structural():
 def test_operator_overloads_build_trees():
     x, y = ex.Var("x"), ex.Var("y")
     e = 2.0 * x + y ** 2 - ex.func("sin", x / y)
-    v = ex.eval_float(e, {"x": 1.2, "y": 0.7})
+    v = eval_float(e, {"x": 1.2, "y": 0.7})
     assert v == pytest.approx(2 * 1.2 + 0.49 - math.sin(1.2 / 0.7))
 
 
@@ -166,7 +167,7 @@ def test_serialize_parse_identity(e):
        st.floats(0.2, 1.8))
 def test_float_and_jet_evaluation_agree(e, x, y, z):
     vals = {"x": x, "y": y, "z": z}
-    f = ex.eval_float(e, vals)
+    f = eval_float(e, vals)
     space = jet_space(3, 1)
     bindings = coordinate_bindings(list(vals), list(vals.values()), 1)
     j = ex.eval_jet(space, e, bindings)

@@ -6,19 +6,20 @@ import pytest
 from accrgeo import expr as ex
 from accrgeo import geometry as geo
 from accrgeo.jets import jet_space, tvalue
+from oracles import metric_frame, metric_jets, scalar_curvature
 
 RNG = np.random.default_rng(7)
 
 
+# a chart is a pair (coordinate names, metric components)
+
 def sphere_chart(radius=1.0):
     r2 = radius * radius
-    return geo.MetricChart(
-        ["th", "ph"],
-        [[r2, 0.0], [0.0, "%r * sin(th)^2" % r2]])
+    return (["th", "ph"], [[r2, 0.0], [0.0, "%r * sin(th)^2" % r2]])
 
 
 def polar_chart():
-    return geo.MetricChart(["r", "ph"], [[1.0, 0.0], [0.0, "r^2"]])
+    return (["r", "ph"], [[1.0, 0.0], [0.0, "r^2"]])
 
 
 def random_chart(dim, seed):
@@ -36,7 +37,7 @@ def random_chart(dim, seed):
             if i == j:
                 body = "1 + " + body
             g[i][j] = g[j][i] = body
-    return geo.MetricChart(names, g)
+    return names, g
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +45,15 @@ def random_chart(dim, seed):
 # ---------------------------------------------------------------------------
 
 def test_constant_metric_has_zero_christoffels():
-    chart = geo.MetricChart(["x", "y", "z"],
-                            np.diag([1.0, -1.0, 1.0]).tolist())
-    ev = chart.frame_at([0.3, 0.7, -0.2], order=2)
+    chart = (["x", "y", "z"], np.diag([1.0, -1.0, 1.0]).tolist())
+    ev = metric_frame(*chart, [0.3, 0.7, -0.2], order=2)
     assert np.max(np.abs(ev.gamma)) == 0.0
     assert ev.tau == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sphere_christoffel_closed_form():
     # Gamma^th_phph = -sin th cos th at th = 1
-    ev = sphere_chart().frame_at([1.0, 0.5], order=2)
+    ev = metric_frame(*sphere_chart(), [1.0, 0.5], order=2)
     gam = tvalue(ev.gamma)
     assert gam[0, 1, 1] == pytest.approx(-np.sin(1.0) * np.cos(1.0),
                                          abs=1e-12)
@@ -62,7 +62,7 @@ def test_sphere_christoffel_closed_form():
 
 
 def test_polar_plane_christoffels():
-    ev = polar_chart().frame_at([1.7, 0.3], order=2)
+    ev = metric_frame(*polar_chart(), [1.7, 0.3], order=2)
     gam = tvalue(ev.gamma)
     assert gam[0, 1, 1] == pytest.approx(-1.7, abs=1e-12)
     assert gam[1, 0, 1] == pytest.approx(1.0 / 1.7, abs=1e-12)
@@ -72,13 +72,13 @@ def test_polar_plane_christoffels():
 def test_christoffels_match_koszul_finite_differences():
     chart = random_chart(3, seed=11)
     p = np.array([0.4, -0.2, 0.6])
-    ev = chart.frame_at(p, order=1)
+    ev = metric_frame(*chart, p, order=1)
     gam = tvalue(ev.gamma)
     d = 3
     h = 1e-6
 
     def g_at(q):
-        space, g = chart.metric_at(q, order=0)
+        space, g = metric_jets(*chart, q, order=0)
         return tvalue(g)
 
     dg = np.zeros((d, d, d))
@@ -98,7 +98,8 @@ def test_christoffels_match_koszul_finite_differences():
 
 
 def test_christoffels_symmetric_lower_indices():
-    ev = random_chart(4, seed=3).frame_at([0.1, 0.5, -0.3, 0.2], order=1)
+    ev = metric_frame(*random_chart(4, seed=3), [0.1, 0.5, -0.3, 0.2],
+                      order=1)
     gam = tvalue(ev.gamma)
     assert np.max(np.abs(gam - np.einsum("kij->kji", gam))) < 1e-13
 
@@ -109,20 +110,20 @@ def test_christoffels_symmetric_lower_indices():
 
 def test_unit_sphere_scalar_curvature():
     for th in (0.6, 1.0, 1.8):
-        tau = sphere_chart().scalar_curvature_at([th, 0.2])
+        tau = scalar_curvature(*sphere_chart(), [th, 0.2])
         assert tau == pytest.approx(2.0, abs=1e-10)
 
 
 def test_sphere_radius_scaling():
     # closed form tau = 2 / r^2
     for r in (0.5, 1.0, 3.0):
-        tau = sphere_chart(r).scalar_curvature_at([1.1, 0.0])
+        tau = scalar_curvature(*sphere_chart(r), [1.1, 0.0])
         assert tau == pytest.approx(2.0 / r ** 2, abs=1e-9)
 
 
 def test_riemann_antisymmetry_and_first_bianchi():
     chart = random_chart(3, seed=21)
-    ev = chart.frame_at([0.3, 0.1, -0.4], order=2)
+    ev = metric_frame(*chart, [0.3, 0.1, -0.4], order=2)
     riem = tvalue(ev.riem)                       # R^l_ijk
     g0 = tvalue(ev.g)
     low = np.einsum("lm,lijk->mijk", g0, riem)   # R_mijk
@@ -134,7 +135,7 @@ def test_riemann_antisymmetry_and_first_bianchi():
 
 
 def test_ricci_symmetric():
-    ev = random_chart(3, seed=5).frame_at([0.2, 0.4, 0.1], order=2)
+    ev = metric_frame(*random_chart(3, seed=5), [0.2, 0.4, 0.1], order=2)
     ric = tvalue(ev.ricci)
     assert np.max(np.abs(ric - ric.T)) < 1e-10
 
@@ -148,7 +149,7 @@ def test_scalar_curvature_finite_difference_oracle():
     h = 1e-4
 
     def g_at(q):
-        _, g = chart.metric_at(q, order=0)
+        _, g = metric_jets(*chart, q, order=0)
         return tvalue(g)
 
     def gamma_at(q):
@@ -176,7 +177,7 @@ def test_scalar_curvature_finite_difference_oracle():
             - np.einsum("lkm,mij->lijk", gam, gam))
     ric = np.einsum("lilk->ik", riem)
     tau_fd = np.einsum("ik,ik", np.linalg.inv(g_at(p)), ric)
-    tau = chart.scalar_curvature_at(p)
+    tau = scalar_curvature(*chart, p)
     assert tau == pytest.approx(tau_fd, rel=1e-5, abs=1e-5)
 
 
@@ -186,7 +187,7 @@ def test_scalar_curvature_finite_difference_oracle():
 
 def test_metricity():
     chart = random_chart(3, seed=9)
-    ev = chart.frame_at([0.3, -0.1, 0.2], order=2)
+    ev = metric_frame(*chart, [0.3, -0.1, 0.2], order=2)
     _, nabla_g = geo.cov_deriv_metric(ev.space, ev.gamma, ev.g)
     assert np.max(np.abs(nabla_g)) < 1e-9
 
@@ -194,12 +195,12 @@ def test_metricity():
 def test_cov_deriv_vector_vs_finite_differences():
     chart = random_chart(3, seed=13)
     p = np.array([0.2, 0.5, -0.3])
-    coords = chart.coords
+    coords = chart[0]
     vexprs = ex.expr_table(["sin(x0) * x1", "x2^2", "x0 + x1 * x2"], (3,))
     space = jet_space(3, 2)
     v = geo.eval_expr_table(
         space, vexprs, geo.coordinate_bindings(coords, p, 2))
-    ev = chart.frame_at(p, order=2)
+    ev = metric_frame(*chart, p, order=2)
     child, nv = geo.cov_deriv_vector(space, ev.gamma, v)
     nv0 = tvalue(nv)                             # nv0[i,k] = nabla_i v^k
     h = 1e-6
@@ -223,7 +224,7 @@ def test_cov_deriv_covector_contraction_leibniz():
     # nabla_i (a_j v^j) must equal (nabla_i a_j) v^j + a_j nabla_i v^j
     chart = random_chart(3, seed=17)
     p = np.array([0.1, 0.3, 0.5])
-    coords = chart.coords
+    coords = chart[0]
     space = jet_space(3, 2)
     a = geo.eval_expr_table(
         space, ex.expr_table(["x1^2", "cos(x0)", "x0 * x2"], (3,)),
@@ -231,7 +232,7 @@ def test_cov_deriv_covector_contraction_leibniz():
     v = geo.eval_expr_table(
         space, ex.expr_table(["x2", "exp(x0)", "x1"], (3,)),
         geo.coordinate_bindings(coords, p, 2))
-    ev = chart.frame_at(p, order=2)
+    ev = metric_frame(*chart, p, order=2)
     child, na = geo.cov_deriv_covector(space, ev.gamma, a)
     _, nv = geo.cov_deriv_vector(space, ev.gamma, v)
     lhs = np.einsum("ij,j->i", tvalue(na), tvalue(v))
@@ -248,7 +249,7 @@ def test_cov_deriv_covector_contraction_leibniz():
 def test_cov_deriv_tensor11_on_identity_is_zero():
     chart = random_chart(3, seed=29)
     p = np.array([0.4, 0.2, -0.1])
-    ev = chart.frame_at(p, order=2)
+    ev = metric_frame(*chart, p, order=2)
     space = ev.space
     from accrgeo.jets import tconst
     ident = tconst(space, np.eye(3))
@@ -263,12 +264,12 @@ def test_cov_deriv_tensor11_on_identity_is_zero():
 def test_lie_metric_coord_matches_covariant_form():
     chart = random_chart(3, seed=41)
     p = np.array([0.3, 0.2, 0.6])
-    coords = chart.coords
+    coords = chart[0]
     space = jet_space(3, 2)
     v = geo.eval_expr_table(
         space, ex.expr_table(["x1 * x2", "sin(x0)", "x0^2 - x2"], (3,)),
         geo.coordinate_bindings(coords, p, 2))
-    ev = chart.frame_at(p, order=2)
+    ev = metric_frame(*chart, p, order=2)
     child, lie_c = geo.lie_metric_coord(space, ev.g, v)
     _, nv = geo.cov_deriv_vector(space, ev.gamma, v)
     from accrgeo.jets import ttrunc
@@ -283,8 +284,8 @@ def test_killing_field_of_round_sphere():
     space = jet_space(2, 2)
     v = geo.eval_expr_table(
         space, ex.expr_table([0.0, 1.0], (2,)),
-        geo.coordinate_bindings(chart.coords, [0.9, 0.4], 2))
-    _, g = chart.metric_at([0.9, 0.4], 2)
+        geo.coordinate_bindings(chart[0], [0.9, 0.4], 2))
+    _, g = metric_jets(*chart, [0.9, 0.4], 2)
     _, lie = geo.lie_metric_coord(space, g, v)
     assert np.max(np.abs(lie)) < 1e-13
 
@@ -299,12 +300,6 @@ def test_signature():
 
 
 def test_singular_metric_rejected():
-    chart = geo.MetricChart(["x", "y"], [["x", 0.0], [0.0, 1.0]])
+    chart = (["x", "y"], [["x", 0.0], [0.0, 1.0]])
     with pytest.raises(geo.SingularMetricError):
-        chart.frame_at([0.0, 1.0], order=1)
-
-
-def test_asymmetric_metric_rejected():
-    chart = geo.MetricChart(["x", "y"], [[1.0, "x"], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        chart.metric_at([0.5, 0.0], 1)
+        metric_frame(*chart, [0.0, 1.0], order=1)

@@ -9,6 +9,7 @@ from accrgeo.accr import check_axioms, class_residuals, structure_eval
 from accrgeo.examples import (build_flat_f0, build_hypersurface,
                               holomorphic_pair_uvw, random_structure,
                               sample_points, soliton_uvw)
+from oracles import fbar_f5_closed_form, uvw
 
 RNG = np.random.default_rng(1234)
 
@@ -24,7 +25,7 @@ def random_triple(rng, coords):
         parts.append("%.6f * %s" % (rng.uniform(-0.3, 0.3),
                                     rng.choice(coords)))
         return " + ".join(parts)
-    return tr.TransformTriple.make(poly(), poly(), poly())
+    return uvw(poly(), poly(), poly())
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ def test_identity_transform_is_noop():
 def test_vertical_only_transform_changes_eta_part_only():
     # (u, v, w) = (0, 0, w): gbar = g + (e^2w - 1) eta (x) eta
     prov = build_flat_f0(1)
-    triple = tr.TransformTriple.make(0.0, 0.0, "0.3 * t")
+    triple = uvw(0.0, 0.0, "0.3 * t")
     ts = tr.TransformedStructure(prov, triple)
     p = [0.7, 0.9, 1.2]
     ev = structure_eval(prov, p, order=1)
@@ -70,8 +71,8 @@ def test_deformed_structure_satisfies_axioms(n):
 
 def test_transforms_compose_additively():
     prov = random_structure(1, seed=8)
-    t1 = tr.TransformTriple.make("0.2 * x1", "0.1 * x2 * t", "0.3 * t")
-    t2 = tr.TransformTriple.make("0.1 * x2", "0.2 * t", "0.1 * x1 * x1")
+    t1 = uvw("0.2 * x1", "0.1 * x2 * t", "0.3 * t")
+    t2 = uvw("0.1 * x2", "0.2 * t", "0.1 * x1 * x1")
     step = tr.TransformedStructure(tr.TransformedStructure(prov, t1), t2)
     both = tr.TransformedStructure(prov, tr.TransformTriple(
         t1.u + t2.u, t1.v + t2.v, t1.w + t2.w))
@@ -109,8 +110,7 @@ def test_flat_base_lee_forms_are_pure_alpha_beta():
     # on an F-vanishing base: theta_bar = 2n alpha,
     # theta*_bar = 2n beta, omega_bar = dw o phi
     prov = build_flat_f0(1)
-    triple = tr.TransformTriple.make("0.2 * x1 * x2", "0.1 * t * x1",
-                                     "0.3 * x2")
+    triple = uvw("0.2 * x1 * x2", "0.1 * t * x1", "0.3 * x2")
     ts = tr.TransformedStructure(prov, triple)
     p = [0.9, 1.2, 0.5]
     ev = structure_eval(prov, p, order=1)
@@ -125,7 +125,7 @@ def test_differentials_evaluate_no_deformation_factor():
     # e^2u overflows at x1 = 1.5, but du, dv, dw need only u, v, w
     prov = build_flat_f0(1)
     ev = structure_eval(prov, [1.5, 1.5, 1.5], order=1)
-    d = tr.differentials(tr.TransformTriple.make("300 * x1", 0, 0), ev, prov)
+    d = tr.differentials(uvw("300 * x1", 0, 0), ev, prov)
     assert d.u == 450.0
     assert np.array_equal(d.du, [300.0, 0.0, 0.0])
 
@@ -139,7 +139,7 @@ def test_f5_closed_form_for_deformed_f():
             ev = structure_eval(prov, p, order=1)
             evb = structure_eval(ts, p, order=1)
             d = tr.differentials(triple, ev, prov)
-            res = tr.fbar_f5_closed_form(ev, evb, d, fk=prov.fk(p))
+            res = fbar_f5_closed_form(ev, evb, d, fk=prov.fk(p))
             assert res["fbar_vs_g_form"] < 1e-7
             assert res["fbar_vs_gbar_form"] < 1e-7
 
