@@ -31,9 +31,9 @@ TOL_DERIVED = 1e-8
 TOL_CLASS = 1e-6
 CLASS_FLOOR = 1e-10
 # the working set of one chunk of sample points, as point_bytes counts it:
-# 76 or more order-1 points at n <= 3 and 28 at n = 4; 9 order-2
-# points at n = 2 and one at n >= 3
-CHUNK_BYTES = 3 * 2**20
+# at most 404, 100, 39 and 19 order-1 points at n = 1..4, and 191, 30, 8
+# and 3 order-2 points
+CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass
@@ -227,22 +227,32 @@ def structure_eval(provider: StructureProvider, points,
 # Chunks of sample points and the reductions over them
 # ---------------------------------------------------------------------------
 
+# how many rank-3 and rank-2 tensors of the Christoffel order (order - 1)
+# make up a point's share of a chunk's peak, by the jet order the chunk is
+# evaluated at: fitted to the tracemalloc peaks of the heaviest command of
+# each order (transform at order 1, soliton at order 2) at n = 1..4
+_PEAK_TENSORS = {1: (16, 24), 2: (10, 8)}
+
+
 def point_bytes(dim: int, order: int) -> int:
-    """The chunk budget's charge for one point: 8 bytes for every pair of
-    the product table of ``jet_space(dim, order)`` times dim^3 (dim^4
-    from order 2, with curvature).  No kernel builds an array that size,
-    so the charge is pessimistic: an order-2 point at n = 3 is charged
-    2.30 MB, and a ``soliton --n 3`` run measured about 0.18 MB a point
-    (tracemalloc peak growth from 1- to 16-point chunks)."""
-    pairs = len(jet_space(dim, order)._mul_i)
-    return 8 * pairs * dim ** (4 if order >= 2 else 3)
+    """The chunk budget's charge for one point evaluated at jet order 1 or
+    2: 8 bytes times the coefficients of ``jet_space(dim, order - 1)``
+    times dim^3 and dim^2 for each tensor of :data:`_PEAK_TENSORS`.  It is
+    calibrated against the tracemalloc peak growth per point, the largest
+    over the commands of that order, which it exceeds by a quarter to a
+    third (``tests/test_memory.py`` keeps it between 1 and 2 times that
+    growth).  In KB at n = 1..4: 5.2, 20.8, 53.3, 108.9 at order 1 and
+    10.9, 69.6, 244.6, 635.0 at order 2."""
+    rank3, rank2 = _PEAK_TENSORS[order]
+    ncoeff = jet_space(dim, order - 1).ncoeff
+    return 8 * ncoeff * dim ** 2 * (rank3 * dim + rank2)
 
 
 def chunks(points: np.ndarray, order: int):
-    """Consecutive slices of the points ``(P, dim)`` that fit
-    :data:`CHUNK_BYTES` (at least one point each)."""
+    """The points ``(P, dim)`` split into consecutive chunks of equal size
+    (up to one point), as few as keep each within :data:`CHUNK_BYTES`."""
     size = max(1, CHUNK_BYTES // point_bytes(points.shape[-1], order))
-    return [points[i:i + size] for i in range(0, len(points), size)]
+    return np.array_split(points, -(-len(points) // size))
 
 
 def join(parts: list):

@@ -154,18 +154,15 @@ def signature(g0: np.ndarray):
 class FrameEval:
     """All pointwise evaluated metric data at a batch of chart points.
 
-    Arrays are tensor-jet arrays; ``space`` is the metric's jet space,
-    gamma lives in ``space.child`` and riem and ricci one order lower;
-    ``tau`` holds one scalar curvature per point.  Curvature is computed
-    exactly when the metric jets have order >= 2.
+    Arrays are tensor-jet arrays; ``space`` is the metric's jet space and
+    gamma lives in ``space.child``; ``tau`` holds one scalar curvature per
+    point, computed exactly when the metric jets have order >= 2.
     """
 
     space: JetSpace
     g: np.ndarray
     ginv: np.ndarray
     gamma: np.ndarray = None
-    riem: np.ndarray = None
-    ricci: np.ndarray = None
     tau: np.ndarray = None
 
     @classmethod
@@ -175,8 +172,8 @@ class FrameEval:
         if space.order >= 1:
             gamma_space, ev.gamma = christoffels(space, g, ginv)
         if space.order >= 2:
-            riem_space, ev.riem = riemann(gamma_space, ev.gamma)
-            ev.ricci = ricci_from_riemann(ev.riem)
+            riem_space, riem = riemann(gamma_space, ev.gamma)
             ginv_r = ttrunc(space, ginv, riem_space.order)
-            ev.tau = tvalue(tmul(riem_space, ginv_r, ev.ricci, "ik,ik->"))
+            ev.tau = tvalue(tmul(riem_space, ginv_r,
+                                 ricci_from_riemann(riem), "ik,ik->"))
         return ev

@@ -229,6 +229,8 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     only with ``fk``), and the reported values.
     """
     n = tstruct.n
+    upper = np.triu_indices(2 * n + 1)
+    held = []       # per chunk, what the sigma-dependent residuals read
 
     def chunk(pts):
         S, ev_bar, d = tstruct.evaluate(pts, 2)
@@ -237,15 +239,21 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, Sb.xi)
         lie_v = lie_metric_cov(child, ttrunc(space, Sb.g, child.order), nxi)
         # copies, not views: a view of a jet array keeps the jets alive
-        lie0, gb0, etab = (tvalue(x).copy() for x in (lie_c, Sb.g, Sb.eta))
-        phi0 = ev_bar.phi0
+        tau, lie0, etab = (x.copy() for x in (ev_bar.frame.tau,
+                                              tvalue(lie_c), tvalue(Sb.eta)))
+        gb0, phi0 = ev_bar.g0, ev_bar.phi0
         phi2 = phi0 @ phi0
+        scale = np.maximum(1.0, _maxabs(gb0, 2))
         lscale = _lee_scale(ev_bar)
-        out = {"tau": ev_bar.frame.tau.copy(),
+        # with L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar};
+        # gbar is exactly symmetric, so its upper triangle is kept
+        held.append((tau, scale, lie0, gb0[..., upper[0], upper[1]],
+                     -(_T(phi0) @ gb0 @ phi0) + _outer(etab, etab), etab,
+                     _vm(d.dw, phi2)))
+        out = {"tau": tau,
                "is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
                "residuals": {
-                   "killing": _maxabs(lie0, 2)
-                   / np.maximum(1.0, _maxabs(gb0, 2)),
+                   "killing": _maxabs(lie0, 2) / scale,
                    "lie_formula_mismatch": _maxabs(tvalue(lie_c - lie_v), 2),
                    # theta_bar = 2n(du o phi + dv)
                    "lee_theta": _maxabs(ev_bar.theta - 2 * n * d.alpha, 1)
@@ -253,12 +261,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                    # theta*_bar = -2n(du o phi^2 + dv o phi)
                    "lee_theta_star": _maxabs(ev_bar.theta_star + 2 * n * (
                        _vm(d.du, phi2) + _vm(d.dv, phi0)), 1) / lscale,
-                   "omega_bar": _maxabs(ev_bar.omega, 1) / lscale},
-               # the value matrices the sigma-dependent residuals need, with
-               # L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}
-               "lie0": lie0, "gb0": gb0, "etab": etab,
-               "dwp2": _vm(d.dw, phi2),
-               "lrhs": -(_T(phi0) @ gb0 @ phi0) + _outer(etab, etab)}
+                   "omega_bar": _maxabs(ev_bar.omega, 1) / lscale}}
         if fk is not None:
             c = condition_residuals(d, S, fk(pts))
             out["conditions"] = {"cond:du_xi": c["du_xi_plus_fk"],
@@ -266,25 +269,30 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                                  "cond:dw_vertical": c["dw_vertical"]}
         return out
 
+    def sigma_residuals(tau, scale, lie0, gb_upper, lrhs, etab, dwp2):
+        gb0 = np.empty_like(lie0)
+        gb0[..., upper[0], upper[1]] = gb0[..., upper[1], upper[0]] = gb_upper
+        ts = (tau - sig)[:, None, None]
+        return (_maxabs(0.5 * lie0 - ts * gb0, 2) / scale,
+                _maxabs(2.0 * ts[:, 0] * etab - dwp2, 1),
+                _maxabs(lie0 - 2.0 * ts * lrhs, 2) / scale)
+
     r = over_chunks(chunk, np.asarray(points, dtype=float), 2)
     taus = r["tau"]
     tau_mean = float(np.mean(taus))
     tau_std = float(np.std(taus))
     sigma_given = sigma is not None
     sig = float(sigma) if sigma_given else tau_mean
-    lie0, gb0, ts = r["lie0"], r["gb0"], (taus - sig)[:, None, None]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            scale = np.maximum(1.0, _maxabs(gb0, 2))
-            soliton = _maxabs(0.5 * lie0 - ts * gb0, 2) / scale
-            tsdw = _maxabs(2.0 * ts[:, 0] * r["etab"] - r["dwp2"], 1)
-            lxi00 = _maxabs(lie0 - 2.0 * ts * r["lrhs"], 2) / scale
+            soliton, tsdw, lxi00 = map(np.concatenate, zip(
+                *(sigma_residuals(*h) for h in held)))
     except FloatingPointError as err:
         raise FloatingPointError(
             f"sigma={sig!r} takes the soliton residuals out of the float "
             f"range ({err})")
     # where tau = sigma a point counts only if the soliton identity holds
-    counted = (np.abs(ts[:, 0, 0]) > 1e-12) | (soliton <= tol)
+    counted = (np.abs(taus - sig) > 1e-12) | (soliton <= tol)
     worst = worst_of({"soliton": soliton, **r["residuals"],
                       "tsdw_residual": tsdw,
                       "lxi00_residual": np.where(counted, lxi00, 0.0)})

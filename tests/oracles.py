@@ -19,7 +19,8 @@ from accrgeo import expr as ex
 from accrgeo.accr import (AccrEval, _maxabs, _outer, _sym_yz, _T, _vm,
                           structure_eval)
 from accrgeo.expr import Bin, Const, EvalError, Func, Neg, Pow, Var
-from accrgeo.geometry import FrameEval, coordinate_bindings, eval_expr_table
+from accrgeo.geometry import (FrameEval, coordinate_bindings, eval_expr_table,
+                               ricci_from_riemann, riemann)
 from accrgeo.jets import jet_space, tgrad, tsym, tvalue
 from accrgeo.transform import Differentials, TransformTriple
 
@@ -64,6 +65,14 @@ def metric_frame(coords, g, points, order: int = 2) -> FrameEval:
 
 def scalar_curvature(coords, g, point) -> float:
     return float(metric_frame(coords, g, point, order=2).tau)
+
+
+def curvature(coords, g, point):
+    """(g, R^l_ijk, R_ik): the values of the metric, its Riemann tensor and
+    its Ricci tensor at a chart point, from the metric's order-2 jets."""
+    ev = metric_frame(coords, g, point, order=2)
+    _, riem = riemann(ev.space.child, ev.gamma)
+    return tvalue(ev.g), tvalue(riem), tvalue(ricci_from_riemann(riem))
 
 
 # ---------------------------------------------------------------------------

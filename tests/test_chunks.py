@@ -37,12 +37,27 @@ def one_point_chunks(monkeypatch):
     monkeypatch.setattr(accr, "CHUNK_BYTES", 1)
 
 
-@pytest.mark.parametrize("order, sizes", [(1, [2080, 285, 76, 28]),
-                                          (2, [173, 9, 1, 1])])
+@pytest.mark.parametrize("order, sizes", [(1, [404, 100, 39, 19]),
+                                          (2, [191, 30, 8, 3])])
 def test_chunk_sizes_at_n_1_to_4(order, sizes):
-    # curvature, with its rank-4 working set, comes with order 2
-    assert [len(accr.chunks(sample_points(2 * n + 1, 4096), order)[0])
-            for n in (1, 2, 3, 4)] == sizes
+    # the most points one chunk holds; one point more makes two halves
+    for n, size in zip((1, 2, 3, 4), sizes):
+        points = sample_points(2 * n + 1, size + 1)
+        assert [len(c) for c in accr.chunks(points[:size], order)] == [size]
+        assert [len(c) for c in accr.chunks(points, order)] == [
+            (size + 2) // 2, (size + 1) // 2]
+
+
+@pytest.mark.parametrize("n, order, samples, sizes", [
+    (2, 2, 16, [16]), (3, 2, 16, [8, 8]),      # soliton-k3's cases
+    (1, 1, 32, [32]), (3, 1, 32, [32]),        # sweep-k1's cases
+    (4, 1, 70, [18, 18, 17, 17]),              # the report matrix's slice
+    (3, 1, 1, [1])])
+def test_chunks_split_the_points_evenly(n, order, samples, sizes):
+    points = sample_points(2 * n + 1, samples)
+    parts = accr.chunks(points, order)
+    assert [len(c) for c in parts] == sizes
+    assert np.array_equal(np.concatenate(parts), points)
 
 
 CASES = [[cmd, "--example", model, "--n", "2", "--order", str(order),
@@ -66,15 +81,15 @@ def test_report_does_not_depend_on_the_chunking(monkeypatch, argv):
     assert dev <= REL, path
 
 
-def test_samples_keep_point_order_across_partial_chunks(monkeypatch):
-    # 70 order-1 points in chunks of 32: 32 + 32 + 6
+def test_samples_keep_point_order_across_chunks(monkeypatch):
+    # 70 order-1 points at most 32 a chunk: 24 + 23 + 23
     argv = ["lee", "--example", "hypersurface-f5", "--n", "2", "--order",
             "1", "--samples", "70", "--seed", "11"]
     points = sample_points(5, 70, seed=11)
     _, whole, _ = run(argv)
     assert len(accr.chunks(points, 1)) == 1
     monkeypatch.setattr(accr, "CHUNK_BYTES", 32 * accr.point_bytes(5, 1))
-    assert [len(c) for c in accr.chunks(points, 1)] == [32, 32, 6]
+    assert [len(c) for c in accr.chunks(points, 1)] == [24, 23, 23]
     code, split, _ = run(argv)
     one_point_chunks(monkeypatch)
     _, single, _ = run(argv)
@@ -111,10 +126,10 @@ def test_torse_field_vertical_at_some_chunks_only(monkeypatch, sign):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="tunes glibc's malloc only")
 def test_order3_chunks_reuse_their_memory():
-    # one point per chunk at n = 3: with glibc's adaptive thresholds every
-    # chunk faulted its working set in anew (about 600 pages a point)
+    # two chunks of 8 points at n = 3: with glibc's adaptive thresholds
+    # every chunk faulted its working set in anew (about 600 pages a point)
     argv = ["soliton", "--example", "hypersurface-f5", "--n", "3",
-            "--order", "3", "--preset", "soliton", "--samples", "4"]
+            "--order", "3", "--preset", "soliton", "--samples", "16"]
     run(argv)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run(argv)

@@ -6,7 +6,7 @@ import pytest
 from accrgeo import expr as ex
 from accrgeo import geometry as geo
 from accrgeo.jets import jet_space, tvalue
-from oracles import metric_frame, metric_jets, scalar_curvature
+from oracles import curvature, metric_frame, metric_jets, scalar_curvature
 
 RNG = np.random.default_rng(7)
 
@@ -123,9 +123,7 @@ def test_sphere_radius_scaling():
 
 def test_riemann_antisymmetry_and_first_bianchi():
     chart = random_chart(3, seed=21)
-    ev = metric_frame(*chart, [0.3, 0.1, -0.4], order=2)
-    riem = tvalue(ev.riem)                       # R^l_ijk
-    g0 = tvalue(ev.g)
+    g0, riem, _ = curvature(*chart, [0.3, 0.1, -0.4])   # riem: R^l_ijk
     low = np.einsum("lm,lijk->mijk", g0, riem)   # R_mijk
     assert np.max(np.abs(low + np.einsum("mikj->mijk", low))) < 1e-10
     assert np.max(np.abs(low + np.einsum("imjk->mijk", low))) < 1e-10
@@ -135,8 +133,7 @@ def test_riemann_antisymmetry_and_first_bianchi():
 
 
 def test_ricci_symmetric():
-    ev = metric_frame(*random_chart(3, seed=5), [0.2, 0.4, 0.1], order=2)
-    ric = tvalue(ev.ricci)
+    _, _, ric = curvature(*random_chart(3, seed=5), [0.2, 0.4, 0.1])
     assert np.max(np.abs(ric - ric.T)) < 1e-10
 
 

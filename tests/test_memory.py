@@ -1,7 +1,8 @@
 """Memory of a report is bounded by one chunk of sample points: every
 command reduces a chunk to per-point arrays before it evaluates the next
 (see :func:`accrgeo.accr.chunks`), so runs that differ only in their number
-of full chunks peak alike."""
+of full chunks peak alike; and the chunk budget charges a point what it
+takes, so a chunk's peak stays within the budget."""
 
 import contextlib
 import io
@@ -11,7 +12,6 @@ import pytest
 
 from accrgeo import accr
 from accrgeo.cli import MAX_SAMPLES, main
-from accrgeo.examples import sample_points
 
 
 def run_quietly(argv):
@@ -29,12 +29,11 @@ def peak_bytes(argv) -> int:
 
 
 # the jet order each command evaluates, whatever --order says (curvature
-# from order 2), and the full chunks of the large run: as many as MAX_SAMPLES
-# holds for check; 4 for lee, whose report keeps a record per sample (from
-# 8 chunks, about 600 samples, its report outgrows the chunk); 8 for
-# soliton, which keeps value matrices per point until sigma is known
-# (about 1.4 KB a point)
-EVALUATED = {"check": (1, 13), "lee": (1, 4), "soliton": (2, 8)}
+# from order 2), and the full chunks of the large run: 13 for check; 4 for
+# lee, whose report keeps a record per sample (from about 600 samples its
+# report outgrows the chunk); 16 for soliton, which keeps the value
+# matrices its sigma-dependent residuals read until sigma is known
+EVALUATED = {"check": (1, 13), "lee": (1, 4), "soliton": (2, 16)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -44,11 +43,46 @@ EVALUATED = {"check": (1, 13), "lee": (1, 4), "soliton": (2, 8)}
 ])
 def test_peak_memory_is_flat_in_the_sample_count(argv):
     order, chunks = EVALUATED[argv[0]]
-    size = len(accr.chunks(sample_points(2 * int(argv[2]) + 1, MAX_SAMPLES),
-                           order)[0])
+    size = accr.CHUNK_BYTES // accr.point_bytes(2 * int(argv[2]) + 1, order)
     assert chunks * size <= MAX_SAMPLES
     argv = argv + ["--example", "hypersurface-f5", "--order", "3"]
     run_quietly(argv + ["--samples", "1"])    # warm the jet-space caches
     small = peak_bytes(argv + ["--samples", str(2 * size)])
     large = peak_bytes(argv + ["--samples", str(chunks * size)])
     assert large <= 1.25 * small, (small, large)
+
+
+# the commands evaluated at each jet order
+AT_ORDER = {1: [["check"], ["classify"], ["lee"], ["torse"],
+                ["transform", "--preset", "soliton"]],
+            2: [["soliton", "--preset", "soliton"]]}
+
+
+def growth_per_point(monkeypatch, argv, dim: int, order: int,
+                     samples: int) -> float:
+    """tracemalloc peak growth per point from 16 chunks of the samples to
+    one chunk of them all."""
+    peaks = []
+    for size in (samples // 16, samples):
+        monkeypatch.setattr(accr, "CHUNK_BYTES",
+                            size * accr.point_bytes(dim, order))
+        peaks.append(peak_bytes(argv + ["--samples", str(samples)]))
+    return (peaks[1] - peaks[0]) / (samples - samples // 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2])
+def test_point_bytes_is_safe_and_at_most_twice_the_growth(monkeypatch,
+                                                          order, n):
+    # embedded-sphere grows the most of the four models, up to 8% more at
+    # order 2; at n = 1 the growth of 16 points is below tracemalloc's
+    # noise, so it is measured over 256
+    dim, samples = 2 * n + 1, 256 if n == 1 else 64
+    charge = accr.point_bytes(dim, order)
+    growth = {}
+    for cmd in AT_ORDER[order]:
+        argv = [*cmd, "--example", "embedded-sphere", "--n", str(n)]
+        run_quietly(argv + ["--samples", "1"])    # warm the caches
+        growth[cmd[0]] = growth_per_point(monkeypatch, argv, dim, order,
+                                          samples)
+    assert 0.5 * charge <= max(growth.values()) <= charge, (charge, growth)

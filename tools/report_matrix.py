@@ -4,14 +4,15 @@ records: the behavioural contract of a refactor.
 Every case runs ``accrgeo.cli.main`` in-process (seed 7) and keeps its
 exit code, the sha256 of its stdout and the stdout text.  The matrix is
 
-* check, classify, lee, torse x 3 models x n = 1..3 x order 1..3;
+* check, classify, lee, torse x 4 models x n = 1..3 x order 1..3;
 * transform (order 1..3) and soliton (order 2..3) x 6 presets
-  x 3 models x n = 1..3;
+  x 4 models x n = 1..3;
 
 all with 4 samples, which fit one chunk of points, and a multi-chunk
 slice: every command on hypersurface-f5 at n = 4, order 1, with 70
-samples, which span several chunks (28 order-1 points fit one chunk at
-n = 4, 76 or more at n <= 3; soliton, at order 2, one point a chunk).
+samples, which span several chunks (at n = 4 a chunk holds at most 19
+order-1 points, 4 chunks of 17 or 18, and at most 3 order-2 points for
+soliton, 24 chunks).
 
 Every command evaluates the jet order its report reads (1, and 2 for
 soliton) whatever ``--order`` says, so the cases of the order axis
@@ -44,7 +45,7 @@ import json
 import math
 import sys
 
-MODELS = ("flat-f0", "hypersurface-f5", "random")
+MODELS = ("flat-f0", "hypersurface-f5", "random", "embedded-sphere")
 PRESETS = ("identity", "soliton", "negative-du", "negative-dv",
            "negative-dw", "holomorphic")
 NS = (1, 2, 3)
