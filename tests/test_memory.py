@@ -86,3 +86,17 @@ def test_point_bytes_is_safe_and_at_most_twice_the_growth(monkeypatch,
         growth[cmd[0]] = growth_per_point(monkeypatch, argv, dim, order,
                                           samples)
     assert 0.5 * charge <= max(growth.values()) <= charge, (charge, growth)
+
+
+def test_soliton_keeps_under_1_kb_a_sample_until_sigma_is_known():
+    # the sigma-dependent residuals read about 0.6 KB a sample at n = 2
+    # (L_xi gbar and the right-hand side of its identity, the upper
+    # triangle of gbar, etabar, dw o phi^2, tau and the metric scale);
+    # joined into sample-sized arrays they would take twice that
+    argv = ["soliton", "--example", "hypersurface-f5", "--n", "2",
+            "--preset", "soliton"]
+    size = accr.CHUNK_BYTES // accr.point_bytes(5, 2)
+    run_quietly(argv + ["--samples", "1"])    # warm the caches
+    small = peak_bytes(argv + ["--samples", str(2 * size)])
+    large = peak_bytes(argv + ["--samples", str(MAX_SAMPLES)])
+    assert (large - small) / (MAX_SAMPLES - 2 * size) < 1000, (small, large)
