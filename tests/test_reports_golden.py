@@ -31,7 +31,8 @@ def golden_cases() -> dict:
         "soliton": ["--preset", "soliton"],
     }
     for cmd, extra in commands.items():
-        for example in ("hypersurface-f5", "random", "flat-f0"):
+        for example in ("hypersurface-f5", "random", "flat-f0",
+                        "embedded-sphere"):
             for n in (1, 2):
                 argv = [cmd, "--example", example, "--n", str(n),
                         "--samples", "4", "--seed", "7", *extra]
