@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from .geometry import (FrameEval, coordinate_bindings, cov_deriv_tensor11,
                        cov_deriv_vector, eval_expr_table, signature)
-from .jets import JetSpace, jet_space, tgrad, tminv, tmul, tsym, tvalue
+from .jets import JetSpace, jet_space, tgrad0, tminv, tmul, tsym, tvalue
 
 # tolerance ladder: structural identities, first-derivative identities,
 # class verdicts (relative), absolute floor for near-zero tensors
@@ -198,9 +198,9 @@ class AccrEval:
         g0 = ev.g0
         ev.gtilde = g0 @ ev.phi0 + _outer(ev.eta0, ev.eta0)
         if S.space.order >= 1:
-            _, nphi = cov_deriv_tensor11(S.space, frame.gamma, S.phi)
+            nphi = cov_deriv_tensor11(S.space, frame.gamma, S.phi)
             # F_ijk = g_kl (nabla_i phi)^l_j, nphi[i, l, j] = (nabla_i phi)^l_j
-            ev.F = np.einsum("...ilj,...kl->...ijk", tvalue(nphi), g0)
+            ev.F = np.einsum("...ilj,...kl->...ijk", nphi, g0)
             gi = ev.ginv0
             ev.omega = np.einsum("...ij,...ijk->...k",
                                  _outer(ev.xi0, ev.xi0), ev.F)
@@ -416,7 +416,7 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     vscale = _maxabs(v0, 1)
     if np.count_nonzero(vscale == 0.0):
         raise ValueError("torse-forming analysis needs a nonzero field")
-    A = tvalue(cov_deriv_vector(space, ev.frame.gamma, vf)[1])
+    A = cov_deriv_vector(space, ev.frame.gamma, vf)
     # A[i, k] = (nabla_i v)^k = f delta_ik + gamma_i v_k by least squares,
     # in closed form on u = v / max|v|, so that no square of the field's
     # scale under- or overflows: gamma max|v| = (A u - f u) / |u|^2, and
@@ -432,9 +432,9 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
     k_val = _dot(eta0, v0)
     verticality = _maxabs(v0 - k_val[..., None] * xi0, 1) / vscale
-    # dk = f eta + k gamma: k as a jet via eta_i v^i; the residual is
-    # relative to the largest of |v| and the three terms it cancels
-    dk = tvalue(tgrad(space, tmul(space, S.eta, vf, "i,i->")))
+    # dk = f eta + k gamma, d(eta_i v^i) by the product rule; the residual
+    # is relative to the largest of |v| and the three terms it cancels
+    dk = _vm(eta0, tgrad0(space, vf)) + _vm(v0, tgrad0(space, S.eta))
     terms = (dk, f[..., None] * eta0, _dot(eta0, u)[..., None] * gamma_v)
     dk_scale = np.max([vscale, *(_maxabs(x, 1) for x in terms)], axis=0)
     res = {"torse_fit": _maxabs(fit, 2) / np.where(scale > 0.0, scale, 1.0),
@@ -444,7 +444,7 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     # the vertical identities divide by k, so they need k away from 0
     if ((verticality <= 1e-7) & (np.abs(k_val) > 1e-12 * vscale)).all():
         fk = f / k_val
-        nxi0 = tvalue(cov_deriv_vector(space, ev.frame.gamma, S.xi)[1])
+        nxi0 = cov_deriv_vector(space, ev.frame.gamma, S.xi)
         fxi = np.einsum("...ija,...a->...ij", ev.F, xi0)
         res.update({
             # (nabla_i xi)^k = -fk (phi^2)^k_i, F(x,y,xi) = -fk g(x,phi y)

@@ -36,6 +36,7 @@ from .accr import (ChartStructure, FrameStructure, StructureJets,
                    StructureProvider, canonical_flat_fields)
 from .geometry import coordinate_bindings, eval_expr_table
 from .jets import jet_space, tgrad, tminv, tmul, tscale, tsym
+from .transform import TransformTriple
 
 DEFAULT_BOX = (0.5, 1.5)
 
@@ -166,7 +167,6 @@ def soliton_uvw(n: int = 1, ell: str = "-arctan(sinh(t))", h: str = "t^2"):
     vertical h keeps the soliton property; h = t^2 is a representative
     non-constant choice.
     """
-    from .transform import TransformTriple
     u = ex.parse(ell)
     v = ex.Const(0.0)
     for i in range(n):
@@ -181,7 +181,6 @@ def holomorphic_pair_uvw(n: int = 1):
     Cauchy-Riemann relations u_,i = v_,{n+i}, u_,{n+i} = -v_,i for
     every i, so alpha and beta vanish against horizontal arguments on
     the flat model:  u = x1^2 - x_{n+1}^2, v = 2 x1 x_{n+1}."""
-    from .transform import TransformTriple
     x1, xn1 = ex.Var("x1"), ex.Var(f"x{n + 1}")
     return TransformTriple(x1 ** 2 - xn1 ** 2, 2.0 * x1 * xn1, ex.Const(0.0))
 

@@ -1,7 +1,10 @@
-"""Chart-level pseudo-Riemannian machinery on jet-valued tensors.
-
-All functions operate on coefficient-first tensor-jet arrays produced by
-:mod:`accrgeo.jets` and carry their batch axes through.  Index conventions:
+"""Chart-level pseudo-Riemannian machinery on coefficient-first tensor-jet
+arrays of :mod:`accrgeo.jets`, carrying their batch axes through.
+:func:`christoffels` turns metric jets into Christoffel jets one order
+lower, the last jets built here.  :func:`riemann` and the covariant and
+Lie derivatives take jets of order >= 1 and return values of shape
+``(*batch, *tensor_shape)``, read off value rows and first partials.
+Index conventions:
 
 * Christoffel symbols ``gamma[k, i, j]`` = Gamma^k_ij,
 * Riemann tensor ``riem[l, i, j, k]`` = R^l_ijk
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .jets import (JetSpace, SingularMetricError, jet_space, tgrad, tminv,
-                   tmul, ttrunc, tvalue)
+from .jets import (JetSpace, SingularMetricError, jet_space, tgrad, tgrad0,
+                   tminv, tmul, ttrunc)
 
 __all__ = [
     "FrameEval", "SingularMetricError",
@@ -68,15 +71,21 @@ def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
     return child, gamma
 
 
-def riemann(space: JetSpace, gamma: np.ndarray):
-    """Curvature R^l_ijk from Christoffel jets (order drops by one)."""
-    child = space.child
-    dgam = tgrad(space, gamma)                # dgam[l,i,j,m] = d_m Gamma^l_ij
-    gam_c = ttrunc(space, gamma, child.order)
-    quad = tmul(child, gam_c, gam_c, "ljm,mik->lijk")
-    riem = (np.swapaxes(dgam, -1, -2) - dgam
+def _contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m t_abm x^m... as ``[..., a, b, ...]`` by one matmul: Gamma's
+    last lower index for t = Gamma, its upper one for t = ``np.moveaxis(
+    Gamma, -3, -1)``."""
+    b, d = t.shape[:-3], t.shape[-1]
+    return (t.reshape(*b, d * d, d) @ x.reshape(*b, d, -1)).reshape(
+        *b, d, d, *x.shape[len(b) + 1:])
+
+
+def riemann(space: JetSpace, gamma: np.ndarray) -> np.ndarray:
+    """Curvature R^l_ijk from Christoffel jets in ``space``."""
+    dgam = tgrad0(space, gamma)               # dgam[l,i,j,m] = d_m Gamma^l_ij
+    quad = np.swapaxes(_contract(gamma[0], gamma[0]), -3, -2)
+    return (np.swapaxes(dgam, -1, -2) - dgam
             + quad - np.swapaxes(quad, -1, -2))
-    return child, riem
 
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
@@ -84,63 +93,47 @@ def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
 
 
 def cov_deriv_tensor11(space: JetSpace, gamma: np.ndarray, phi: np.ndarray):
-    """nabla_i phi^k_j; gamma must already live at the output order K-1."""
-    child = space.child
-    dphi = tgrad(space, phi)                  # dphi[k,j,i] = d_i phi^k_j
-    phi_c = ttrunc(space, phi, child.order)
-    out = (np.einsum("...kji->...ikj", dphi)
-           + tmul(child, gamma, phi_c, "kim,mj->ikj")
-           - tmul(child, gamma, phi_c, "mij,km->ikj"))
-    return child, out
+    """nabla_i phi^k_j as ``[..., i, k, j]``."""
+    dphi = tgrad0(space, phi)                 # dphi[k,j,i] = d_i phi^k_j
+    up = np.moveaxis(gamma[0], -3, -1)        # up[i,j,m] = Gamma^m_ij
+    return (np.moveaxis(dphi, -1, -3)
+            + np.swapaxes(_contract(gamma[0], phi[0]), -3, -2)
+            - np.swapaxes(_contract(up, np.swapaxes(phi[0], -1, -2)), -1, -2))
 
 
 def cov_deriv_vector(space: JetSpace, gamma: np.ndarray, v: np.ndarray):
-    """nabla_i v^k; gamma must share the output order K-1."""
-    child = space.child
-    dv = tgrad(space, v)                      # dv[k,i] = d_i v^k
-    v_c = ttrunc(space, v, child.order)
-    out = np.swapaxes(dv, -1, -2) + tmul(child, gamma, v_c, "kim,m->ik")
-    return child, out
+    """nabla_i v^k as ``[..., i, k]``."""
+    dv = tgrad0(space, v)                     # dv[k,i] = d_i v^k
+    return np.swapaxes(dv + _contract(gamma[0], v[0]), -1, -2)
 
 
 def cov_deriv_covector(space: JetSpace, gamma: np.ndarray, a: np.ndarray):
-    """nabla_i a_j; gamma must share the output order K-1."""
-    child = space.child
-    da = tgrad(space, a)                      # da[j,i] = d_i a_j
-    a_c = ttrunc(space, a, child.order)
-    out = np.swapaxes(da, -1, -2) - tmul(child, gamma, a_c, "mij,m->ij")
-    return child, out
+    """nabla_i a_j as ``[..., i, j]``."""
+    da = tgrad0(space, a)                     # da[j,i] = d_i a_j
+    return (np.swapaxes(da, -1, -2)
+            - _contract(np.moveaxis(gamma[0], -3, -1), a[0]))
 
 
 def cov_deriv_metric(space: JetSpace, gamma: np.ndarray, g: np.ndarray):
-    """nabla_l g_ij (metricity residual check); output order K-1."""
-    child = space.child
-    dg = tgrad(space, g)                      # dg[i,j,l]
-    g_c = ttrunc(space, g, child.order)
-    out = (np.einsum("...ijl->...lij", dg)
-           - tmul(child, gamma, g_c, "mli,mj->lij")
-           - tmul(child, gamma, g_c, "mlj,im->lij"))
-    return child, out
+    """nabla_l g_ij as ``[..., l, i, j]`` (metricity residual check)."""
+    dg = tgrad0(space, g)                     # dg[i,j,l] = d_l g_ij
+    up, g0 = np.moveaxis(gamma[0], -3, -1), g[0]
+    return (np.moveaxis(dg, -1, -3) - _contract(up, g0)
+            - np.swapaxes(_contract(up, np.swapaxes(g0, -1, -2)), -1, -2))
 
 
 def lie_metric_coord(space: JetSpace, g: np.ndarray, v: np.ndarray):
-    """(L_V g)_ij by the coordinate formula; output order K-1."""
-    child = space.child
-    dg = tgrad(space, g)                      # dg[i,j,k] = d_k g_ij
-    dv = tgrad(space, v)                      # dv[k,i] = d_i v^k
-    g_c = ttrunc(space, g, child.order)
-    v_c = ttrunc(space, v, child.order)
-    dv_r = np.swapaxes(dv, -1, -2)
-    out = (tmul(child, v_c, np.einsum("...ijk->...kij", dg), "k,kij->ij")
-           + tmul(child, g_c, dv_r, "kj,ik->ij")
-           + tmul(child, g_c, dv_r, "ik,jk->ij"))
-    return child, out
+    """(L_V g)_ij by the coordinate formula."""
+    dg = tgrad0(space, g)                     # dg[i,j,k] = d_k g_ij
+    dv = tgrad0(space, v)                     # dv[k,i] = d_i v^k
+    g0 = g[0]
+    return ((dg @ v[0][..., None, :, None])[..., 0]
+            + np.swapaxes(dv, -1, -2) @ g0 + g0 @ dv)
 
 
-def lie_metric_cov(child: JetSpace, g_c: np.ndarray, nabla_v: np.ndarray):
-    """(L_V g)_ij = g_kj nabla_i V^k + g_ik nabla_j V^k, all at order K-1."""
-    return (tmul(child, g_c, nabla_v, "kj,ik->ij")
-            + tmul(child, g_c, nabla_v, "ik,jk->ij"))
+def lie_metric_cov(g0: np.ndarray, nabla_v: np.ndarray) -> np.ndarray:
+    """(L_V g)_ij = g_kj nabla_i V^k + g_ik nabla_j V^k, on values."""
+    return nabla_v @ g0 + g0 @ np.swapaxes(nabla_v, -1, -2)
 
 
 def signature(g0: np.ndarray):
@@ -172,8 +165,7 @@ class FrameEval:
         if space.order >= 1:
             gamma_space, ev.gamma = christoffels(space, g, ginv)
         if space.order >= 2:
-            riem_space, riem = riemann(gamma_space, ev.gamma)
-            ginv_r = ttrunc(space, ginv, riem_space.order)
-            ev.tau = tvalue(tmul(riem_space, ginv_r,
-                                 ricci_from_riemann(riem), "ik,ik->"))
+            ric = ricci_from_riemann(riemann(gamma_space, ev.gamma))
+            ev.tau = (ginv[0].reshape(*ric.shape[:-2], 1, -1)
+                      @ ric.reshape(*ric.shape[:-2], -1, 1))[..., 0, 0]
         return ev

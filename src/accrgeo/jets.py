@@ -367,6 +367,14 @@ def tgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def tgrad0(space: JetSpace, a: np.ndarray) -> np.ndarray:
+    """The value row of :func:`tgrad`, ``(*batch, *shape, m)``: the
+    degree-1 coefficients, which are the first partials as they stand."""
+    if space.order < 1:
+        raise ValueError("cannot differentiate an order-0 jet")
+    return np.moveaxis(a[1:1 + space.m], 0, -1)
+
+
 class SingularMetricError(ArithmeticError):
     """Metric (or frame) matrix is numerically singular."""
 

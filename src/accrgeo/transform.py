@@ -24,7 +24,7 @@ from .accr import (TOL_CLASS, AccrEval, StructureJets, StructureProvider,
                    class_residuals, over_chunks, worst_of)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
-from .jets import jet_space, tmul, tscale, tsym, ttrunc, tvalue
+from .jets import jet_space, tgrad0, tmul, tscale, tsym, tvalue
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class TransformedStructure(StructureProvider):
         S = self.base.structure_at(points, order)
         u, v, w, *factors = self.triple.jets(self.base, points, order)
         ev_bar = AccrEval.from_jets(deform(S, *factors))
-        return S, ev_bar, Differentials.from_jets(u, v, w, S)
+        return S, ev_bar, Differentials.from_jets(S.space, u, v, w, S.phi[0])
 
 
 @dataclass
@@ -113,13 +113,11 @@ class Differentials:
     beta: np.ndarray           # du - dv o phi
 
     @classmethod
-    def from_jets(cls, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                  S: StructureJets) -> "Differentials":
-        """From jets of order >= 1 of (u, v, w) and the base structure
-        jets at the same points."""
-        m = S.space.m
-        du, dv, dw = (np.moveaxis(x[1:1 + m], 0, -1) for x in (u, v, w))
-        phi0 = tvalue(S.phi)
+    def from_jets(cls, space, u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                  phi0: np.ndarray) -> "Differentials":
+        """From jets of order >= 1 in ``space`` of (u, v, w) and the value
+        of phi at the same points."""
+        du, dv, dw = (tgrad0(space, x) for x in (u, v, w))
         return cls(du=du, dv=dv, dw=dw, u=u[0], v=v[0], w=w[0],
                    alpha=_vm(du, phi0) + dv, beta=du - _vm(dv, phi0))
 
@@ -129,10 +127,11 @@ def differentials(triple: TransformTriple, ev: AccrEval,
     """Evaluate du, dv, dw and the associated covectors alpha, beta at
     the points of ``ev`` (which must be an evaluation of ``provider``)."""
     order = max(1, ev.S.space.order)
-    u, v, w = ex.eval_jets(
-        jet_space(len(provider.coords), order), (triple.u, triple.v, triple.w),
-        coordinate_bindings(provider.coords, ev.S.point, order))
-    return Differentials.from_jets(u, v, w, ev.S)
+    space = jet_space(len(provider.coords), order)
+    u, v, w = ex.eval_jets(space, (triple.u, triple.v, triple.w),
+                           coordinate_bindings(provider.coords, ev.S.point,
+                                               order))
+    return Differentials.from_jets(space, u, v, w, ev.phi0)
 
 
 def alpha_beta_residuals(d: Differentials, ev: AccrEval,
@@ -235,13 +234,13 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     def chunk(pts):
         S, ev_bar, d = tstruct.evaluate(pts, 2)
         Sb, space = ev_bar.S, ev_bar.S.space
-        child, lie_c = lie_metric_coord(space, Sb.g, Sb.xi)
-        _, nxi = cov_deriv_vector(space, ev_bar.frame.gamma, Sb.xi)
-        lie_v = lie_metric_cov(child, ttrunc(space, Sb.g, child.order), nxi)
-        # copies, not views: a view of a jet array keeps the jets alive
-        tau, lie0, etab = (x.copy() for x in (ev_bar.frame.tau,
-                                              tvalue(lie_c), tvalue(Sb.eta)))
-        gb0, phi0 = ev_bar.g0, ev_bar.phi0
+        lie0 = lie_metric_coord(space, Sb.g, Sb.xi)
+        lie_v = lie_metric_cov(ev_bar.g0, cov_deriv_vector(
+            space, ev_bar.frame.gamma, Sb.xi))
+        # tau and lie0 are fresh arrays, but eta_bar's value is a view of
+        # its jets, which held would keep alive: copy it
+        etab = ev_bar.eta0.copy()
+        gb0, phi0, tau = ev_bar.g0, ev_bar.phi0, ev_bar.frame.tau
         phi2 = phi0 @ phi0
         scale = np.maximum(1.0, _maxabs(gb0, 2))
         lscale = _lee_scale(ev_bar)
@@ -254,7 +253,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                "is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
                "residuals": {
                    "killing": _maxabs(lie0, 2) / scale,
-                   "lie_formula_mismatch": _maxabs(tvalue(lie_c - lie_v), 2),
+                   "lie_formula_mismatch": _maxabs(lie0 - lie_v, 2),
                    # theta_bar = 2n(du o phi + dv)
                    "lee_theta": _maxabs(ev_bar.theta - 2 * n * d.alpha, 1)
                    / lscale,

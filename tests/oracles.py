@@ -71,8 +71,8 @@ def curvature(coords, g, point):
     """(g, R^l_ijk, R_ik): the values of the metric, its Riemann tensor and
     its Ricci tensor at a chart point, from the metric's order-2 jets."""
     ev = metric_frame(coords, g, point, order=2)
-    _, riem = riemann(ev.space.child, ev.gamma)
-    return tvalue(ev.g), tvalue(riem), tvalue(ricci_from_riemann(riem))
+    riem = riemann(ev.space.child, ev.gamma)
+    return tvalue(ev.g), riem, ricci_from_riemann(riem)
 
 
 # ---------------------------------------------------------------------------

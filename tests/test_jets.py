@@ -10,8 +10,8 @@ from accrgeo import jets
 from accrgeo.jets import (FUNCTION_TABLE, JetDomainError, SingularMetricError,
                           _reciprocal, jarcsin, jarctan, jcos, jcosh, jexp,
                           jln, jmul, jpow, jsin, jsinh, jsqrt, jtan, jtanh,
-                          jet_space, tconst, tgrad, tminv, tmul, tscale,
-                          ttrunc, tvalue)
+                          jet_space, tconst, tgrad, tgrad0, tminv, tmul,
+                          tscale, ttrunc, tvalue)
 from oracles import partial
 
 RNG = np.random.default_rng(42)
@@ -383,6 +383,21 @@ def test_tgrad_extracts_partials():
     assert g.shape[1:] == (1, 2)
     assert tvalue(g)[0, 0] == pytest.approx(2 * 0.3 * 0.8)
     assert tvalue(g)[0, 1] == pytest.approx(0.3 ** 2)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_tgrad0_is_the_value_row_of_tgrad(order, batch):
+    space = jet_space(3, order)
+    a = RNG.uniform(-1, 1, (space.ncoeff, *batch, 2, 3))
+    got, want = tgrad0(space, a), tvalue(tgrad(space, a))
+    assert got.shape == want.shape == (*batch, 2, 3, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tgrad0_rejects_order_0():
+    with pytest.raises(ValueError):
+        tgrad0(jet_space(3, 0), np.ones((1, 3)))
 
 
 def test_tminv_inverts_jet_matrix():

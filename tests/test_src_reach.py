@@ -5,7 +5,10 @@ compare against lives in ``tests/oracles.py``.
 
 The cases run in a fresh interpreter, so that no cache warmed by another
 test (``jet_space``, the ``tmul`` plans, ``keep_chunk_memory``) hides a
-function body, under ``sys.setprofile``, which sees every Python call."""
+function body, under ``sys.setprofile``, which sees every Python call.
+
+No module of the package imports a name it never uses; a name listed
+in the module's ``__all__`` counts as used."""
 
 import ast
 import json
@@ -130,3 +133,32 @@ def test_commands_reach_every_function_of_the_package():
     defined = defined_functions()
     unreached = {name for key, name in defined.items() if key not in called}
     assert unreached == UNREACHED
+
+
+def unused_imports(tree: ast.Module) -> set:
+    """Names a module imports (``__future__`` features aside) that it
+    neither reads nor lists in ``__all__``."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif (isinstance(node, ast.Assign)
+                and any(getattr(x, "id", None) == "__all__"
+                        for x in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_imports_guard_sees_an_unused_name():
+    tree = ast.parse("from .jets import tgrad, tmul\n__all__ = ['tmul']\n")
+    assert unused_imports(tree) == {"tgrad"}
+
+
+def test_package_imports_only_names_it_uses():
+    unused = {path.name: sorted(unused_imports(ast.parse(path.read_text())))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in unused.items() if v} == {}
