@@ -3,7 +3,15 @@
 Commands: check, classify, lee, torse, transform, soliton, example.
 JSON report goes to stdout; a human-readable table goes to stderr when
 attached to a terminal.  Exit codes: 0 all verdicts pass, 1 verdict
-failure, 2 usage/config error, 3 numeric/domain error.
+failure, 2 usage/config error, 3 numeric/domain error, 141 stdout closed
+before the report was written (128 + SIGPIPE, the status a shell shows
+for a program that SIGPIPE ended).
+
+The argument parser is built once, when this module is imported
+(``PARSER``), and ``main`` reuses it for every call.  A shell run saves
+nothing but one build, about 1 ms; a caller that runs many reports in
+one process (the tests, ``tools/report_matrix.py``, ``perfbench``) saves
+it on every report, about a third of a one-sample report.
 
 Each command evaluates its jets at the order its report reads: 1, and 2
 for the scalar curvature of soliton.  ``--order`` is only validated and
@@ -15,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -150,10 +159,12 @@ def build_config(args) -> dict:
     }
     if getattr(args, "config", None):
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:   # RFC 8259
                 data = json.load(fh)
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config file is not UTF-8 text: {err}")
         except json.JSONDecodeError as err:
             raise ConfigError(
                 f"malformed config file at line {err.lineno}, "
@@ -174,18 +185,20 @@ def build_config(args) -> dict:
         except ValueError:
             raise ConfigError("--box expects lo,hi")
         cfg["box"] = parts
+    tol_flags = {}
     for item in getattr(args, "tol", None) or []:
         if "=" not in item:
             raise ConfigError("--tol expects name=value")
         name, _, val = item.partition("=")
         try:
-            cfg["tol"][name] = float(val)
+            tol_flags[name] = float(val)
         except ValueError:
             raise ConfigError(f"bad tolerance value {val!r}")
     for key, types in CONFIG_TYPES.items():
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], types):
             raise ConfigError(f"config value {key}={cfg[key]!r} has the "
                               f"wrong type")
+    cfg["tol"] = {**cfg["tol"], **tol_flags}
     if len(cfg["box"]) != 2 or not all(map(_is_number, cfg["box"])):
         raise ConfigError("box expects two numbers lo, hi")
     for name, val in cfg["tol"].items():
@@ -454,6 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
 COMMANDS = {
     "check": cmd_check, "classify": cmd_classify, "lee": cmd_lee,
     "torse": cmd_torse, "transform": cmd_transform, "soliton": cmd_soliton,
@@ -479,12 +494,11 @@ def keep_chunk_memory() -> None:
 
 def main(argv=None) -> int:
     keep_chunk_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = build_config(args)
         rep = COMMANDS[args.cmd](cfg)
-        print(rep.to_json())
+        text = rep.to_json()
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -493,6 +507,18 @@ def main(argv=None) -> int:
             ValueError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # interpreter exit does not raise again (Python docs, "Note on
+        # SIGPIPE" in the signal module)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written",
+              file=sys.stderr)
+        return 141
     if sys.stderr.isatty() and not args.json:
         print(rep.render_table(), file=sys.stderr)
     return 0 if rep.passed else 1

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, JSON output, determinism,
 config handling."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,21 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports this test's
+    ``accrgeo``."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def fresh_process(*argv):
+    """``python -m accrgeo.cli argv`` in a new interpreter."""
+    return subprocess.Popen([sys.executable, "-m", "accrgeo.cli", *argv],
+                            env=fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +215,40 @@ def test_malformed_config_file(tmp_path, capsys):
     assert main(["check", "--config", str(cfgfile)]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("text", ['{"tol": 5}', '{"tol": []}'])
+def test_config_tol_that_is_not_an_object_exits_2_beside_tol_flag(
+        tmp_path, capsys, text):
+    # the --tol override was written into the config's value: TypeError
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    assert main(["check", "--config", str(cfgfile), "--tol", "class=1e-3",
+                 "--example", "flat-f0", "--n", "1", "--samples", "1"]) == 2
+    assert "config value tol=" in capsys.readouterr().err
+
+
+def test_tol_flag_joins_the_config_file_tolerances(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"tol": {"struct": 1e-9, "class": 1e-4}}')
+    code, rep = run_json(capsys, "check", "--config", str(cfgfile),
+                         "--tol", "class=1e-3", "--example", "flat-f0",
+                         "--n", "1", "--samples", "1")
+    assert code == 0
+    assert rep["config"]["tol"] == {"struct": 1e-9, "class": 1e-3}
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe" + '{"n": 1}'.encode("utf-16-le"),
+    '{"example": "flat-f0", "u": "x1 + \u00e9"}'.encode("latin-1"),
+], ids=["utf-16-bom", "latin-1"])
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, data):
+    # it was decoded in the locale's encoding: "numeric error", exit 3
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_bytes(data)
+    assert main(["check", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config file is not UTF-8 text")
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -570,3 +624,79 @@ def test_negative_seed_or_huge_box_in_config_file_exits_2(tmp_path, capsys,
 def test_widest_finite_box_is_admitted():
     args = cli.build_parser().parse_args(["check", "--box=-8e307,8e307"])
     assert cli.build_config(args)["box"] == [-8e307, 8e307]
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["example", "list"],
+                 ["check", "--example", "flat-f0", "--n", "1",
+                  "--samples", "1"],
+                 ["soliton", "--example", "flat-f0", "--n", "1",
+                  "--samples", "1", "--preset", "identity"],
+                 ["check", "--n", "9"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+    cli.build_parser()                     # the count sees a build
+    assert built
+
+
+def test_one_process_reports_as_a_fresh_one(tmp_path, capsys):
+    argv = ["check", "--example", "hypersurface-f5", "--n", "1",
+            "--samples", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-such-flag"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"tol": 5}')
+    assert main([*argv, "--config", str(cfgfile)]) == 2
+    code, out = run(capsys, *argv, "--tol", "class=1e-3")
+    assert json.loads(out)["config"]["tol"] == {"class": 1e-3}
+    code, out = run(capsys, *argv)
+    proc = fresh_process(*argv)
+    fresh, _ = proc.communicate(timeout=120)
+    assert (code, out.encode()) == (proc.returncode, fresh)
+
+
+def subcommand_helps(parser) -> dict:
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: p.format_help() for name, p in sub.choices.items()}
+
+
+def test_shared_parser_is_a_fresh_build():
+    fresh = cli.build_parser()
+    assert cli.PARSER.format_help() == fresh.format_help()
+    assert subcommand_helps(cli.PARSER) == subcommand_helps(fresh)
+
+
+@pytest.mark.parametrize("samples", ["1", "64"],
+                         ids=["flushed-at-exit", "written-at-once"])
+def test_closed_stdout_ends_with_one_line_and_no_traceback(samples):
+    # the one-sample report waits in stdout's buffer, the 64-sample one
+    # overflows it in print
+    proc = fresh_process("lee", "--n", "2", "--samples", samples, "--json")
+    proc.stdout.close()          # the child is still importing numpy
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err.decode() == "error: stdout closed before the report was " \
+                           "written\n"
+
+
+def test_stdout_closed_from_the_start_exits_without_a_traceback():
+    # Python sets sys.stdout to None, and print to None does nothing
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m accrgeo.cli example list >&-',
+         sys.executable], env=fresh_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
