@@ -1,7 +1,8 @@
 """Chart-level pseudo-Riemannian machinery on coefficient-first tensor-jet
 arrays of :mod:`accrgeo.jets`, carrying their batch axes through.
 :func:`christoffels` turns metric jets into Christoffel jets one order
-lower, the last jets built here.  :func:`riemann` and the covariant and
+lower, the last jets built here, from the inverse metric jets at that
+lower order: no reader needs the top order of g^-1.  :func:`riemann` and the covariant and
 Lie derivatives take jets of order >= 1 and return values of shape
 ``(*batch, *tensor_shape)``, read off value rows and first partials.
 Index conventions:
@@ -58,16 +59,16 @@ def eval_expr_table(space: JetSpace, table,
 
 
 def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
-    """Levi-Civita symbols Gamma^k_ij as jets of order K-1.
+    """Levi-Civita symbols Gamma^k_ij as jets of order K-1, from the
+    metric jets g of order K and the inverse jets of order K-1.
 
     Returns (child_space, gamma)."""
     child = space.child
     dg = tgrad(space, g)                      # dg[i,j,l] = d_l g_ij
-    ginv_c = ttrunc(space, ginv, child.order)
     # T_ijl = d_i g_jl + d_j g_il - d_l g_ij
     t = (np.einsum("...jli->...ijl", dg) + np.einsum("...ilj->...ijl", dg)
          - dg)
-    gamma = 0.5 * tmul(child, ginv_c, t, "kl,ijl->kij")
+    gamma = 0.5 * tmul(child, ginv, t, "kl,ijl->kij")
     return child, gamma
 
 
@@ -147,8 +148,9 @@ def signature(g0: np.ndarray):
 class FrameEval:
     """All pointwise evaluated metric data at a batch of chart points.
 
-    Arrays are tensor-jet arrays; ``space`` is the metric's jet space and
-    gamma lives in ``space.child``; ``tau`` holds one scalar curvature per
+    Arrays are tensor-jet arrays; ``space`` is the metric's jet space;
+    ginv and gamma live in ``space.child`` (ginv in ``space`` at order 0),
+    the order their readers need; ``tau`` holds one scalar curvature per
     point, computed exactly when the metric jets have order >= 2.
     """
 
@@ -160,7 +162,8 @@ class FrameEval:
 
     @classmethod
     def from_metric(cls, space: JetSpace, g: np.ndarray) -> "FrameEval":
-        ginv = tminv(space, g)
+        low = space.child if space.order else space
+        ginv = tminv(low, ttrunc(space, g, low.order))
         ev = cls(space=space, g=g, ginv=ginv)
         if space.order >= 1:
             gamma_space, ev.gamma = christoffels(space, g, ginv)
