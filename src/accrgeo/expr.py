@@ -434,6 +434,24 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
                     raise EvalError(f"unbound variable {name!r}") from None
             case Neg(arg):
                 jet = -_eval_node(arg, bindings, space, memo, batch)
+            case Bin(op, Const(c), right) if not isinstance(right, Const):
+                x = _eval_node(right, bindings, space, memo, batch)
+                if op in "+-":
+                    jet = x.copy() if op == "+" else -x
+                    jet[:1] = c + x[:1] if op == "+" else c - x[:1]
+                else:
+                    jet = c * (x if op == "*" else _reciprocal(space, x))
+            case Bin(op, left, Const(c) as right) if not isinstance(
+                    left, Const):
+                x = _eval_node(left, bindings, space, memo, batch)
+                if op in "+-":
+                    jet = x.copy()
+                    jet[:1] = x[:1] + c if op == "+" else x[:1] - c
+                elif op == "*":
+                    jet = x * c
+                else:       # times 1/c, with the domain checks of the jet 1/c
+                    jet = x * _reciprocal(space, _eval_node(
+                        right, bindings, space, memo, batch))[0]
             case Bin(op, left, right):
                 a = _eval_node(left, bindings, space, memo, batch)
                 b = _eval_node(right, bindings, space, memo, batch)
