@@ -63,12 +63,14 @@ class TransformTriple:
 def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
     """The deformed fields (phi, xi_bar, eta_bar, g_bar) from the base
     structure jets and the jets of the deformation factors at the same
-    points (the last five of :attr:`TransformTriple.exprs`)."""
+    points (the last five of :attr:`TransformTriple.exprs`); g_bar is one
+    product of the stacked factors (a, b, c) with the stacked matrices
+    (g, gtilde, eta (x) eta)."""
     space = S.space
     eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
     gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
-    gbar = tsym(tscale(space, a, S.g) + tscale(space, b, gtilde)
-                + tscale(space, c, eta_eta))
+    gbar = tsym(tmul(space, np.stack((a, b, c), axis=-1),
+                     np.stack((S.g, gtilde, eta_eta), axis=-3), "s,sij->ij"))
     xibar = tscale(space, e_minus_w, S.xi)
     etabar = tscale(space, e_w, S.eta)
     return StructureJets(space, S.point, gbar, S.phi, xibar, etabar)
