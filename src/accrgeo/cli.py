@@ -508,14 +508,17 @@ def main(argv=None) -> int:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
     try:
+        if sys.stdout is None:      # closed before the interpreter started
+            raise BrokenPipeError
         print(text, flush=True)
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull so that the flush at
         # interpreter exit does not raise again (Python docs, "Note on
         # SIGPIPE" in the signal module)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print("error: stdout closed before the report was written",
               file=sys.stderr)
         return 141

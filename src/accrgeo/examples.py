@@ -131,7 +131,9 @@ def random_structure(n: int = 1, seed: int = 0) -> FrameStructure:
     frame = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            c1, c2 = rng.uniform(-1.0, 1.0, size=2)
+            # Python floats: a numpy scalar times a tree first tries to
+            # make the tree an array
+            c1, c2 = rng.uniform(-1.0, 1.0, size=2).tolist()
             a, b = rng.integers(0, d, size=2)
             entry = eps * (c1 * ex.func("sin", ex.Var(names[a]))
                            + c2 * ex.Var(names[b]))

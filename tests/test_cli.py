@@ -695,8 +695,9 @@ def test_closed_stdout_ends_with_one_line_and_no_traceback(samples):
 
 
 def test_stdout_closed_from_the_start_exits_without_a_traceback():
-    # Python sets sys.stdout to None, and print to None does nothing
+    # Python sets sys.stdout to None, where print would drop the report
     proc = subprocess.run(
         ["sh", "-c", 'exec "$0" -m accrgeo.cli example list >&-',
          sys.executable], env=fresh_env(), capture_output=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (proc.returncode, proc.stderr) == (
+        141, b"error: stdout closed before the report was written\n")

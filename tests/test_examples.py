@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from accrgeo import expr as ex
+from accrgeo import jets
 from accrgeo.accr import (check_axioms, class_residuals, structure_eval,
                           torse_forming_analyze)
 from accrgeo.examples import (DEFAULT_BOX, EmbeddedSphere, build_flat_f0,
@@ -126,3 +127,19 @@ def test_embedding_invariants(n):
         assert res["xi_position"] < 1e-10
         assert res["j_decomposition"] < 1e-10
         assert res["gauss"] < 1e-8
+
+
+def test_random_frame_evaluates_its_constants_as_numbers(monkeypatch):
+    # every product and sum of the frame has a constant operand, so an
+    # order-1 evaluation multiplies no two jets
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return jmul(*args)
+    jmul = jets.jmul
+    monkeypatch.setattr(jets, "jmul", counting)
+    monkeypatch.setattr(ex, "jmul", counting)
+    prov = random_structure(n=3, seed=4)
+    prov.structure_at(sample_points(prov.dim, 3, seed=2), 1)
+    assert calls == []

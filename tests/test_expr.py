@@ -310,3 +310,49 @@ def test_eval_jets_names_the_node_where_a_jet_overflows():
     with pytest.raises(ex.EvalError, match=r"range error at exp\(\(x \* 100"):
         ex.eval_jets(space, [ex.parse("sin(exp(x*100))")], bindings)
     assert ex.eval_jets(space, [fine], bindings)[0][0] == 11.0
+
+
+# a constant operand is a number: each form against the same tree with the
+# constant a variable bound to a constant jet (== leaves the sign of a zero
+# free)
+CONST_FORMS = ["c * X", "X * c", "X / c", "c / X", "c + X", "X + c",
+               "c - X", "X - c"]
+
+
+@pytest.mark.parametrize("form", CONST_FORMS)
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("points", [[0.7, 1.2], [[0.7, 1.2], [1.3, -0.4],
+                                                  [0.2, 0.9]]],
+                         ids=["point", "batch"])
+def test_constant_operand_matches_a_constant_jet(form, order, points):
+    space = jet_space(2, order)
+    bindings = coordinate_bindings(["x", "y"], points, order)
+    x = ex.parse("sin(x) * y + x^2 + 0.5")
+    c = -1.75
+    left, right = [{"c": ex.Const(c), "X": x}[s] for s in form.split()[::2]]
+    op = form.split()[1]
+    got = ex.eval_jet(space, ex.Bin(op, left, right), bindings)
+    var = {"c": ex.Var("c"), "X": x}
+    bound = ex.Bin(op, *[var[s] for s in form.split()[::2]])
+    want = ex.eval_jet(space, bound, {
+        **bindings, "c": tconst(space, np.full(np.shape(points)[:-1], c))})
+    assert got.shape == want.shape
+    assert np.all(got == want)
+
+
+@pytest.mark.parametrize("text, point, message", [
+    ("x/0", 1.0, "division by zero at (x / 0)"),
+    ("1e300 * (x * 1e10)", 1.0, "overflow encountered in multiply at "
+     "(1.0000000000000001e+300 * (x * 10000000000))"),
+    ("(x * 1e10) * 1e300", 1.0, "overflow encountered in multiply at "
+     "((x * 10000000000) * 1.0000000000000001e+300)"),
+    ("1e308 + x * 1e308", 1.0, "overflow encountered in add at "
+     "(1e+308 + (x * 1e+308))"),
+])
+@pytest.mark.parametrize("order", [1, 3])
+def test_constant_operand_errors_name_the_node(text, point, message, order):
+    space = jet_space(1, order)
+    with pytest.raises(ex.EvalError) as err:
+        ex.eval_jet(space, ex.parse(text),
+                    coordinate_bindings(["x"], [point], order))
+    assert str(err.value) == message

@@ -5,7 +5,8 @@ import pytest
 
 from accrgeo import expr as ex
 from accrgeo import geometry as geo
-from accrgeo.jets import jet_space, tvalue
+from accrgeo.examples import REGISTRY, get_example, sample_points
+from accrgeo.jets import jet_space, tminv, ttrunc, tvalue
 from oracles import curvature, metric_frame, metric_jets, scalar_curvature
 
 RNG = np.random.default_rng(7)
@@ -298,3 +299,22 @@ def test_singular_metric_rejected():
     chart = (["x", "y"], [["x", 0.0], [0.0, 1.0]])
     with pytest.raises(geo.SingularMetricError):
         metric_frame(*chart, [0.0, 1.0], order=1)
+
+
+@pytest.mark.parametrize("model", sorted(REGISTRY))
+@pytest.mark.parametrize("order", [1, 2])
+def test_inverse_metric_is_the_truncated_full_inverse_bit_for_bit(model,
+                                                                   order):
+    prov = get_example(model, n=2, seed=3)
+    S = prov.structure_at(sample_points(prov.dim, 3, seed=11), order)
+    ev = geo.FrameEval.from_metric(S.space, S.g)
+    full = tminv(S.space, S.g)
+    ginv = ttrunc(S.space, full, order - 1)
+    assert ev.ginv.shape == ginv.shape and np.array_equal(ev.ginv, ginv)
+    _, gamma = geo.christoffels(S.space, S.g, ginv)
+    assert np.array_equal(ev.gamma, gamma)
+    if order == 2:
+        ric = geo.ricci_from_riemann(geo.riemann(S.space.child, gamma))
+        # the trace g^ik R_ik as from_metric sums it, on the full inverse
+        tau = (full[0].reshape(3, 1, -1) @ ric.reshape(3, -1, 1))[:, 0, 0]
+        assert np.array_equal(ev.tau, tau)

@@ -4,12 +4,16 @@ soliton verification and its negative controls."""
 import numpy as np
 import pytest
 
+from accrgeo import accr, examples, geometry, jets
+from accrgeo import expr as ex
 from accrgeo import transform as tr
 from accrgeo.accr import check_axioms, class_residuals, structure_eval
-from accrgeo.examples import (build_flat_f0, build_hypersurface,
-                              holomorphic_pair_uvw, random_structure,
-                              sample_points, soliton_uvw)
-from oracles import fbar_f5_closed_form, uvw
+from accrgeo.examples import (REGISTRY, build_flat_f0, build_hypersurface,
+                              get_example, holomorphic_pair_uvw,
+                              random_structure, sample_points, soliton_uvw)
+from accrgeo.geometry import coordinate_bindings
+from accrgeo.jets import jet_space
+from oracles import fbar_f5_closed_form, partial, uvw
 
 RNG = np.random.default_rng(1234)
 
@@ -297,3 +301,54 @@ def test_lxi00_gate_uses_the_residual_at_each_point():
     expect = max(single[i][1]["lxi00_residual"] for i in by_residual[1:])
     assert expect > 0.0
     assert values["lxi00_residual"] == expect
+
+
+# ---------------------------------------------------------------------------
+# Cost pins and an independent oracle for tau_bar
+# ---------------------------------------------------------------------------
+
+def test_soliton_chunk_makes_seven_tensor_products(monkeypatch):
+    # g^-1 at order 1 (one product), Gamma (one), eta (x) eta, g phi and
+    # g_bar (one product each) and the two tscale of xi_bar and eta_bar
+    orders, tmul = [], jets.tmul
+
+    def counting(space, a, b, sub):
+        orders.append(space.order)
+        return tmul(space, a, b, sub)
+    for mod in (jets, geometry, accr, tr, examples):
+        for name, value in list(vars(mod).items()):
+            if value is tmul:
+                monkeypatch.setattr(mod, name, counting)
+    prov = build_hypersurface(2)
+    tstruct = tr.TransformedStructure(prov, soliton_uvw(2))
+    tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5), fk=prov.fk)
+    assert sorted(orders) == [1, 1, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("model", sorted(REGISTRY))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conformal_tau_bar_matches_the_conformal_change_formula(model, n):
+    # v = 0, w = u: g_bar = e^2u g, and in dimension m
+    # tau_bar = e^-2u (tau - 2(m-1) Lap u - (m-2)(m-1) |du|^2_g),
+    # Lap u = g^ij (d_i d_j u - Gamma^k_ij d_k u), from u's own jets and
+    # the base structure's values
+    prov = get_example(model, n=n, seed=2)
+    m, pts = prov.dim, sample_points(prov.dim, 4, seed=17)
+    text = "0.3 * x1 * t + 0.1 * x2^2 + 0.05 * sin(x1)"
+    _, ev_bar, _ = tr.TransformedStructure(prov, uvw(text, 0.0, text)
+                                           ).evaluate(pts, 2)
+    ev = structure_eval(prov, pts, 2)
+    space = jet_space(m, 2)
+    u = ex.eval_jet(space, ex.parse(text),
+                       coordinate_bindings(prov.coords, pts, 2))
+    for p in range(len(pts)):
+        du = np.array([partial(space, u[:, p], i) for i in range(m)])
+        hess = np.array([[partial(space, u[:, p], i, j) for j in range(m)]
+                         for i in range(m)])
+        gi, gamma = ev.ginv0[p], ev.frame.gamma[0, p]
+        lap = np.sum(gi * (hess - np.einsum("kij,k->ij", gamma, du)))
+        want = np.exp(-2.0 * u[0, p]) * (
+            ev.frame.tau[p] - 2 * (m - 1) * lap
+            - (m - 2) * (m - 1) * du @ gi @ du)
+        got = ev_bar.frame.tau[p]
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(got))
