@@ -21,13 +21,17 @@ tests keep a float evaluator as an independent oracle).
 It is the one place where scalar jets (coefficient arrays of shape
 ``(ncoeff, *batch)``, see :mod:`accrgeo.jets`) are combined: ``+``,
 ``-`` and negation are array operations, ``*`` and ``/`` the truncated
-product ``jmul``; a node object that several trees, or several places
-of one tree, share is evaluated once for the whole batch, through a memo
-keyed by node identity that lives for that one call.  :func:`eval_jet`
-is the same for a single tree.  Trees built in code share subtrees by
-reusing objects, and :func:`expr_table` makes equal text entries and
-equal constants of a table one object, so a table of d x d entries
-costs one evaluation per distinct node, not per entry.
+product ``jmul``.  A constant operand of ``+ - * /`` beside a
+non-constant one stays a number: it scales the other jet (``X / c`` by
+the value of the jet 1/c, domain checks included, ``c / X`` the
+reciprocal of X) or shifts its value row.  A node object that several
+trees, or several places of one tree, share is evaluated once for the
+whole batch, through a memo keyed by node identity that lives for that
+one call.  :func:`eval_jet` is the same for a single tree.  Trees built
+in code share subtrees by reusing objects, and :func:`expr_table` makes
+equal text entries and equal constants of a table one object, so a
+table of d x d entries costs one evaluation per distinct node, not per
+entry.
 
 Parsing rejects text that opens more than ``MAX_DEPTH`` parentheses
 inside one another, or whose tree nests more than ``MAX_DEPTH``
