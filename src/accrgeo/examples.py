@@ -131,8 +131,7 @@ def random_structure(n: int = 1, seed: int = 0) -> FrameStructure:
     frame = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            # Python floats: a numpy scalar times a tree first tries to
-            # make the tree an array
+            # floats: a numpy scalar first tries to make a tree an array
             c1, c2 = rng.uniform(-1.0, 1.0, size=2).tolist()
             a, b = rng.integers(0, d, size=2)
             entry = eps * (c1 * ex.func("sin", ex.Var(names[a]))

@@ -1,10 +1,10 @@
 """Chart-level pseudo-Riemannian machinery on coefficient-first tensor-jet
 arrays of :mod:`accrgeo.jets`, carrying their batch axes through.
 :func:`christoffels` turns metric jets into Christoffel jets one order
-lower, the last jets built here, from the inverse metric jets at that
-lower order: no reader needs the top order of g^-1.  :func:`riemann` and the covariant and
-Lie derivatives take jets of order >= 1 and return values of shape
-``(*batch, *tensor_shape)``, read off value rows and first partials.
+lower, the last jets built here, from g^-1 one order below g (no reader
+needs more).  :func:`riemann` and the covariant and Lie derivatives take
+jets of order >= 1 and return values of shape ``(*batch, *tensor_shape)``,
+read off value rows and first partials.
 Index conventions:
 
 * Christoffel symbols ``gamma[k, i, j]`` = Gamma^k_ij,

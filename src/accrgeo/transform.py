@@ -63,9 +63,8 @@ class TransformTriple:
 def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
     """The deformed fields (phi, xi_bar, eta_bar, g_bar) from the base
     structure jets and the jets of the deformation factors at the same
-    points (the last five of :attr:`TransformTriple.exprs`); g_bar is one
-    product of the stacked factors (a, b, c) with the stacked matrices
-    (g, gtilde, eta (x) eta)."""
+    points (the last five of :attr:`TransformTriple.exprs`), g_bar as one
+    product of (a, b, c) with the stack (g, gtilde, eta (x) eta)."""
     space = S.space
     eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
     gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
