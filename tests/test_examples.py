@@ -132,12 +132,11 @@ def test_embedding_invariants(n):
 def test_random_frame_evaluates_its_constants_as_numbers(monkeypatch):
     # every product and sum of the frame has a constant operand, so an
     # order-1 evaluation multiplies no two jets
-    calls = []
+    calls, jmul = [], jets.jmul
 
     def counting(*args):
         calls.append(args)
         return jmul(*args)
-    jmul = jets.jmul
     monkeypatch.setattr(jets, "jmul", counting)
     monkeypatch.setattr(ex, "jmul", counting)
     prov = random_structure(n=3, seed=4)

@@ -340,7 +340,7 @@ def test_conformal_tau_bar_matches_the_conformal_change_formula(model, n):
     ev = structure_eval(prov, pts, 2)
     space = jet_space(m, 2)
     u = ex.eval_jet(space, ex.parse(text),
-                       coordinate_bindings(prov.coords, pts, 2))
+                    coordinate_bindings(prov.coords, pts, 2))
     for p in range(len(pts)):
         du = np.array([partial(space, u[:, p], i) for i in range(m)])
         hess = np.array([[partial(space, u[:, p], i, j) for j in range(m)]
