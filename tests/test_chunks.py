@@ -2,35 +2,18 @@
 are split into chunks, a fault at some points of a chunk still fails the
 run, and a NaN residual is a numeric fault, never a pass."""
 
-import contextlib
-import importlib.util
-import io
 import json
 import platform
 import resource
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from accrgeo import accr, cli
-from accrgeo.cli import main
 from accrgeo.examples import sample_points
-
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "report_matrix.py"
-_SPEC = importlib.util.spec_from_file_location("report_matrix", _PATH)
-report_matrix = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(report_matrix)
+from report_matrix import deviation, run
 
 REL = 1e-12
-
-
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--json"])
-    text = out.getvalue()
-    return code, json.loads(text) if text else None, err.getvalue()
 
 
 def one_point_chunks(monkeypatch):
@@ -73,11 +56,11 @@ CASES = [[cmd, "--example", model, "--n", "2", "--order", str(order),
 
 @pytest.mark.parametrize("argv", CASES, ids=lambda a: f"{a[0]}-{a[2]}-k{a[6]}")
 def test_report_does_not_depend_on_the_chunking(monkeypatch, argv):
-    code, rep, _ = run(argv)
+    code, text, _ = run(argv)
     one_point_chunks(monkeypatch)
-    code1, rep1, _ = run(argv)
+    code1, text1, _ = run(argv)
     assert code1 == code and code in (0, 1)
-    dev, path = report_matrix._deviation(rep, rep1)
+    dev, path = deviation(json.loads(text), json.loads(text1))
     assert dev <= REL, path
 
 
@@ -86,18 +69,19 @@ def test_samples_keep_point_order_across_chunks(monkeypatch):
     argv = ["lee", "--example", "hypersurface-f5", "--n", "2", "--order",
             "1", "--samples", "70", "--seed", "11"]
     points = sample_points(5, 70, seed=11)
-    _, whole, _ = run(argv)
+    whole = json.loads(run(argv)[1])
     assert len(accr.chunks(points, 1)) == 1
     monkeypatch.setattr(accr, "CHUNK_BYTES", 32 * accr.point_bytes(5, 1))
     assert [len(c) for c in accr.chunks(points, 1)] == [24, 23, 23]
-    code, split, _ = run(argv)
+    code, text, _ = run(argv)
+    split = json.loads(text)
     one_point_chunks(monkeypatch)
-    _, single, _ = run(argv)
+    single = json.loads(run(argv)[1])
     assert code == 0
     assert [s["point"] for s in split["values"]["samples"]] == \
         points.tolist()
     for rep in (split, single):
-        dev, path = report_matrix._deviation(whole, rep)
+        dev, path = deviation(whole, rep)
         assert dev <= REL, path
 
 
@@ -112,14 +96,15 @@ def test_torse_field_vertical_at_some_chunks_only(monkeypatch, sign):
             "--field", f"x1 - 1 {sign} sqrt((x1 - 1)^2); 0; 1"]
     x1 = sample_points(3, 12, seed=5)[:, 0]
     assert x1[0] > 1.0 > x1[1]
-    code, whole, _ = run(argv)
+    code, text, _ = run(argv)
     one_point_chunks(monkeypatch)
-    code1, single, _ = run(argv)
+    code1, text1, _ = run(argv)
     assert code1 == code
+    whole = json.loads(text)
     assert whole["values"]["is_vertical"] is False
     assert [c["name"] for c in whole["checks"]] == ["torse_fit",
                                                     "dk_identity"]
-    dev, path = report_matrix._deviation(whole, single)
+    dev, path = deviation(whole, json.loads(text1))
     assert dev <= REL, path
 
 
@@ -144,10 +129,10 @@ def test_domain_fault_at_some_points_of_a_chunk_exits_3(monkeypatch,
     assert 0 < np.count_nonzero(points[:, 0] < 1.0) < 32
     if one_point:
         one_point_chunks(monkeypatch)
-    code, rep, err = run(["transform", "--example", "flat-f0", "--n", "1",
-                          "--order", "1", "--samples", "32", "--u",
-                          "ln(x1 - 1)", "--v", "0", "--w", "0"])
-    assert code == 3 and rep is None
+    code, text, err = run(["transform", "--example", "flat-f0", "--n", "1",
+                           "--order", "1", "--samples", "32", "--u",
+                           "ln(x1 - 1)", "--v", "0", "--w", "0"])
+    assert code == 3 and text == ""
     assert "ln of a nonpositive value at ln((x1 - 1))" in err
 
 
@@ -170,7 +155,7 @@ def test_nan_residual_exits_3_naming_check_and_sample(monkeypatch, nan_at):
         return np.where(bad, np.nan, 0.0)
 
     monkeypatch.setattr(cli, "f_prop_residual", f_symmetry)
-    code, rep, err = run(["check", "--example", "flat-f0", "--n", "1",
-                          "--samples", "4", "--seed", "1"])
-    assert code == 3 and rep is None
+    code, text, err = run(["check", "--example", "flat-f0", "--n", "1",
+                           "--samples", "4", "--seed", "1"])
+    assert code == 3 and text == ""
     assert f"residual 'f_symmetry' is NaN at sample {nan_at or 0}" in err

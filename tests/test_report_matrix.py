@@ -2,18 +2,13 @@
 on small synthetic records: the matrix itself is not run."""
 
 import hashlib
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "report_matrix.py"
-_SPEC = importlib.util.spec_from_file_location("report_matrix", _PATH)
-report_matrix = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(report_matrix)
-compare = report_matrix.compare
+import report_matrix
+from report_matrix import compare, deviation
 
 
 def report(residual=1e-10, passed=True, value=0.5, **extra):
@@ -112,6 +107,20 @@ def test_nan_against_a_number_is_infinite():
     assert counts["max_float_deviation_at"] == "a: $.values.tau"
 
 
+@pytest.mark.parametrize("a, b, path", [
+    ({"k": 1}, {"k": True}, "$.k"),                 # a bool for an int
+    ({"k": True}, {"k": 1}, "$.k"),
+    ({"k": 1.0}, {"k": 1}, "$.k"),                  # an int for a float
+    ({"k": 1}, {"k": 1.0}, "$.k"),
+    ({"k": 0.5, "m": 1.0}, {"m": 1.0, "k": 0.5}, "$ (keys)"),
+    ({"k": [0.5]}, {"k": [0.5, 0.5]}, "$.k (length)"),
+    ({"k": None}, {"k": 0.0}, "$.k"),
+    ({"k": "a"}, {"k": "b"}, "$.k"),
+])
+def test_a_structural_difference_is_infinite(a, b, path):
+    assert deviation(a, b) == (math.inf, path)
+
+
 def write(tmp_path, name, records):
     path = tmp_path / name
     path.write_text(json.dumps(records))
@@ -131,6 +140,14 @@ def test_compare_exits_1_on_a_contract_change(tmp_path, capsys, second,
     other = write(tmp_path, "b.json", {"a": second})
     assert report_matrix.main(["--compare", first, other]) == code
     assert "max_float_deviation" in capsys.readouterr().out
+
+
+def test_records_that_share_no_case_exit_1(tmp_path, capsys):
+    # a renamed matrix would otherwise compare nothing and pass
+    first = write(tmp_path, "a.json", {"a": record(report())})
+    other = write(tmp_path, "b.json", {"b": record(report())})
+    assert report_matrix.main(["--compare", first, other]) == 1
+    assert "cases: 0\n" in capsys.readouterr().out
 
 
 def test_multi_chunk_slice_crosses_a_chunk_boundary():

@@ -80,15 +80,22 @@ def cases() -> dict:
     return out
 
 
-def record() -> dict:
+def run(argv) -> tuple:
+    """Run ``accrgeo.cli.main(argv)`` in-process: its exit code and the
+    text it wrote to stdout and to stderr."""
     from accrgeo.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(matrix=None) -> dict:
+    """Run the cases of ``matrix`` (name -> argv, ``cases()`` by default)
+    with ``COMMON`` appended and keep each one's record."""
     out = {}
-    for name, argv in cases().items():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv + COMMON)
-        text = stdout.getvalue()
+    for name, argv in (cases() if matrix is None else matrix).items():
+        code, text, _ = run(argv + COMMON)
         out[name] = {"argv": argv, "exit": code,
                      "sha256": hashlib.sha256(text.encode()).hexdigest(),
                      "stdout": text}
@@ -101,17 +108,17 @@ def _verdicts(report) -> list:
     return [report["passed"]] + [c["passed"] for c in report["checks"]]
 
 
-def _deviation(a, b, path="$"):
+def deviation(a, b, path="$"):
     """(largest |a - b| / max(1, |a|) over the floats of two reports,
     its path); a structural difference counts as infinite."""
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             return math.inf, path + " (keys)"
-        parts = [_deviation(a[k], b[k], f"{path}.{k}") for k in a]
+        parts = [deviation(a[k], b[k], f"{path}.{k}") for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return math.inf, path + " (length)"
-        parts = [_deviation(x, y, f"{path}[{i}]")
+        parts = [deviation(x, y, f"{path}[{i}]")
                  for i, (x, y) in enumerate(zip(a, b))]
     elif isinstance(a, float) and isinstance(b, float):
         if math.isnan(a) or math.isnan(b):
@@ -140,7 +147,7 @@ def compare(a: dict, b: dict) -> dict:
         rx = json.loads(x["stdout"]) if x["stdout"] else None
         ry = json.loads(y["stdout"]) if y["stdout"] else None
         counts["verdict_changed"] += _verdicts(rx) != _verdicts(ry)
-        dev, path = _deviation(rx, ry)
+        dev, path = deviation(rx, ry)
         if dev >= worst[0]:
             worst = (dev, f"{name}: {path}")
     counts["max_float_deviation"] = worst[0]
@@ -149,9 +156,11 @@ def compare(a: dict, b: dict) -> dict:
 
 
 def changed(counts: dict) -> bool:
-    """Whether a comparison breaks the contract: an exit code or verdict
-    changed, or a float moved by more than ``MAX_DEVIATION``."""
-    return bool(counts["exit_changed"] or counts["verdict_changed"]
+    """Whether a comparison breaks the contract: the records share no
+    case, an exit code or verdict changed, or a float moved by more than
+    ``MAX_DEVIATION``."""
+    return bool(not counts["cases"] or counts["exit_changed"]
+                or counts["verdict_changed"]
                 or counts["max_float_deviation"] > MAX_DEVIATION)
 
 
