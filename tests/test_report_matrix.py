@@ -1,9 +1,11 @@
 """The comparison of two report-matrix records (tools/report_matrix.py),
-on small synthetic records: the matrix itself is not run."""
+on small synthetic records, and the golden reports as matrix records:
+the matrix itself is not run."""
 
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +150,19 @@ def test_records_that_share_no_case_exit_1(tmp_path, capsys):
     other = write(tmp_path, "b.json", {"b": record(report())})
     assert report_matrix.main(["--compare", first, other]) == 1
     assert "cases: 0\n" in capsys.readouterr().out
+
+
+def test_golden_reports_are_records_of_matrix_cases():
+    # a matrix edit must not orphan the anchor, and a stale sha256 would
+    # pass a changed report as byte-identical
+    golden = json.loads((Path(__file__).parent / "data" /
+                         "golden_reports.json").read_text())
+    matrix = report_matrix.cases()
+    assert len(golden) == 51
+    for name, rec in golden.items():
+        assert matrix.get(name) == rec["argv"], name
+        assert rec["sha256"] == hashlib.sha256(
+            rec["stdout"].encode()).hexdigest(), name
 
 
 def test_multi_chunk_slice_crosses_a_chunk_boundary():
