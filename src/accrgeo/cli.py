@@ -522,7 +522,7 @@ def main(argv=None) -> int:
         print("error: stdout closed before the report was written",
               file=sys.stderr)
         return 141
-    if sys.stderr.isatty() and not args.json:
+    if not args.json and sys.stderr is not None and sys.stderr.isatty():
         print(rep.render_table(), file=sys.stderr)
     return 0 if rep.passed else 1
 

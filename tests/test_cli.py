@@ -701,3 +701,12 @@ def test_stdout_closed_from_the_start_exits_without_a_traceback():
          sys.executable], env=fresh_env(), capture_output=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (
         141, b"error: stdout closed before the report was written\n")
+
+
+def test_stderr_closed_from_the_start_keeps_the_report_and_exit_code(capsys):
+    # Python sets sys.stderr to None, which has no isatty
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m accrgeo.cli check --n 1 --samples 1 2>&-',
+         sys.executable], env=fresh_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout.decode()) == run(
+        capsys, "check", "--n", "1", "--samples", "1")
