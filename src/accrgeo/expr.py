@@ -399,8 +399,8 @@ def eval_jets(space: JetSpace, exprs,
     non-finite), raises :class:`EvalError` naming the node."""
     exprs = list(exprs)     # keeps every node, and so its id, alive
     batch = next(iter(bindings.values())).shape[1:] if bindings else ()
-    # a batch of one point runs as the empty batch: numpy gathers and
-    # reduces 1-d arrays about twice as fast as (ncoeff, 1) ones
+    # a batch of one point runs as the empty batch: without this path the
+    # single-point benchmark verified 6-7% fewer points a second
     inner = () if math.prod(batch) == 1 else batch
     if inner != batch:
         bindings = {k: v.reshape(v.shape[:1]) for k, v in bindings.items()}

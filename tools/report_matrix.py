@@ -20,6 +20,10 @@ report alike but for ``config.order``; against a record of a build that
 evaluated at ``--order``, the axis checks that the order each command
 evaluates is high enough.
 
+``tests/data/golden_reports.json`` holds 51 of the matrix's records,
+kept from earlier versions; ``tests/test_reports_golden.py`` judges
+them with ``compare`` against fresh records of the same cases.
+
 Record the ``accrgeo`` found on ``PYTHONPATH``, then compare two
 records:
 
@@ -31,8 +35,10 @@ in a git worktree as the "before" build.
 
 The comparison counts byte-identical reports, exit-code changes and
 verdict changes (the report's or any check's ``passed``), and names the
-largest float deviation, relative to max(1, |x|).  It exits 1 on any
-exit-code or verdict change or a deviation above ``MAX_DEVIATION``.
+largest float deviation, relative to max(1, |x|); a difference of keys,
+their order, a length or a type (a bool for an int, an int for a float)
+counts as infinite.  It exits 1 on any exit-code or verdict change, a
+deviation above ``MAX_DEVIATION``, or when the records share no case.
 """
 
 from __future__ import annotations
