@@ -23,17 +23,7 @@ DATA = Path(__file__).parent / "data" / "golden_reports.json"
 GOLDEN = json.loads(DATA.read_text())
 
 
-def case_id(name):
-    # the ids these tests had before the cases took the matrix's names,
-    # kept so that a selection or history by test id carries over
-    argv = GOLDEN[name]["argv"]
-    opt = dict(zip(argv[1::2], argv[2::2]))
-    if opt["--order"] == "3":
-        return f"soliton-k3-{opt['--preset']}-n{opt['--n']}"
-    return f"{argv[0]}-{opt['--example']}-n{opt['--n']}"
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN), ids=case_id)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_matches_golden(name):
     fresh = report_matrix.record({name: GOLDEN[name]["argv"]})
     counts = report_matrix.compare({name: GOLDEN[name]}, fresh)
