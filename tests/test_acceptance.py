@@ -266,8 +266,8 @@ def test_acceptance_8_holomorphic_pair_gives_f0():
 
 def test_acceptance_9_byte_identical_reports(capsys):
     argv = ["soliton", "--example", "hypersurface-f5", "--n", "2",
-            "--order", "3", "--samples", "16", "--seed", "0",
-            "--preset", "soliton", "--json"]
+            "--samples", "16", "--seed", "0", "--preset", "soliton",
+            "--json"]
     code1 = main(list(argv))
     out1 = capsys.readouterr().out
     code2 = main(list(argv))

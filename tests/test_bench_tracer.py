@@ -61,9 +61,8 @@ def test_one_base_and_triple_evaluation_per_point():
             seen["triple"].clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([cmd, "--example", "hypersurface-f5", "--n",
-                             str(n), "--order", "3", "--samples",
-                             str(samples), "--seed", str(seed), "--preset",
-                             "soliton", "--json"])
+                             str(n), "--samples", str(samples), "--seed",
+                             str(seed), "--preset", "soliton", "--json"])
             assert code == 0
             tracer.end_case(cmd, samples, True)
             points = sample_points(dim, samples, seed=seed)

@@ -43,18 +43,17 @@ def test_chunks_split_the_points_evenly(n, order, samples, sizes):
     assert np.array_equal(np.concatenate(parts), points)
 
 
-CASES = [[cmd, "--example", model, "--n", "2", "--order", str(order),
-          "--samples", "12", "--seed", "5", *extra]
+CASES = [[cmd, "--example", model, "--n", "2", "--samples", "12",
+          "--seed", "5", *extra]
          for cmd, model, extra in (
              ("check", "random", []), ("classify", "hypersurface-f5", []),
              ("lee", "random", []), ("torse", "hypersurface-f5", []),
              ("torse", "random", []),
              ("transform", "random", ["--preset", "soliton"]),
-             ("soliton", "hypersurface-f5", ["--preset", "negative-dv"]))
-         for order in (1, 2, 3)]
+             ("soliton", "hypersurface-f5", ["--preset", "negative-dv"]))]
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda a: f"{a[0]}-{a[2]}-k{a[6]}")
+@pytest.mark.parametrize("argv", CASES, ids=lambda a: f"{a[0]}-{a[2]}")
 def test_report_does_not_depend_on_the_chunking(monkeypatch, argv):
     code, text, _ = run(argv)
     one_point_chunks(monkeypatch)
@@ -66,8 +65,8 @@ def test_report_does_not_depend_on_the_chunking(monkeypatch, argv):
 
 def test_samples_keep_point_order_across_chunks(monkeypatch):
     # 70 order-1 points at most 32 a chunk: 24 + 23 + 23
-    argv = ["lee", "--example", "hypersurface-f5", "--n", "2", "--order",
-            "1", "--samples", "70", "--seed", "11"]
+    argv = ["lee", "--example", "hypersurface-f5", "--n", "2",
+            "--samples", "70", "--seed", "11"]
     points = sample_points(5, 70, seed=11)
     whole = json.loads(run(argv)[1])
     assert len(accr.chunks(points, 1)) == 1
@@ -114,7 +113,7 @@ def test_order3_chunks_reuse_their_memory():
     # two chunks of 8 points at n = 3: with glibc's adaptive thresholds
     # every chunk faulted its working set in anew (about 600 pages a point)
     argv = ["soliton", "--example", "hypersurface-f5", "--n", "3",
-            "--order", "3", "--preset", "soliton", "--samples", "16"]
+            "--preset", "soliton", "--samples", "16"]
     run(argv)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run(argv)
@@ -130,8 +129,8 @@ def test_domain_fault_at_some_points_of_a_chunk_exits_3(monkeypatch,
     if one_point:
         one_point_chunks(monkeypatch)
     code, text, err = run(["transform", "--example", "flat-f0", "--n", "1",
-                           "--order", "1", "--samples", "32", "--u",
-                           "ln(x1 - 1)", "--v", "0", "--w", "0"])
+                           "--samples", "32", "--u", "ln(x1 - 1)", "--v",
+                           "0", "--w", "0"])
     assert code == 3 and text == ""
     assert "ln of a nonpositive value at ln((x1 - 1))" in err
 

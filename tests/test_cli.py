@@ -276,7 +276,7 @@ def test_usage_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["check", "--n", "5"],
-    ["soliton", "--preset", "soliton", "--order", "3", "--n", "20"],
+    ["soliton", "--preset", "soliton", "--n", "20"],
     ["check", "--samples", "1025"],
     ["lee", "--samples", "1000000000"],
 ])
@@ -352,7 +352,7 @@ def test_overflow_in_triple_exits_3(capsys):
 def test_non_finite_number_in_triple_exits_2(capsys, u):
     # 1e999 read as inf ran on to "SVD did not converge", exit 3
     assert main(["transform", "--example", "flat-f0", "--n", "1",
-                 "--samples", "1", "--order", "1", "--u", u]) == 2
+                 "--samples", "1", "--u", u]) == 2
     assert "expected a finite number" in capsys.readouterr().err
 
 
@@ -379,7 +379,7 @@ def test_non_finite_number_for_triple_in_config_file_exits_2(tmp_path,
 ])
 def test_overflow_in_triple_exits_3_naming_the_node(capsys, u, box, node):
     assert main(["transform", "--example", "flat-f0", "--n", "1",
-                 "--samples", "1", "--order", "1", f"--box={box}",
+                 "--samples", "1", f"--box={box}",
                  "--u", u]) == 3
     err = capsys.readouterr().err
     assert node in err
@@ -391,7 +391,7 @@ def test_overflow_in_a_deformation_factor_exits_3_naming_it(capsys, flag,
                                                             text):
     # u and w are finite; e^2u and e^2w, factors of g_bar, overflow
     assert main(["transform", "--example", "flat-f0", "--n", "1",
-                 "--samples", "1", "--order", "1", "--box=1,2",
+                 "--samples", "1", "--box=1,2",
                  flag, text]) == 3
     assert (f"math range error at exp((2 * ({text.replace('*', ' * ')})))"
             in capsys.readouterr().err)

@@ -28,8 +28,7 @@ def peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
-# the jet order each command evaluates, whatever --order says (curvature
-# from order 2), and the full chunks of the large run: 13 for check; 4 for
+# the jet order each command evaluates (curvature from order 2), and the full chunks of the large run: 13 for check; 4 for
 # lee, whose report keeps a record per sample (from about 600 samples its
 # report outgrows the chunk); 16 for soliton, which keeps the value
 # matrices its sigma-dependent residuals read until sigma is known
@@ -45,7 +44,7 @@ def test_peak_memory_is_flat_in_the_sample_count(argv):
     order, chunks = EVALUATED[argv[0]]
     size = accr.CHUNK_BYTES // accr.point_bytes(2 * int(argv[2]) + 1, order)
     assert chunks * size <= MAX_SAMPLES
-    argv = argv + ["--example", "hypersurface-f5", "--order", "3"]
+    argv = argv + ["--example", "hypersurface-f5"]
     run_quietly(argv + ["--samples", "1"])    # warm the jet-space caches
     small = peak_bytes(argv + ["--samples", str(2 * size)])
     large = peak_bytes(argv + ["--samples", str(chunks * size)])

@@ -1,6 +1,6 @@
-"""The comparison of two report-matrix records (tools/report_matrix.py),
-on small synthetic records, and the golden reports as matrix records:
-the matrix itself is not run."""
+"""The report matrix (tools/report_matrix.py) without running it: the
+comparison of two records on small synthetic records, the cases of the
+matrix, and the golden reports as matrix records."""
 
 import hashlib
 import json
@@ -171,6 +171,30 @@ def test_multi_chunk_slice_crosses_a_chunk_boundary():
         opt = dict(zip(argv[1::2], argv[2::2]))
         dim = 2 * int(opt["--n"]) + 1
         points = sample_points(dim, int(opt["--samples"]))
-        order = max(int(opt["--order"]), 2 if argv[0] == "soliton" else 1)
+        order = 2 if argv[0] == "soliton" else 1     # what it evaluates
         sizes = [len(c) for c in accr.chunks(points, order)]
         assert len(sizes) >= 2 and sizes[-1] <= sizes[0]
+
+
+def test_cases_cover_every_model_and_preset():
+    from accrgeo.cli import PRESETS
+    from accrgeo.examples import REGISTRY
+    options = {}
+    for argv in report_matrix.cases().values():
+        opt = dict(zip(argv[1::2], argv[2::2]))
+        options.setdefault(argv[0], set()).add(
+            (opt["--example"], opt.get("--preset")))
+    for cmd, seen in options.items():
+        presets = PRESETS if cmd in ("transform", "soliton") else [None]
+        assert seen >= {(m, p) for m in REGISTRY for p in presets}, cmd
+
+
+def test_no_two_cases_differ_only_in_the_order_flag():
+    # every command evaluates the order its report reads, so such a pair
+    # would record the same report twice but for config.order
+    seen = set()
+    for argv in report_matrix.cases().values():
+        i = argv.index("--order")
+        rest = tuple(argv[:i] + argv[i + 2:])
+        assert rest not in seen, argv
+        seen.add(rest)

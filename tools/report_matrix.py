@@ -4,21 +4,16 @@ records: the behavioural contract of a refactor.
 Every case runs ``accrgeo.cli.main`` in-process (seed 7) and keeps its
 exit code, the sha256 of its stdout and the stdout text.  The matrix is
 
-* check, classify, lee, torse x 4 models x n = 1..3 x order 1..3;
-* transform (order 1..3) and soliton (order 2..3) x 6 presets
-  x 4 models x n = 1..3;
+* check, classify, lee, torse x every model of ``examples.REGISTRY``
+  x n = 1..3;
+* transform and soliton x every preset of ``cli.PRESETS`` x every model
+  x n = 1..3;
 
-all with 4 samples, which fit one chunk of points, and a multi-chunk
-slice: every command on hypersurface-f5 at n = 4, order 1, with 70
-samples, which span several chunks (at n = 4 a chunk holds at most 19
-order-1 points, 4 chunks of 17 or 18, and at most 3 order-2 points for
-soliton, 24 chunks).
-
-Every command evaluates the jet order its report reads (1, and 2 for
-soliton) whatever ``--order`` says, so the cases of the order axis
-report alike but for ``config.order``; against a record of a build that
-evaluated at ``--order``, the axis checks that the order each command
-evaluates is high enough.
+all at ``--order 2`` (hence the ``-k2`` of their names) with 4 samples,
+which fit one chunk of points, and a multi-chunk slice: every command on
+hypersurface-f5 at n = 4, order 1, with 70 samples, which span several
+chunks (at n = 4 a chunk holds at most 19 order-1 points, 4 chunks of 17
+or 18, and at most 3 order-2 points for soliton, 24 chunks).
 
 ``tests/data/golden_reports.json`` holds 51 of the matrix's records,
 kept from earlier versions; ``tests/test_reports_golden.py`` judges
@@ -51,33 +46,28 @@ import json
 import math
 import sys
 
-MODELS = ("flat-f0", "hypersurface-f5", "random", "embedded-sphere")
-PRESETS = ("identity", "soliton", "negative-du", "negative-dv",
-           "negative-dw", "holomorphic")
+COMMANDS = ("check", "classify", "lee", "torse", "transform", "soliton")
 NS = (1, 2, 3)
 COMMON = ["--seed", "7", "--json"]
 MAX_DEVIATION = 1e-12
 
 
 def cases() -> dict:
+    from accrgeo.cli import PRESETS
+    from accrgeo.examples import REGISTRY
     out = {}
-    for cmd in ("check", "classify", "lee", "torse"):
-        for model in MODELS:
-            for n in NS:
-                for order in (1, 2, 3):
-                    out[f"{cmd}-{model}-n{n}-k{order}"] = [
-                        cmd, "--example", model, "--n", str(n),
-                        "--order", str(order), "--samples", "4"]
-    for cmd, orders in (("transform", (1, 2, 3)), ("soliton", (2, 3))):
-        for preset in PRESETS:
-            for model in MODELS:
+    for cmd in COMMANDS:
+        presets = PRESETS if cmd in ("transform", "soliton") else [None]
+        for preset in presets:
+            for model in REGISTRY:
                 for n in NS:
-                    for order in orders:
-                        out[f"{cmd}-{preset}-{model}-n{n}-k{order}"] = [
-                            cmd, "--example", model, "--n", str(n),
-                            "--order", str(order), "--preset", preset,
-                            "--samples", "4"]
-    for cmd in ("check", "classify", "lee", "torse", "transform", "soliton"):
+                    name = "-".join(filter(None, (cmd, preset, model)))
+                    out[f"{name}-n{n}-k2"] = [
+                        cmd, "--example", model, "--n", str(n),
+                        "--order", "2",
+                        *(["--preset", preset] if preset else []),
+                        "--samples", "4"]
+    for cmd in COMMANDS:
         preset = ["--preset", "soliton"] if cmd in ("transform",
                                                     "soliton") else []
         out[f"{cmd}-hypersurface-f5-n4-k1-s70"] = [
