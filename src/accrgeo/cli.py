@@ -49,30 +49,19 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class Check:
-    name: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tolerance
-
-    def as_dict(self):
-        return {"name": self.name, "residual": float(self.residual),
-                "tolerance": float(self.tolerance),
-                "passed": bool(self.passed)}
-
-
-@dataclass
 class Report:
+    """A command's report, each check kept as the dict it prints."""
+
     command: str
     config: dict
     checks: list = field(default_factory=list)
     values: dict = field(default_factory=dict)
 
     def add(self, name: str, residual: float, tolerance: float):
-        self.checks.append(Check(name, float(residual), tolerance))
+        residual, tolerance = float(residual), float(tolerance)
+        self.checks.append({"name": name, "residual": residual,
+                            "tolerance": tolerance,
+                            "passed": residual < tolerance})
 
     def add_all(self, residuals: dict, tolerance: float, prefix: str = ""):
         for name, residual in residuals.items():
@@ -80,31 +69,23 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self):
-        return {
-            "version": __version__,
-            "command": self.command,
-            "config": self.config,
-            "checks": [c.as_dict() for c in self.checks],
-            "values": self.values,
-            "passed": bool(self.passed),
-        }
+        return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
         """The report as JSON text; ``ValueError`` for a value that is
         not finite, which RFC 8259 JSON cannot hold."""
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2,
-                          allow_nan=False)
+        return json.dumps({"version": __version__, "command": self.command,
+                           "config": self.config, "checks": self.checks,
+                           "values": self.values, "passed": self.passed},
+                          sort_keys=True, indent=2, allow_nan=False)
 
     def render_table(self) -> str:
         lines = [f"{self.command}  (accrgeo {__version__})"]
-        width = max((len(c.name) for c in self.checks), default=10)
+        width = max((len(c["name"]) for c in self.checks), default=10)
         for c in self.checks:
-            mark = "pass" if c.passed else "FAIL"
-            lines.append(f"  {c.name:<{width}}  {c.residual: .3e}"
-                         f"  < {c.tolerance:.1e}  {mark}")
+            mark = "pass" if c["passed"] else "FAIL"
+            lines.append(f"  {c['name']:<{width}}  {c['residual']: .3e}"
+                         f"  < {c['tolerance']:.1e}  {mark}")
         lines.append(f"  => {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -350,7 +331,9 @@ def cmd_torse(cfg) -> Report:
             raise ConfigError(f"--field needs {d} components separated "
                               "by ';'")
     else:
-        texts = ["0"] * (d - 1) + ["1"]       # the Reeb field
+        # d/dt: the Reeb field on some models, but not on random, whose
+        # xi is the frame image of d/dt
+        texts = ["0"] * (d - 1) + ["1"]
     field = ex.expr_table(parse_exprs(texts, provider.coords, "--field"),
                           (d,))
 
@@ -458,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lee", parents=[common])
     pt = sub.add_parser("torse", parents=[common])
     pt.add_argument("--field", help="candidate field components joined "
-                    "by ';' (default: the Reeb field)")
+                    "by ';' (default: d/dt, 0;...;0;1)")
     sub.add_parser("transform", parents=[common, triple])
     ps = sub.add_parser("soliton", parents=[common, triple])
     ps.add_argument("--sigma", type=float, help="pin the soliton constant")
@@ -492,6 +475,14 @@ def keep_chunk_memory() -> None:
     mallopt(-1, 2 * CHUNK_BYTES)                    # M_TRIM_THRESHOLD
 
 
+def error_line(text: str) -> None:
+    """Write a diagnostic line to stderr.  With stderr closed from the
+    start ``sys.stderr`` is None, and print would write the line to
+    stdout, which holds only the report: the line is dropped."""
+    if sys.stderr is not None:
+        print(text, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     keep_chunk_memory()
     args = PARSER.parse_args(argv)
@@ -500,12 +491,12 @@ def main(argv=None) -> int:
         rep = COMMANDS[args.cmd](cfg)
         text = rep.to_json()
     except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
+        error_line(f"error: {err}")
         return 2
     except (ex.EvalError, JetDomainError, SingularMetricError,
             np.linalg.LinAlgError, FloatingPointError, OverflowError,
             ValueError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
+        error_line(f"numeric error: {err}")
         return 3
     try:
         if sys.stdout is None:      # closed before the interpreter started
@@ -519,8 +510,7 @@ def main(argv=None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print("error: stdout closed before the report was written",
-              file=sys.stderr)
+        error_line("error: stdout closed before the report was written")
         return 141
     if not args.json and sys.stderr is not None and sys.stderr.isatty():
         print(rep.render_table(), file=sys.stderr)

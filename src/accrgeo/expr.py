@@ -453,9 +453,13 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
                     jet[:1] = x[:1] + c if op == "+" else x[:1] - c
                 elif op == "*":
                     jet = x * c
-                else:       # times 1/c, with the domain checks of the jet 1/c
-                    jet = x * _reciprocal(space, _eval_node(
-                        right, bindings, space, memo, batch))[0]
+                elif c == 0.0:
+                    raise ZeroDivisionError("division by zero")
+                else:       # times the number 1/c, which must be finite
+                    inverse = 1.0 / c
+                    if not math.isfinite(inverse):
+                        raise OverflowError("math range error")
+                    jet = x * inverse
             case Bin(op, left, right):
                 a = _eval_node(left, bindings, space, memo, batch)
                 b = _eval_node(right, bindings, space, memo, batch)

@@ -195,18 +195,12 @@ def metric_roundtrip_residual(ev: AccrEval, ev_bar: AccrEval,
 
 def condition_residuals(d: Differentials, S: StructureJets, fk) -> dict:
     """Residuals of the three soliton conditions on the base structure
-    ``S`` (du(xi) = -f/k, dv(xi) = 0, dw vertical) and of the function
-    shapes, at each point: w horizontally constant, and (u, v) a
-    holomorphic pair when both ``holo_*`` vanish."""
-    phi0, xi0, eta0 = tvalue(S.phi), tvalue(S.xi), tvalue(S.eta)
-    phi2 = phi0 @ phi0
+    ``S`` at each point: du(xi) = -f/k, dv(xi) = 0 and dw vertical."""
+    xi0, eta0 = tvalue(S.xi), tvalue(S.eta)
     return {
         "du_xi_plus_fk": np.abs(_dot(d.du, xi0) + fk),
         "dv_xi": np.abs(_dot(d.dv, xi0)),
         "dw_vertical": _maxabs(d.dw - _dot(d.dw, xi0)[..., None] * eta0, 1),
-        "w_horizontal_constant": _maxabs(_vm(d.dw, phi2), 1),
-        "holo_1": _maxabs(_vm(d.du, phi0) - _vm(d.dv, phi2), 1),
-        "holo_2": _maxabs(_vm(d.du, phi2) + _vm(d.dv, phi0), 1),
     }
 
 

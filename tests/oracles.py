@@ -129,7 +129,7 @@ def eval_float(e: ex.Expr, bindings: dict[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of the deformed F on a pure-F5 base
+# Closed forms of the deformed F on a pure-F5 base; shapes of a triple
 # ---------------------------------------------------------------------------
 
 def fbar_f5_closed_form(ev: AccrEval, ev_bar: AccrEval, d: Differentials,
@@ -160,6 +160,19 @@ def fbar_f5_closed_form(ev: AccrEval, ev_bar: AccrEval, d: Differentials,
     return {
         "fbar_vs_g_form": _maxabs(ev_bar.F - F_g, 3) / scale,
         "fbar_vs_gbar_form": _maxabs(ev_bar.F - F_gb, 3) / scale,
+    }
+
+
+def shape_residuals(d: Differentials, phi0) -> dict:
+    """Residuals of the shapes of the deformation's functions at each
+    point, for the value ``phi0`` of phi: w horizontally constant
+    (dw o phi^2 = 0), and (u, v) a holomorphic pair when both ``holo_*``
+    vanish."""
+    phi2 = phi0 @ phi0
+    return {
+        "w_horizontal_constant": _maxabs(_vm(d.dw, phi2), 1),
+        "holo_1": _maxabs(_vm(d.du, phi0) - _vm(d.dv, phi2), 1),
+        "holo_2": _maxabs(_vm(d.du, phi2) + _vm(d.dv, phi0), 1),
     }
 
 

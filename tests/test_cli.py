@@ -710,3 +710,20 @@ def test_stderr_closed_from_the_start_keeps_the_report_and_exit_code(capsys):
          sys.executable], env=fresh_env(), capture_output=True, timeout=120)
     assert (proc.returncode, proc.stdout.decode()) == run(
         capsys, "check", "--n", "1", "--samples", "1")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["check", "--n", "9", "--samples", "1"], 2, "error: n must be in"),
+    (["transform", "--example", "flat-f0", "--n", "1", "--samples", "1",
+      "--u", "exp(exp(exp(10 * x1)))", "--box=1,2"], 3, "numeric error:"),
+], ids=["exit-2", "exit-3"])
+def test_stderr_closed_from_the_start_keeps_errors_off_stdout(capsys, argv,
+                                                              code, line):
+    # print to a None sys.stderr writes to stdout, which holds only the
+    # report; sys.executable, as a pyenv shim exits 1 without a stderr
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m accrgeo.cli "$@" 2>&-', sys.executable,
+         *argv], env=fresh_env(), capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(line)

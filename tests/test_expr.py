@@ -348,6 +348,7 @@ def test_constant_operand_matches_a_constant_jet(form, order, points):
      "((x * 10000000000) * 1.0000000000000001e+300)"),
     ("1e308 + x * 1e308", 1.0, "overflow encountered in add at "
      "(1e+308 + (x * 1e+308))"),
+    ("x/1e-310", 1.0, "math range error at (x / 9.9999999999999694e-311)"),
 ])
 @pytest.mark.parametrize("order", [1, 3])
 def test_constant_operand_errors_name_the_node(text, point, message, order):
@@ -356,3 +357,15 @@ def test_constant_operand_errors_name_the_node(text, point, message, order):
         ex.eval_jet(space, ex.parse(text),
                     coordinate_bindings(["x"], [point], order))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_division_by_a_tiny_constant_scales_by_its_reciprocal(order):
+    # the jet of 1/c overflowed in its powers of c: "math range error" at
+    # order 1 and "division by zero" from order 2, where X * (1/c) is finite
+    space = jet_space(2, order)
+    bindings = coordinate_bindings(["x", "y"], [0.7, 1.2], order)
+    x = ex.parse("sin(x) * y + x^2")
+    got = ex.eval_jet(space, ex.Bin("/", x, ex.Const(1e-160)), bindings)
+    assert np.array_equal(got, ex.eval_jet(space, x, bindings)
+                          * (1.0 / 1e-160))
