@@ -53,6 +53,7 @@ MAX_DEVIATION = 1e-12
 
 
 def cases() -> dict:
+    # imported here: --compare runs without accrgeo on the import path
     from accrgeo.cli import PRESETS
     from accrgeo.examples import REGISTRY
     out = {}
