@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from accrgeo import cli
@@ -85,6 +86,19 @@ def test_torse_default_reeb_field(capsys):
         assert s["k"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("example", sorted(REGISTRY))
+def test_torse_default_field_is_d_dt(capsys, example):
+    # d/dt is the Reeb field on some models only: on random xi is the
+    # frame image of d/dt, which is not vertical there
+    argv = ["torse", "--example", example, "--n", "2", "--samples", "4"]
+    code, rep = run_json(capsys, *argv)
+    code_t, rep_t = run_json(capsys, *argv, "--field", "0;0;0;0;1")
+    assert rep["config"].pop("field") is None
+    assert rep_t["config"].pop("field") == "0;0;0;0;1"
+    assert (code, rep) == (code_t, rep_t)
+    assert rep["values"]["is_vertical"] == (example != "random")
+
+
 def test_torse_explicit_field(capsys):
     code, rep = run_json(capsys, "torse", "--example", "flat-f0",
                          "--n", "1", "--samples", "2",
@@ -138,6 +152,18 @@ def test_example_list(capsys):
     assert code == 0
     assert rep["values"]["examples"] == ["embedded-sphere", "flat-f0",
                                          "hypersurface-f5", "random"]
+
+
+def test_report_keeps_each_check_as_the_dict_it_prints():
+    rep = cli.Report("check", {"n": 1})
+    rep.add("a", np.float64(1e-9), 1e-8)
+    rep.add("b", 1e-8, 1e-8)             # a residual at its tolerance fails
+    assert rep.checks == [
+        {"name": "a", "residual": 1e-9, "tolerance": 1e-8, "passed": True},
+        {"name": "b", "residual": 1e-8, "tolerance": 1e-8, "passed": False}]
+    assert all(type(c["residual"]) is float for c in rep.checks)
+    printed = json.loads(rep.to_json())
+    assert printed["checks"] == rep.checks and printed["passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +736,14 @@ def test_stderr_closed_from_the_start_keeps_the_report_and_exit_code(capsys):
          sys.executable], env=fresh_env(), capture_output=True, timeout=120)
     assert (proc.returncode, proc.stdout.decode()) == run(
         capsys, "check", "--n", "1", "--samples", "1")
+
+
+def test_both_streams_closed_from_the_start_exit_141():
+    # the error line has neither stream to go to and is dropped
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m accrgeo.cli example list >&- 2>&-',
+         sys.executable], env=fresh_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 141
 
 
 @pytest.mark.parametrize("argv, code, line", [
