@@ -38,7 +38,8 @@ CHUNK_BYTES = 2 * 2**20
 
 @dataclass
 class StructureJets:
-    """Raw structure fields at a batch of points, as tensor-jet arrays."""
+    """Raw structure fields at a batch of points, as tensor-jet arrays of
+    ``space`` (xi and eta of a deformed structure at order at most 1)."""
 
     space: JetSpace
     point: np.ndarray   # (*batch, d)
@@ -239,10 +240,12 @@ def point_bytes(dim: int, order: int) -> int:
     2: 8 bytes times the coefficients of ``jet_space(dim, order - 1)``
     times dim^3 and dim^2 for each tensor of :data:`_PEAK_TENSORS`.  It is
     calibrated against the tracemalloc peak growth per point, the largest
-    over the commands of that order, which it exceeds by a quarter to a
-    third (``tests/test_memory.py`` keeps it between 1 and 2 times that
-    growth).  In KB at n = 1..4: 5.2, 20.8, 53.3, 108.9 at order 1 and
-    10.9, 69.6, 244.6, 635.0 at order 2."""
+    over the commands of that order (``tests/test_memory.py`` keeps it
+    between 1 and 2 times that growth).  In KB at n = 1..4: 5.2, 20.8,
+    53.3, 108.9 at order 1 and 10.9, 69.6, 244.6, 635.0 at order 2,
+    against a growth on embedded-sphere of 3.3, 12.7, 34.3, 71.4
+    (transform, 1.53 to 1.64 times) and 8.4, 52.2, 181.7, 468.7 (soliton,
+    1.30 to 1.35 times)."""
     rank3, rank2 = _PEAK_TENSORS[order]
     ncoeff = jet_space(dim, order - 1).ncoeff
     return 8 * ncoeff * dim ** 2 * (rank3 * dim + rank2)

@@ -17,13 +17,16 @@ and a domain error at any point fails the batch.  The tensor machinery
 (``tmul``, ``tgrad``, ``tminv`` ...) reads the tensor axes from the end.
 Every function takes the :class:`JetSpace` of its operands first.
 
-Scalar and tensor jets share one truncated-product kernel: a product
-gathers both operands along the :class:`JetSpace` coefficient-pair table,
-which is sorted by target coefficient, multiplies them, and sums each
-target's segment (:func:`_segment_sum`).  A tensor product (:func:`tmul`)
-multiplies matrix stacks planned once per spec and shape, the batch axes
-folded into the stacks: densely for the pairs with a value part, by one
-batched ``np.matmul`` for the cross pairs.
+Scalar and tensor products read one table: the :class:`JetSpace`
+coefficient pairs, sorted by target coefficient.  A scalar product
+(:func:`jmul`) gathers both operands along it, multiplies them, and sums
+each target's segment by ``np.add.reduceat`` (:func:`_segment_sum`).  A
+tensor product (:func:`tmul`) multiplies matrix stacks planned once per
+spec and shape, the batch axes folded into the stacks: densely for the
+pairs with a value part, and for the cross pairs by one broadcast
+``np.matmul`` per block of degrees (di, dj), folded into the targets in
+pair-table order by gathers and adds, without ``reduceat``, which is slow
+at tensor shapes.
 """
 
 from __future__ import annotations
@@ -96,12 +99,30 @@ class JetSpace:
         self._mul_t = np.array(T)[by_target]
         # every target t has the pair (0, t): segment k sums coefficient k
         self._mul_starts = np.searchsorted(self._mul_t, range(self.ncoeff))
-        # the cross pairs (i, j > 0) reach the targets of degree 2 and up
+        self._build_fold()
+
+    def _build_fold(self):
+        # the cross pairs (i, j > 0) reach the targets of degree 2 and up;
+        # tmul computes them as the degree blocks (di, dj), each one
+        # broadcast product of a's degree-di and b's degree-dj
+        # coefficients, and _fold[r] gathers the r-th pair of each target,
+        # in pair-table order, from the blocks flattened one after another
+        off = self.degree_offsets
+        self._blocks = [(di, dj) for di in range(1, self.order)
+                        for dj in range(1, self.order + 1 - di)]
+        self._cross_first = off[min(2, self.order + 1)]
         cross = (self._mul_i > 0) & (self._mul_j > 0)
-        self._cross_i, self._cross_j = self._mul_i[cross], self._mul_j[cross]
-        self._cross_first = self.degree_offsets[min(2, self.order + 1)]
-        self._cross_starts = np.searchsorted(
-            self._mul_t[cross], range(self._cross_first, self.ncoeff))
+        i, j, t = self._mul_i[cross], self._mul_j[cross], self._mul_t[cross]
+        deg = np.array([sum(a) for a in self.indices])
+        flat, base = np.zeros_like(i), 0
+        for di, dj in self._blocks:
+            sel = (deg[i] == di) & (deg[j] == dj)
+            width = off[dj + 1] - off[dj]
+            flat[sel] = base + (i[sel] - off[di]) * width + j[sel] - off[dj]
+            base += (off[di + 1] - off[di]) * width
+        rank = np.arange(len(t)) - np.searchsorted(t, t)
+        self._fold = [(t[rank == r] - self._cross_first, flat[rank == r])
+                      for r in range(1 + rank.max(initial=-1))]
 
     def _build_deriv_maps(self):
         # d/dx_v maps coefficient at b+e_v to coefficient (b_v+1)*c at b
@@ -279,11 +300,11 @@ def ttrunc(space: JetSpace, a: np.ndarray, new_order: int) -> np.ndarray:
     return a[: space.degree_offsets[new_order + 1]]
 
 
-def _segment_sum(space: JetSpace, prod: np.ndarray, starts=None):
-    """Sum the pair products of a truncated product (one row per entry of
-    the pair table, or of the segments ``starts``) into their targets."""
-    starts = space._mul_starts if starts is None else starts
-    return np.add.reduceat(prod, starts, axis=0)
+def _segment_sum(space: JetSpace, prod: np.ndarray):
+    """Sum the pair products of a scalar truncated product, one row per
+    entry of the pair table, into their targets by ``np.add.reduceat``:
+    at scalar shapes faster than :func:`tmul`'s gathers and adds."""
+    return np.add.reduceat(prod, space._mul_starts, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -329,9 +350,13 @@ def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
     A spec may name an index once per operand; an index of both operands
     is summed and every other one is an output axis (no trace, diagonal
     or one-sided sum), else ``ValueError``.  The pairs with a value part
-    multiply as dense matrix stacks, the cross pairs in one batched
-    ``np.matmul`` (broadcast when nothing is summed) over their part of
-    the pair table, summed by :func:`_segment_sum`."""
+    multiply as dense matrix stacks.  The cross pairs (both coefficients
+    of degree >= 1) multiply by degree blocks: x = op(a[deg di][:, None],
+    b[None, deg dj]) for di + dj <= K, where op is ``np.matmul``, or
+    ``np.multiply`` when nothing is summed.  At order 2 the one block is
+    (1, 1), and the target e_p + e_q gets x[p, q] + x[q, p], 2e_p gets
+    x[p, p]; in general each target's pairs are added in pair-table
+    order, one gather of the flattened blocks per rank of pair."""
     perm_a, amk, perm_b, bkn, op, shape, perm_out = _tmul_plan(
         sub, a.shape[1:], b.shape[1:])
     a = a.transpose(perm_a).reshape((-1,) + amk)
@@ -339,10 +364,16 @@ def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
     out = op(a[0], b)                       # the pairs (0, t)
     out[1:] += op(a[1:], b[0])              # the pairs (t, 0), t > 0
     if space.order >= 2:
-        out[space._cross_first:] += _segment_sum(
-            space, op(a.take(space._cross_i, axis=0),
-                      b.take(space._cross_j, axis=0)),
-            space._cross_starts)
+        off, rows = space.degree_offsets, (-1,) + out.shape[1:]
+        x = [op(a[off[di]:off[di + 1], None],
+                b[None, off[dj]:off[dj + 1]]).reshape(rows)
+             for di, dj in space._blocks]
+        x = x[0] if len(x) == 1 else np.concatenate(x)
+        (_, first), *rest = space._fold
+        cross = x[first]
+        for targets, pairs in rest:
+            cross[targets] += x[pairs]
+        out[space._cross_first:] += cross
     return out.reshape((-1,) + shape).transpose(perm_out)
 
 

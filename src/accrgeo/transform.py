@@ -24,7 +24,7 @@ from .accr import (TOL_CLASS, AccrEval, StructureJets, StructureProvider,
                    class_residuals, over_chunks, worst_of)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
-from .jets import jet_space, tgrad0, tmul, tscale, tsym, tvalue
+from .jets import jet_space, tgrad0, tmul, tscale, tsym, ttrunc, tvalue
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,20 @@ def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
     """The deformed fields (phi, xi_bar, eta_bar, g_bar) from the base
     structure jets and the jets of the deformation factors at the same
     points (the last five of :attr:`TransformTriple.exprs`), g_bar as one
-    product of (a, b, c) with the stack (g, gtilde, eta (x) eta)."""
+    product of (a, b, c) with the stack (g, gtilde, eta (x) eta).
+
+    xi_bar and eta_bar are jets of order at most 1, as their readers take
+    only values and first partials; so above order 1 the result is no
+    base for another deformation."""
     space = S.space
     eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
     gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
     gbar = tsym(tmul(space, np.stack((a, b, c), axis=-1),
                      np.stack((S.g, gtilde, eta_eta), axis=-3), "s,sij->ij"))
-    xibar = tscale(space, e_minus_w, S.xi)
-    etabar = tscale(space, e_w, S.eta)
+    k = min(space.order, 1)
+    low = jet_space(space.m, k)
+    xibar, etabar = (tscale(low, ttrunc(space, f, k), ttrunc(space, x, k))
+                     for f, x in ((e_minus_w, S.xi), (e_w, S.eta)))
     return StructureJets(space, S.point, gbar, S.phi, xibar, etabar)
 
 

@@ -305,28 +305,34 @@ AXIS_LENGTH = dict(zip("abcijklm", [2, 3, 4, 3, 2, 4, 5, 3]))
 
 
 def einsum_tmul(space, a, b, sub):
-    """Every pair of the table gathered and multiplied by one einsum, as
-    tmul did before its planned matmul: the oracle for every spec."""
+    """Every pair of the table gathered and multiplied by one einsum, the
+    batch axes carried through, and summed by target in table order: the
+    oracle for every spec."""
     lhs, rhs = sub.split("->")
     sa, sb = lhs.split(",")
-    prod = np.einsum(f"p{sa},p{sb}->p{rhs}", a[space._mul_i],
+    prod = np.einsum(f"p...{sa},p...{sb}->p...{rhs}", a[space._mul_i],
                      b[space._mul_j])
     return np.add.reduceat(prod, space._mul_starts, axis=0)
 
 
+# tmul is not bit-for-bit with the oracle: it adds the two value-part
+# pairs of a target before its cross pairs, and contracts by matmul
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
 @pytest.mark.parametrize("sub", TMUL_SPECS)
-def test_tmul_matches_the_pair_table_einsum(sub, order):
-    space = jet_space(2, order)
+def test_tmul_matches_the_pair_table_einsum(sub, m, order):
+    space = jet_space(m, order)
     sa, sb = sub.split("->")[0].split(",")
-    a = RNG.uniform(-1, 1, (space.ncoeff,) + tuple(AXIS_LENGTH[c]
-                                                   for c in sa))
-    b = RNG.uniform(-1, 1, (space.ncoeff,) + tuple(AXIS_LENGTH[c]
-                                                   for c in sb))
-    got = tmul(space, a, b, sub)
-    want = einsum_tmul(space, a, b, sub)
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1, np.abs(want)))
+    for batch in [(), (3,), (2, 3)]:
+        a = RNG.uniform(-1, 1, (space.ncoeff, *batch,
+                                *(AXIS_LENGTH[c] for c in sa)))
+        b = RNG.uniform(-1, 1, (space.ncoeff, *batch,
+                                *(AXIS_LENGTH[c] for c in sb)))
+        got = tmul(space, a, b, sub)
+        want = einsum_tmul(space, a, b, sub)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
 @pytest.mark.parametrize("sub,shapes", [

@@ -1,6 +1,8 @@
 """Contact conformal deformations: metric laws, Lee transformation laws,
 soliton verification and its negative controls."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from accrgeo import accr, examples, geometry, jets
 from accrgeo import expr as ex
 from accrgeo import transform as tr
 from accrgeo.accr import check_axioms, class_residuals, structure_eval
+from accrgeo.cli import PRESETS
 from accrgeo.examples import (REGISTRY, build_flat_f0, build_hypersurface,
                               get_example, holomorphic_pair_uvw,
                               random_structure, sample_points, soliton_uvw)
 from accrgeo.geometry import coordinate_bindings
-from accrgeo.jets import jet_space
+from accrgeo.jets import jet_space, ttrunc
 from oracles import fbar_f5_closed_form, partial, shape_residuals, uvw
+from report_matrix import run
 
 RNG = np.random.default_rng(1234)
 
@@ -43,8 +47,10 @@ def test_identity_transform_is_noop():
     S0 = prov.structure_at(p, 2)
     S1 = ts.structure_at(p, 2)
     assert np.allclose(S0.g, S1.g, atol=1e-14)
-    assert np.allclose(S0.xi, S1.xi, atol=1e-14)
-    assert np.allclose(S0.eta, S1.eta, atol=1e-14)
+    # xi_bar and eta_bar keep their order-1 coefficients
+    for x0, x1 in ((S0.xi, S1.xi), (S0.eta, S1.eta)):
+        assert x1.shape == ttrunc(S0.space, x0, 1).shape
+        assert np.allclose(ttrunc(S0.space, x0, 1), x1, atol=1e-14)
 
 
 def test_vertical_only_transform_changes_eta_part_only():
@@ -81,11 +87,14 @@ def test_transforms_compose_additively():
     both = tr.TransformedStructure(prov, tr.TransformTriple(
         t1.u + t2.u, t1.v + t2.v, t1.w + t2.w))
     for p in sample_points(3, 3, seed=4):
+        # order 1: above it a deformed structure keeps xi_bar and eta_bar
+        # at order 1, too low for the g_bar of another deformation
         Sa = step.structure_at(p, 1)
         Sb = both.structure_at(p, 1)
         assert np.max(np.abs(Sa.g - Sb.g)) < 1e-9
-        assert np.max(np.abs(Sa.xi - Sb.xi)) < 1e-12
-        assert np.max(np.abs(Sa.eta - Sb.eta)) < 1e-12
+        for xa, xb in ((Sa.xi, Sb.xi), (Sa.eta, Sb.eta)):
+            assert xa.shape == xb.shape == (jet_space(3, 1).ncoeff, 3)
+            assert np.max(np.abs(xa - xb)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +317,9 @@ def test_lxi00_gate_uses_the_residual_at_each_point():
 # ---------------------------------------------------------------------------
 
 def test_soliton_chunk_makes_seven_tensor_products(monkeypatch):
-    # g^-1 at order 1 (one product), Gamma (one), eta (x) eta, g phi and
-    # g_bar (one product each) and the two tscale of xi_bar and eta_bar
+    # g^-1 at order 1 (one product), Gamma (one), the two tscale of xi_bar
+    # and eta_bar at order 1, and eta (x) eta, g phi and g_bar (one
+    # product each)
     orders, tmul = [], jets.tmul
 
     def counting(space, a, b, sub):
@@ -322,7 +332,59 @@ def test_soliton_chunk_makes_seven_tensor_products(monkeypatch):
     prov = build_hypersurface(2)
     tstruct = tr.TransformedStructure(prov, soliton_uvw(2))
     tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5), fk=prov.fk)
-    assert sorted(orders) == [1, 1, 2, 2, 2, 2, 2]
+    assert sorted(orders) == [1, 1, 1, 1, 2, 2, 2]
+
+
+def test_soliton_chunk_sums_only_scalar_products_by_reduceat(monkeypatch):
+    # tmul folds its cross pairs by gathers and adds; the scalar jmul of
+    # the expression evaluator still sums its pairs by np.add.reduceat
+    callers = []
+
+    class Add:
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+        def reduceat(self, *args, **kwargs):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names)
+            return np.add.reduceat(*args, **kwargs)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(jets, "np", Numpy())
+    prov = build_hypersurface(2)
+    tstruct = tr.TransformedStructure(prov, soliton_uvw(2))
+    tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5), fk=prov.fk)
+    assert any("jmul" in names for names in callers)
+    assert not any("tmul" in names for names in callers)
+
+
+@pytest.mark.parametrize("command", ["transform", "soliton"])
+def test_no_report_reads_xibar_or_etabar_above_order_1(monkeypatch,
+                                                        command):
+    argvs = [[command, "--example", model, "--n", str(n), "--preset", preset,
+              "--samples", "4", "--seed", "7", "--json"]
+             for preset in PRESETS for model in REGISTRY for n in (1, 2)]
+    kept = [run(argv)[:2] for argv in argvs]
+    deform, orders = tr.deform, set()
+
+    def full_order_deform(S, a, b, c, e_minus_w, e_w):
+        # deform with xi_bar and eta_bar at the order of S
+        out = deform(S, a, b, c, e_minus_w, e_w)
+        out.xi = jets.tscale(S.space, e_minus_w, S.xi)
+        out.eta = jets.tscale(S.space, e_w, S.eta)
+        orders.add(S.space.order)
+        return out
+    monkeypatch.setattr(tr, "deform", full_order_deform)
+    assert [run(argv)[:2] for argv in argvs] == kept
+    assert orders == {1 if command == "transform" else 2}
 
 
 @pytest.mark.parametrize("model", sorted(REGISTRY))
