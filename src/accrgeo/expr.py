@@ -71,6 +71,11 @@ class EvalError(ArithmeticError):
     """Unbound variable or domain error during evaluation."""
 
 
+# The match statements below name the fields of a node by keyword: on
+# CPython 3.11 a positional class pattern looks up __match_args__ by a new
+# string at each match, which the interpreter's type attribute cache then
+# keeps: evaluation would leave thousands of them allocated, more the more
+# nodes it matches.
 @dataclass(frozen=True)
 class Expr:
     def __str__(self):
@@ -363,9 +368,9 @@ def depth(e: Expr) -> int:
         node, level = stack.pop()
         deepest = max(deepest, level)
         match node:
-            case Neg(arg) | Func(_, arg) | Pow(arg, _):
+            case Neg(arg=arg) | Func(arg=arg) | Pow(base=arg):
                 stack.append((arg, level + 1))
-            case Bin(_, left, right):
+            case Bin(left=left, right=right):
                 stack += [(left, level + 1), (right, level + 1)]
     return deepest
 
@@ -374,13 +379,13 @@ def free_vars(e: Expr) -> frozenset[str]:
     match e:
         case Const():
             return frozenset()
-        case Var(name):
+        case Var(name=name):
             return frozenset((name,))
-        case Neg(arg) | Func(_, arg):
+        case Neg(arg=arg) | Func(arg=arg):
             return free_vars(arg)
-        case Bin(_, left, right):
+        case Bin(left=left, right=right):
             return free_vars(left) | free_vars(right)
-        case Pow(base, _):
+        case Pow(base=base):
             return free_vars(base)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -428,24 +433,26 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
         return jet
     try:
         match node:
-            case Const(value):
+            case Const(value=value):
                 jet = np.zeros((space.ncoeff,) + batch)
                 jet[0] = value
-            case Var(name):
+            case Var(name=name):
                 try:
                     jet = bindings[name]
                 except KeyError:
                     raise EvalError(f"unbound variable {name!r}") from None
-            case Neg(arg):
+            case Neg(arg=arg):
                 jet = -_eval_node(arg, bindings, space, memo, batch)
-            case Bin(op, Const(c), right) if not isinstance(right, Const):
+            case Bin(op=op, left=Const(value=c),
+                     right=right) if not isinstance(right, Const):
                 x = _eval_node(right, bindings, space, memo, batch)
                 if op in "+-":
                     jet = x.copy() if op == "+" else -x
                     jet[:1] = c + x[:1] if op == "+" else c - x[:1]
                 else:
                     jet = c * (x if op == "*" else _reciprocal(space, x))
-            case Bin(op, left, Const(c) as right) if not isinstance(
+            case Bin(op=op, left=left,
+                     right=Const(value=c) as right) if not isinstance(
                     left, Const):
                 x = _eval_node(left, bindings, space, memo, batch)
                 if op in "+-":
@@ -460,7 +467,7 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
                     if not math.isfinite(inverse):
                         raise OverflowError("math range error")
                     jet = x * inverse
-            case Bin(op, left, right):
+            case Bin(op=op, left=left, right=right):
                 a = _eval_node(left, bindings, space, memo, batch)
                 b = _eval_node(right, bindings, space, memo, batch)
                 if op == "+":
@@ -471,11 +478,11 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
                     jet = jmul(space, a, b)
                 else:
                     jet = jmul(space, a, _reciprocal(space, b))
-            case Pow(base, exponent):
+            case Pow(base=base, exponent=exponent):
                 jet = jpow(space,
                            _eval_node(base, bindings, space, memo, batch),
                            exponent)
-            case Func(name, arg):
+            case Func(name=name, arg=arg):
                 jet = FUNCTION_TABLE[name](
                     space, _eval_node(arg, bindings, space, memo, batch))
             case _:
@@ -501,18 +508,18 @@ def serialize(e: Expr) -> str:
     """Canonical fully parenthesized text; re-parsing yields a
     structurally identical tree."""
     match e:
-        case Const(value):
+        case Const(value=value):
             return _fmt(value)
-        case Var(name):
+        case Var(name=name):
             return name
-        case Neg(arg):
+        case Neg(arg=arg):
             return f"(-{serialize(arg)})"
-        case Bin(op, left, right):
+        case Bin(op=op, left=left, right=right):
             return f"({serialize(left)} {op} {serialize(right)})"
-        case Pow(base, exponent):
+        case Pow(base=base, exponent=exponent):
             if exponent < 0:
                 return f"({serialize(base)} ^ -{_fmt(-exponent)})"
             return f"({serialize(base)} ^ {_fmt(exponent)})"
-        case Func(name, arg):
+        case Func(name=name, arg=arg):
             return f"{name}({serialize(arg)})"
     raise TypeError(f"not an Expr: {e!r}")
