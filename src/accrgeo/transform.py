@@ -68,8 +68,12 @@ def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
 
     xi_bar and eta_bar are jets of order at most 1, as their readers take
     only values and first partials; so above order 1 the result is no
-    base for another deformation."""
+    base for another deformation, and :class:`ValueError` says so."""
     space = S.space
+    if min(len(S.xi), len(S.eta)) < space.ncoeff:
+        raise ValueError(f"xi and eta of the base are below order "
+                         f"{space.order}: a deformed structure is no base "
+                         f"for another deformation above order 1")
     eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
     gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
     gbar = tsym(tmul(space, np.stack((a, b, c), axis=-1),
@@ -228,9 +232,13 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     the points, in report order (``is_F1`` as 0/1, the ``cond:`` checks
     only with ``fk``), and the reported values.
     """
-    n = tstruct.n
-    upper = np.triu_indices(2 * n + 1)
-    held = []       # per chunk, what the sigma-dependent residuals read
+    n, dim = tstruct.n, 2 * tstruct.n + 1
+    upper = np.triu_indices(dim)
+    # per chunk, what the sigma-dependent residuals read, one row a point:
+    # L_xi gbar and the right-hand side of its identity, the upper triangle
+    # of gbar (exactly symmetric), etabar and dw o phi^2
+    held = []
+    cut = np.cumsum([dim * dim, dim * dim, len(upper[0]), dim])
 
     def chunk(pts):
         S, ev_bar, d = tstruct.evaluate(pts, 2)
@@ -238,18 +246,15 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         lie0 = lie_metric_coord(space, Sb.g, Sb.xi)
         lie_v = lie_metric_cov(ev_bar.g0, cov_deriv_vector(
             space, ev_bar.frame.gamma, Sb.xi))
-        # tau and lie0 are fresh arrays, but eta_bar's value is a view of
-        # its jets, which held would keep alive: copy it
-        etab = ev_bar.eta0.copy()
+        etab = ev_bar.eta0
         gb0, phi0, tau = ev_bar.g0, ev_bar.phi0, ev_bar.frame.tau
         phi2 = phi0 @ phi0
         scale = np.maximum(1.0, _maxabs(gb0, 2))
         lscale = _lee_scale(ev_bar)
-        # with L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar};
-        # gbar is exactly symmetric, so its upper triangle is kept
-        held.append((tau, scale, lie0, gb0[..., upper[0], upper[1]],
-                     -(_T(phi0) @ gb0 @ phi0) + _outer(etab, etab), etab,
-                     _vm(d.dw, phi2)))
+        # with L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}
+        held.append(np.concatenate([x.reshape(len(pts), -1) for x in (
+            lie0, -(_T(phi0) @ gb0 @ phi0) + _outer(etab, etab),
+            gb0[..., upper[0], upper[1]], etab, _vm(d.dw, phi2))], axis=1))
         out = {"tau": tau,
                "is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
                "residuals": {
@@ -269,7 +274,11 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                                  "cond:dw_vertical": c["dw_vertical"]}
         return out
 
-    def sigma_residuals(tau, scale, lie0, gb_upper, lrhs, etab, dwp2):
+    def sigma_residuals(tau, rows):
+        lie0, lrhs, gb_upper, etab, dwp2 = np.split(rows, cut, axis=1)
+        lie0, lrhs = (x.reshape(-1, dim, dim) for x in (lie0, lrhs))
+        # the scale of the chunk: gbar's largest entry is in its upper half
+        scale = np.maximum(1.0, _maxabs(gb_upper, 1))
         gb0 = np.empty_like(lie0)
         gb0[..., upper[0], upper[1]] = gb0[..., upper[1], upper[0]] = gb_upper
         ts = (tau - sig)[:, None, None]
@@ -286,7 +295,8 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     try:
         with np.errstate(over="raise", invalid="raise"):
             soliton, tsdw, lxi00 = map(np.concatenate, zip(
-                *(sigma_residuals(*h) for h in held)))
+                *map(sigma_residuals, np.split(taus, np.cumsum(
+                    [len(rows) for rows in held])[:-1]), held)))
     except FloatingPointError as err:
         raise FloatingPointError(
             f"sigma={sig!r} takes the soliton residuals out of the float "

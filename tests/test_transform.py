@@ -97,6 +97,16 @@ def test_transforms_compose_additively():
             assert np.max(np.abs(xa - xb)) < 1e-12
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_deformation_of_a_deformed_structure_fails_above_order_1(order):
+    prov = random_structure(1, seed=8)
+    step = tr.TransformedStructure(
+        tr.TransformedStructure(prov, uvw("0.2 * x1", "0.1 * t", "0.3 * t")),
+        uvw("0.1 * x2", "0.2 * t", "0.1 * x1"))
+    with pytest.raises(ValueError, match="no base for another deformation"):
+        step.structure_at(sample_points(3, 2, seed=4), order)
+
+
 # ---------------------------------------------------------------------------
 # Transformation laws
 # ---------------------------------------------------------------------------
