@@ -243,9 +243,9 @@ def point_bytes(dim: int, order: int) -> int:
     over the commands of that order (``tests/test_memory.py`` keeps it
     between 1 and 2 times that growth).  In KB at n = 1..4: 5.2, 20.8,
     53.3, 108.9 at order 1 and 10.9, 69.6, 244.6, 635.0 at order 2,
-    against a growth on embedded-sphere of 3.3, 12.7, 34.3, 71.4
-    (transform, 1.53 to 1.64 times) and 8.4, 52.2, 181.7, 468.7 (soliton,
-    1.30 to 1.35 times)."""
+    against a growth on embedded-sphere of 3.4, 13.2, 34.8, 71.8
+    (transform, 1.51 to 1.58 times) and 8.5, 52.4, 182.1, 469.0 (soliton,
+    1.28 to 1.35 times)."""
     rank3, rank2 = _PEAK_TENSORS[order]
     ncoeff = jet_space(dim, order - 1).ncoeff
     return 8 * ncoeff * dim ** 2 * (rank3 * dim + rank2)
