@@ -89,8 +89,7 @@ def canonical_flat_fields(n: int):
 class ChartStructure(StructureProvider):
     """Structure fields given as expression tables over the chart."""
 
-    def __init__(self, n: int, coords, g, phi, xi, eta, name: str = "chart",
-                 fk=None):
+    def __init__(self, n: int, coords, g, phi, xi, eta, fk=None):
         self.n = n
         self.coords = list(coords)
         if len(self.coords) != self.dim:
@@ -100,7 +99,7 @@ class ChartStructure(StructureProvider):
         self.phi_expr = ex.expr_table(phi, (d, d))
         self.xi_expr = ex.expr_table(xi, (d,))
         self.eta_expr = ex.expr_table(eta, (d,))
-        self.fk, self.name = fk, name
+        self.fk = fk
 
     def structure_at(self, points, order: int) -> StructureJets:
         space = jet_space(self.dim, order)
@@ -122,12 +121,11 @@ class FrameStructure(StructureProvider):
     frame reproduces the flat model.
     """
 
-    def __init__(self, n: int, coords, frame, name: str = "frame"):
+    def __init__(self, n: int, coords, frame):
         self.n = n
         self.coords = list(coords)
         d = self.dim
         self.frame_expr = ex.expr_table(frame, (d, d))
-        self.name = name
         (self._ghat, self._phihat,
          self._xihat, self._etahat) = canonical_flat_fields(n)
 
@@ -136,9 +134,8 @@ class FrameStructure(StructureProvider):
         a = eval_expr_table(space, self.frame_expr,
                             coordinate_bindings(self.coords, points, order))
         ainv = tminv(space, a)
-        phi = tmul(space, a @ self._phihat, ainv, "ab,bc->ac")
-        g = tsym(tmul(space, np.swapaxes(ainv, -1, -2) @ self._ghat, ainv,
-                      "ab,bc->ac"))
+        phi = tmul(space, a @ self._phihat, ainv, np.matmul)
+        g = tsym(tmul(space, _T(ainv) @ self._ghat, ainv, np.matmul))
         xi, eta = a @ self._xihat, self._etahat @ ainv
         return StructureJets(space, np.asarray(points, dtype=float),
                              g, phi, xi, eta)

@@ -427,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     triple = argparse.ArgumentParser(add_help=False)
     triple.add_argument("--preset", help="named transformation triple: "
                         + ", ".join(sorted(PRESETS)))
-    triple.add_argument("--u", help="expression for u")
-    triple.add_argument("--v", help="expression for v")
-    triple.add_argument("--w", help="expression for w")
+    for name in "uvw":
+        triple.add_argument(f"--{name}", help=f"expression for {name} (one "
+                            f"that starts with '-' as --{name}=-t)")
 
     parser = argparse.ArgumentParser(
         prog="accrgeo",
@@ -441,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lee", parents=[common])
     pt = sub.add_parser("torse", parents=[common])
     pt.add_argument("--field", help="candidate field components joined "
-                    "by ';' (default: d/dt, 0;...;0;1)")
+                    "by ';' (default: d/dt, 0;...;0;1; one that starts "
+                    "with '-' as --field=-1;0;0)")
     sub.add_parser("transform", parents=[common, triple])
     ps = sub.add_parser("soliton", parents=[common, triple])
     ps.add_argument("--sigma", type=float, help="pin the soliton constant")

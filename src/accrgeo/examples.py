@@ -33,7 +33,7 @@ import numpy as np
 
 from . import expr as ex
 from .accr import (ChartStructure, FrameStructure, StructureJets,
-                   StructureProvider, canonical_flat_fields)
+                   StructureProvider, _T, canonical_flat_fields)
 from .geometry import coordinate_bindings, eval_expr_table
 from .jets import jet_space, tgrad, tminv, tmul, tscale, tsym
 from .transform import TransformTriple
@@ -48,8 +48,12 @@ def coord_names(n: int) -> list[str]:
 def build_flat_f0(n: int = 1) -> ChartStructure:
     g, phi, xi, eta = canonical_flat_fields(n)
     return ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
-                          name="flat-f0",
                           fk=lambda points: np.zeros(np.shape(points)[:-1]))
+
+
+def sech_t(points):
+    """f/k = 1 / cosh t of the warped model and the embedded sphere."""
+    return 1.0 / np.cosh(np.asarray(points, dtype=float)[..., -1])
 
 
 def build_hypersurface(n: int = 1) -> ChartStructure:
@@ -112,9 +116,7 @@ def build_hypersurface(n: int = 1) -> ChartStructure:
     g[d - 1][d - 1] = ex.Const(1.0)
     _, phi, xi, eta = canonical_flat_fields(n)
     return ChartStructure(n, coord_names(n), g=g, phi=phi, xi=xi, eta=eta,
-                          name="hypersurface-f5",
-                          fk=lambda points: 1.0 / np.cosh(
-                              np.asarray(points, float)[..., -1]))
+                          fk=sech_t)
 
 
 def random_structure(n: int = 1, seed: int = 0) -> FrameStructure:
@@ -139,7 +141,7 @@ def random_structure(n: int = 1, seed: int = 0) -> FrameStructure:
             if i == j:
                 entry = 1.0 + entry
             frame[i][j] = entry
-    return FrameStructure(n, names, frame, name=f"random-{seed}")
+    return FrameStructure(n, names, frame)
 
 
 def sample_points(dim: int, count: int, seed: int = 0,
@@ -190,6 +192,11 @@ def holomorphic_pair_uvw(n: int = 1):
 # Embedded model: time-like sphere in C^(n+1)
 # ---------------------------------------------------------------------------
 
+def _gram(x, y):
+    """sum_m x_mj y_mk: the Gram matrix of the columns of x and y."""
+    return _T(x) @ y
+
+
 class EmbeddedSphere(StructureProvider):
     """Hypersurface sum_j (z^j)^2 = cosh^2(t) in C^(n+1), parametrized by
     n complex angles zeta_k = x_k + i x_{n+k} and the radial coordinate t
@@ -213,7 +220,7 @@ class EmbeddedSphere(StructureProvider):
     def __init__(self, n: int = 1):
         self.n = n
         self.coords = coord_names(n)
-        self.name = "embedded-sphere"
+        self.fk = sech_t
         a, b = ([ex.Var(c) for c in self.coords[k * n:(k + 1) * n]]
                 for k in (0, 1))
         t = ex.Var("t")
@@ -252,13 +259,12 @@ class EmbeddedSphere(StructureProvider):
         dZ = tgrad(parent, Z)                 # dZ[..., m, c, j] = d_j Z^m_c
         dZr, dZi = dZ[..., 0, :], dZ[..., 1, :]
         # complex Gram C_jk = d_j Z . d_k Z
-        cre = (tmul(space, dZr, dZr, "mj,mk->jk")
-               - tmul(space, dZi, dZi, "mj,mk->jk"))
-        cim = (tmul(space, dZr, dZi, "mj,mk->jk")
-               + tmul(space, dZi, dZr, "mj,mk->jk"))
+        cre = tmul(space, dZr, dZr, _gram) - tmul(space, dZi, dZi, _gram)
+        cim = tmul(space, dZr, dZi, _gram) + tmul(space, dZi, dZr, _gram)
         g = tsym(cre)
         ginv = tminv(space, g)
-        phi = tmul(space, ginv, -tsym(cim), "km,jm->kj")
+        # phi^k_j = -g^km Im C_jm = -g^km Im C_mj, as C is symmetric
+        phi = tmul(space, ginv, -tsym(cim), np.matmul)
         pts = np.asarray(points, dtype=float)
         csch = eval_expr_table(space, self.csch, coordinate_bindings(
             self.coords, pts, space.order))[..., 0]
@@ -266,9 +272,6 @@ class EmbeddedSphere(StructureProvider):
         xi[..., d - 1] = csch
         eta = tscale(space, csch, g[..., d - 1])
         return StructureJets(space, pts, g, phi, xi, eta)
-
-    def fk(self, points):
-        return 1.0 / np.cosh(np.asarray(points, dtype=float)[..., -1])
 
 
 # ---------------------------------------------------------------------------

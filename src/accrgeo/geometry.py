@@ -65,11 +65,11 @@ def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
     Returns (child_space, gamma)."""
     child = space.child
     dg = tgrad(space, g)                      # dg[i,j,l] = d_l g_ij
-    # T_ijl = d_i g_jl + d_j g_il - d_l g_ij
-    t = (np.einsum("...jli->...ijl", dg) + np.einsum("...ilj->...ijl", dg)
-         - dg)
-    gamma = 0.5 * tmul(child, ginv, t, "kl,ijl->kij")
-    return child, gamma
+    # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, a matrix in l, (i, j)
+    t = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
+         - np.einsum("...ijl->...lij", dg))
+    gamma = tmul(child, ginv, t.reshape(t.shape[:-2] + (-1,)), np.matmul)
+    return child, 0.5 * gamma.reshape(gamma.shape[:-1] + t.shape[-2:])
 
 
 def _contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -148,14 +148,12 @@ def signature(g0: np.ndarray):
 class FrameEval:
     """All pointwise evaluated metric data at a batch of chart points.
 
-    Arrays are tensor-jet arrays; ``space`` is the metric's jet space;
-    ginv and gamma live in ``space.child`` (ginv in ``space`` at order 0),
-    the order their readers need; ``tau`` holds one scalar curvature per
-    point, computed exactly when the metric jets have order >= 2.
+    ginv and gamma are tensor-jet arrays one order below the metric's
+    jets (ginv at order 0 too, for metric jets of order 0), the order
+    their readers need; ``tau`` holds one scalar curvature per point,
+    computed exactly when the metric jets have order >= 2.
     """
 
-    space: JetSpace
-    g: np.ndarray
     ginv: np.ndarray
     gamma: np.ndarray = None
     tau: np.ndarray = None
@@ -164,7 +162,7 @@ class FrameEval:
     def from_metric(cls, space: JetSpace, g: np.ndarray) -> "FrameEval":
         low = space.child if space.order else space
         ginv = tminv(low, ttrunc(space, g, low.order))
-        ev = cls(space=space, g=g, ginv=ginv)
+        ev = cls(ginv)
         if space.order >= 1:
             gamma_space, ev.gamma = christoffels(space, g, ginv)
         if space.order >= 2:

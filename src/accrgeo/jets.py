@@ -21,12 +21,13 @@ Scalar and tensor products read one table: the :class:`JetSpace`
 coefficient pairs, sorted by target coefficient.  A scalar product
 (:func:`jmul`) gathers both operands along it, multiplies them, and sums
 each target's segment by ``np.add.reduceat`` (:func:`_segment_sum`).  A
-tensor product (:func:`tmul`) multiplies matrix stacks planned once per
-spec and shape, the batch axes folded into the stacks: densely for the
-pairs with a value part, and for the cross pairs by one broadcast
-``np.matmul`` per block of degrees (di, dj), folded into the targets in
-pair-table order by gathers and adds, without ``reduceat``, which is slow
-at tensor shapes.
+tensor product (:func:`tmul`) takes the bilinear map of the values
+(``np.matmul``, or a module-level helper that broadcasts over leading
+axes) and calls it on blocks of coefficients, numpy broadcasting over
+the coefficient and batch axes: once each for the pairs with a value
+part, and once per block of degrees (di, dj) for the cross pairs, folded
+into the targets in pair-table order by gathers and adds, without
+``reduceat``, which is slow at tensor shapes.
 """
 
 from __future__ import annotations
@@ -307,60 +308,22 @@ def _segment_sum(space: JetSpace, prod: np.ndarray):
     return np.add.reduceat(prod, space._mul_starts, axis=0)
 
 
-@lru_cache(maxsize=None)
-def _tmul_plan(sub: str, ashape: tuple, bshape: tuple):
-    """Axis orders and shapes that make (batch, free, summed) and
-    (batch, summed, free) matrix stacks of the operands, the product's
-    shape, and the output order.  The batch axes, in front of the ones
-    ``sub`` names and the same in both operands, fold into one stack axis
-    (none for one point: numpy loops over fewer axes faster)."""
-    lhs, out = sub.split("->")
-    sa, sb = lhs.split(",")
-    con = [c for c in sa if c in sb]
-    free = [c for c in sa if c not in sb] + [c for c in sb if c not in sa]
-    nb = len(ashape) - len(sa)
-    size = dict(zip(sa, ashape[nb:]))
-    if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb)
-            or sorted(out) != sorted(free) or nb < 0
-            or ashape[:nb] != bshape[:len(bshape) - len(sb)]
-            or any(size.setdefault(c, n) != n
-                   for c, n in zip(sb, bshape[nb:]))):
-        raise ValueError(f"tmul cannot run {sub!r} on {ashape}, {bshape}")
-    batch = ashape[:nb]
-    stack = () if math.prod(batch) == 1 else (math.prod(batch),)
-    lead = tuple(range(1, 1 + nb))
-    na = len(sa) - len(con)
-    m, k, n = (math.prod(size[c] for c in part)
-               for part in (free[:na], con, free[na:]))
-    return ((0, *lead, *(1 + nb + sa.index(c) for c in free[:na] + con)),
-            stack + (m, k),
-            (0, *lead, *(1 + nb + sb.index(c) for c in con + free[na:])),
-            stack + (k, n),
-            np.matmul if con else np.multiply,
-            batch + tuple(size[c] for c in free),
-            (0, *lead, *(1 + nb + free.index(c) for c in out)))
+def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    """Truncated jet product of the bilinear value map ``op``: coefficient
+    t of the result is the sum of ``op(a[i], b[j])`` over the pairs (i, j)
+    of the table that reach t.  ``op`` (``np.matmul``, ``np.multiply`` or
+    a module-level helper) maps two tensor values to one and broadcasts
+    over leading axes, as it is called on blocks of coefficients, the
+    batch axes behind them; a and b have as many batch axes, which
+    broadcast.
 
-
-def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
-    """Jet-valued einsum: ``sub`` is an einsum spec over the tensor axes,
-    e.g. ``"ij,jk->ik"``; the coefficient axis is convolved, and the axes
-    between it and the ones ``sub`` names are batch axes, carried
-    through: they must be the same in both operands (no broadcasting).
-
-    A spec may name an index once per operand; an index of both operands
-    is summed and every other one is an output axis (no trace, diagonal
-    or one-sided sum), else ``ValueError``.  The pairs with a value part
-    multiply as dense matrix stacks.  The cross pairs (both coefficients
-    of degree >= 1) multiply by degree blocks: x = op(a[deg di][:, None],
-    b[None, deg dj]) for di + dj <= K, where op is ``np.matmul``, or
-    ``np.multiply`` when nothing is summed.  At order 2 the one block is
+    The pairs with a value part come first, as ``op(a[0], b)`` and
+    ``op(a[1:], b[0])``.  The cross pairs (both coefficients of degree
+    >= 1) multiply by degree blocks: x = op(a[deg di][:, None],
+    b[None, deg dj]) for di + dj <= K.  At order 2 the one block is
     (1, 1), and the target e_p + e_q gets x[p, q] + x[q, p], 2e_p gets
     x[p, p]; in general each target's pairs are added in pair-table
     order, one gather of the flattened blocks per rank of pair."""
-    perm_a, amk, perm_b, bkn, op, shape, perm_out = _tmul_plan(
-        sub, a.shape[1:], b.shape[1:])
-    a = a.transpose(perm_a).reshape((-1,) + amk)
-    b = b.transpose(perm_b).reshape((-1,) + bkn)
     out = op(a[0], b)                       # the pairs (0, t)
     out[1:] += op(a[1:], b[0])              # the pairs (t, 0), t > 0
     if space.order >= 2:
@@ -374,15 +337,16 @@ def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, sub: str) -> np.ndarray:
         for targets, pairs in rest:
             cross[targets] += x[pairs]
         out[space._cross_first:] += cross
-    return out.reshape((-1,) + shape).transpose(perm_out)
+    return out
 
 
 def tscale(space: JetSpace, scalar: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Multiply a tensor-jet array by a scalar jet of the same batch: one
-    :func:`tmul` with the spec ``",ij->ij"`` for a matrix, ``",i->i"``
-    for a vector."""
-    axes = "ijklmn"[:a.ndim - scalar.ndim]
-    return tmul(space, scalar, a, f",{axes}->{axes}")
+    :func:`tmul` of ``np.multiply``, the scalar's values broadcast over
+    the tensor axes."""
+    rank = a.ndim - scalar.ndim
+    return tmul(space, scalar.reshape(scalar.shape + (1,) * rank), a,
+                np.multiply)
 
 
 def tgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
@@ -431,7 +395,7 @@ def tminv(space: JetSpace, g: np.ndarray) -> np.ndarray:
     eye = tconst(space, np.broadcast_to(np.eye(g0.shape[-1]), g0.shape))
     series = eye
     for _ in range(space.order):
-        series = eye + tmul(space, series, x, "ab,bc->ac")
+        series = eye + tmul(space, series, x, np.matmul)
     return series @ g0i
 
 

@@ -60,6 +60,12 @@ class TransformTriple:
                                                 order))
 
 
+def _combine(s, t):
+    """sum_s s_s t_sij, one matmul over the flattened (i, j)."""
+    st = s[..., None, :] @ t.reshape(t.shape[:-2] + (-1,))
+    return st.reshape(st.shape[:-2] + t.shape[-2:])
+
+
 def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
     """The deformed fields (phi, xi_bar, eta_bar, g_bar) from the base
     structure jets and the jets of the deformation factors at the same
@@ -74,10 +80,10 @@ def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
         raise ValueError(f"xi and eta of the base are below order "
                          f"{space.order}: a deformed structure is no base "
                          f"for another deformation above order 1")
-    eta_eta = tmul(space, S.eta, S.eta, "i,j->ij")
-    gtilde = tmul(space, S.g, S.phi, "ia,aj->ij") + eta_eta
+    eta_eta = tmul(space, S.eta, S.eta, _outer)
+    gtilde = tmul(space, S.g, S.phi, np.matmul) + eta_eta
     gbar = tsym(tmul(space, np.stack((a, b, c), axis=-1),
-                     np.stack((S.g, gtilde, eta_eta), axis=-3), "s,sij->ij"))
+                     np.stack((S.g, gtilde, eta_eta), axis=-3), _combine))
     k = min(space.order, 1)
     low = jet_space(space.m, k)
     xibar, etabar = (tscale(low, ttrunc(space, f, k), ttrunc(space, x, k))
@@ -93,7 +99,6 @@ class TransformedStructure(StructureProvider):
         self.triple = triple
         self.n = base.n
         self.coords = base.coords
-        self.name = f"{getattr(base, 'name', 'chart')}+transform"
 
     def structure_at(self, points, order: int) -> StructureJets:
         S = self.base.structure_at(points, order)

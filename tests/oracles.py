@@ -29,6 +29,14 @@ from accrgeo.transform import Differentials, TransformTriple
 # Jets, triples and chart metrics
 # ---------------------------------------------------------------------------
 
+def einsum_op(sub):
+    """The bilinear value map of an einsum spec over the tensor axes, as
+    :func:`accrgeo.jets.tmul` takes it: the leading axes broadcast."""
+    lhs, out = sub.split("->")
+    sa, sb = lhs.split(",")
+    return lambda x, y: np.einsum(f"...{sa},...{sb}->...{out}", x, y)
+
+
 def partial(space, a: np.ndarray, *vars_: int) -> float:
     """Raw partial derivative of the scalar jet ``a`` at one point for
     the given (unordered) variable list: the Taylor coefficient times the
@@ -70,9 +78,9 @@ def scalar_curvature(coords, g, point) -> float:
 def curvature(coords, g, point):
     """(g, R^l_ijk, R_ik): the values of the metric, its Riemann tensor and
     its Ricci tensor at a chart point, from the metric's order-2 jets."""
-    ev = metric_frame(coords, g, point, order=2)
-    riem = riemann(ev.space.child, ev.gamma)
-    return tvalue(ev.g), riem, ricci_from_riemann(riem)
+    space, g = metric_jets(coords, g, point, order=2)
+    riem = riemann(space.child, FrameEval.from_metric(space, g).gamma)
+    return tvalue(g), riem, ricci_from_riemann(riem)
 
 
 # ---------------------------------------------------------------------------

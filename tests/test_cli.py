@@ -124,6 +124,20 @@ def test_transform_explicit_triple(capsys):
     assert code == 0
 
 
+def test_an_expression_that_starts_with_a_minus_takes_the_equals_form(
+        capsys):
+    # argparse reads "--u -t" as --u without a value, so the help of
+    # every expression flag names the "=" form, which runs
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--u=-t", "--json"]) == 0
+    for argv, form in ((["transform", "--help"], "--u=-t"),
+                       (["torse", "--help"], "--field=-")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert form in "".join(capsys.readouterr().out.split())
+
+
 def test_soliton_positive(capsys):
     code, rep = run_json(capsys, "soliton", "--example", "hypersurface-f5",
                          "--n", "1", "--samples", "4",

@@ -5,11 +5,11 @@ import pytest
 
 from accrgeo import expr as ex
 from accrgeo import jets
-from accrgeo.accr import (check_axioms, class_residuals, structure_eval,
-                          torse_forming_analyze)
+from accrgeo.accr import (ChartStructure, check_axioms, class_residuals,
+                          structure_eval, torse_forming_analyze)
 from accrgeo.examples import (DEFAULT_BOX, EmbeddedSphere, build_flat_f0,
                               build_hypersurface, coord_names, get_example,
-                              random_structure, sample_points)
+                              random_structure, sample_points, sech_t)
 from oracles import embedding_invariants
 
 
@@ -19,10 +19,14 @@ def test_coord_names():
 
 
 def test_registry_lookup():
-    assert get_example("flat-f0", n=1).name == "flat-f0"
-    assert get_example("hypersurface-f5", n=2).name == "hypersurface-f5"
-    assert get_example("random", n=1, seed=3).name == "random-3"
-    assert get_example("embedded-sphere", n=2).name == "embedded-sphere"
+    flat = get_example("flat-f0", n=1)
+    assert isinstance(flat, ChartStructure) and flat.n == 1
+    assert np.all(flat.fk(np.ones((2, 3))) == 0.0)
+    assert get_example("hypersurface-f5", n=2).fk is sech_t
+    assert np.array_equal(get_example("random", n=1, seed=3).frame_expr,
+                          random_structure(n=1, seed=3).frame_expr)
+    sphere = get_example("embedded-sphere", n=2)
+    assert isinstance(sphere, EmbeddedSphere) and sphere.n == 2
     with pytest.raises(KeyError):
         get_example("no-such-model")
 

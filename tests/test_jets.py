@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from accrgeo import jets
+from accrgeo.accr import _outer
+from accrgeo.examples import _gram
 from accrgeo.jets import (FUNCTION_TABLE, JetDomainError, SingularMetricError,
                           _reciprocal, jarcsin, jarctan, jcos, jcosh, jexp,
                           jln, jmul, jpow, jsin, jsinh, jsqrt, jtan, jtanh,
                           jet_space, tconst, tgrad, tgrad0, tminv, tmul,
                           tscale, ttrunc, tvalue)
-from oracles import partial
+from accrgeo.transform import _combine
+from oracles import einsum_op, partial
 
 RNG = np.random.default_rng(42)
 
@@ -105,7 +108,7 @@ def test_products_at_order_3_match_polynomial_products(m):
         b = _degree_limited(space, (3, 2), 3 - p)
         s = _degree_limited(space, (), p)
         t = _degree_limited(space, (), 3 - p)
-        ab = tmul(space, a, b, "ij,jk->ik")
+        ab = tmul(space, a, b, einsum_op("ij,jk->ik"))
         sb = tscale(space, s, b)
         st = jmul(space, s, t)
         for _ in range(5):
@@ -126,7 +129,7 @@ def test_jmul_matches_tmul_and_the_polynomial_product(m, order):
     space = jet_space(m, order)
     a, b = rand_jet(space), rand_jet(space)
     ab = jmul(space, a, b)
-    want = tmul(space, a, b, ",->")
+    want = tmul(space, a, b, einsum_op(",->"))
     assert np.all(np.abs(ab - want) <= 1e-13 * np.maximum(1, np.abs(want)))
     # degree p times degree K - p: the truncation drops no term
     for p in range(order + 1):
@@ -285,7 +288,7 @@ def test_tmul_matches_pointwise_matrix_product():
     space = jet_space(2, 2)
     a = RNG.uniform(-1, 1, (space.ncoeff, 3, 3))
     b = RNG.uniform(-1, 1, (space.ncoeff, 3, 3))
-    c = tmul(space, a, b, "ij,jk->ik")
+    c = tmul(space, a, b, einsum_op("ij,jk->ik"))
     assert np.allclose(tvalue(c), tvalue(a) @ tvalue(b))
     # derivative entries obey the product rule (first order coefficients)
     for v in range(2):
@@ -294,14 +297,14 @@ def test_tmul_matches_pointwise_matrix_product():
         assert np.allclose(c[i], expect)
 
 
-# every spec the package passes to tmul
+# the specs of every product the package makes or has made
 TMUL_SPECS = ["ab,bc->ac", "ia,aj->ij", "kl,ijl->kij", "ljm,mik->lijk",
               "kim,mj->ikj", "mij,km->ikj", "kim,m->ik", "mij,m->ij",
               "mli,mj->lij", "mlj,im->lij", "kj,ik->ij", "ik,jk->ij",
               "k,kij->ij", "km,jm->kj", "mj,mk->jk", "i,j->ij", "i,i->",
               "ik,ik->", ",ij->ij", ",i->i"]
 # a distinct length per index, so that a misplaced axis cannot go unseen
-AXIS_LENGTH = dict(zip("abcijklm", [2, 3, 4, 3, 2, 4, 5, 3]))
+AXIS_LENGTH = dict(zip("abcijklms", [2, 3, 4, 3, 2, 4, 5, 3, 3]))
 
 
 def einsum_tmul(space, a, b, sub):
@@ -316,7 +319,7 @@ def einsum_tmul(space, a, b, sub):
 
 
 # tmul is not bit-for-bit with the oracle: it adds the two value-part
-# pairs of a target before its cross pairs, and contracts by matmul
+# pairs of a target before its cross pairs
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
 @pytest.mark.parametrize("sub", TMUL_SPECS)
@@ -328,22 +331,42 @@ def test_tmul_matches_the_pair_table_einsum(sub, m, order):
                                 *(AXIS_LENGTH[c] for c in sa)))
         b = RNG.uniform(-1, 1, (space.ncoeff, *batch,
                                 *(AXIS_LENGTH[c] for c in sb)))
-        got = tmul(space, a, b, sub)
+        got = tmul(space, a, b, einsum_op(sub))
         want = einsum_tmul(space, a, b, sub)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want)
                       <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
-@pytest.mark.parametrize("sub,shapes", [
-    ("ii,i->i", ((3, 3), (3,))),        # an index repeated in one operand
-    ("ij,k->i", ((3, 2), (4,))),        # j and k are neither summed nor kept
-])
-def test_tmul_rejects_a_spec_it_cannot_plan(sub, shapes):
-    space = jet_space(2, 2)
-    a, b = (np.ones((space.ncoeff,) + shape) for shape in shapes)
-    with pytest.raises(ValueError):
-        tmul(space, a, b, sub)
+# every map the package passes to tmul, but tscale's, with its spec
+PACKAGE_MAPS = [(np.matmul, "ab,bc->ac"), (_outer, "i,j->ij"),
+                (_gram, "mj,mk->jk"), (_combine, "s,sij->ij")]
+
+
+@pytest.mark.parametrize("op,sub", PACKAGE_MAPS)
+def test_package_maps_match_their_einsum_spec(op, sub):
+    # leading shapes (2, 1, ...) against (1, 3, ...): how tmul's fold
+    # calls a map on its blocks of degrees
+    sa, sb = sub.split("->")[0].split(",")
+    for batch in [(), (4,)]:
+        x = RNG.uniform(-1, 1, (2, 1, *batch, *(AXIS_LENGTH[c] for c in sa)))
+        y = RNG.uniform(-1, 1, (1, 3, *batch, *(AXIS_LENGTH[c] for c in sb)))
+        got, want = op(x, y), einsum_op(sub)(x, y)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("sub", [",ij->ij", ",i->i"])
+def test_tscale_matches_the_pair_table_einsum(sub, order):
+    space = jet_space(3, order)
+    shape = tuple(AXIS_LENGTH[c] for c in sub.split("->")[1])
+    for batch in [(), (3,), (2, 3)]:
+        s = RNG.uniform(-1, 1, (space.ncoeff, *batch))
+        a = RNG.uniform(-1, 1, (space.ncoeff, *batch, *shape))
+        want = einsum_tmul(space, s, a, sub)
+        assert np.all(np.abs(tscale(space, s, a) - want)
+                      <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
 @pytest.mark.parametrize("sub", TMUL_SPECS)
@@ -356,17 +379,16 @@ def test_batched_tmul_matches_per_point_calls(sub):
                                     *(AXIS_LENGTH[c] for c in sa)))
             b = RNG.uniform(-1, 1, (space.ncoeff, *batch,
                                     *(AXIS_LENGTH[c] for c in sb)))
-            got = tmul(space, a, b, sub)
+            got = tmul(space, a, b, einsum_op(sub))
             for idx in np.ndindex(batch):
                 at = (slice(None), *idx)
-                want = tmul(space, a[at], b[at], sub)
+                want = tmul(space, a[at], b[at], einsum_op(sub))
                 assert np.all(np.abs(got[at] - want)
                               <= 1e-13 * np.maximum(1, np.abs(want)))
 
 
 @pytest.mark.parametrize("abatch,bbatch", [
     ((3,), (2,)),                       # different batch shapes
-    ((3,), (1,)),                       # no broadcasting between batches
     ((3,), ()),                         # one operand batched, one not
     ((), (3,)),
 ])
@@ -375,7 +397,7 @@ def test_tmul_rejects_operands_of_different_batches(abatch, bbatch):
     a = np.ones((space.ncoeff, *abatch, 3, 3))
     b = np.ones((space.ncoeff, *bbatch, 3, 3))
     with pytest.raises(ValueError):
-        tmul(space, a, b, "ij,jk->ik")
+        tmul(space, a, b, einsum_op("ij,jk->ik"))
 
 
 def test_tgrad_extracts_partials():
@@ -412,7 +434,7 @@ def test_tminv_inverts_jet_matrix():
     a = tconst(space, base) + 0.1 * RNG.uniform(-1, 1,
                                                 (space.ncoeff, 3, 3))
     inv = tminv(space, a)
-    ident = tmul(space, a, inv, "ij,jk->ik")
+    ident = tmul(space, a, inv, einsum_op("ij,jk->ik"))
     expect = tconst(space, np.eye(3))
     assert np.allclose(ident, expect, atol=1e-12)
 
@@ -423,7 +445,7 @@ def test_tminv_accepts_a_well_conditioned_matrix_of_large_scale():
     space = jet_space(2, 2)
     a = tconst(space, np.diag([1e3] + [1.0] * 6))
     inv = tminv(space, a)
-    assert np.allclose(tmul(space, a, inv, "ij,jk->ik"),
+    assert np.allclose(tmul(space, a, inv, einsum_op("ij,jk->ik")),
                        tconst(space, np.eye(7)), atol=1e-12)
 
 
@@ -471,7 +493,7 @@ def test_coordinate_jets_and_rank0_tmul():
     pts = [var(space, i, x) for i, x in enumerate([0.5, 1.5, 2.5])]
     assert [j[0] for j in pts] == [0.5, 1.5, 2.5]
     arr = np.stack(pts, axis=1)
-    s = tmul(space, arr, arr, "i,i->")
+    s = tmul(space, arr, arr, einsum_op("i,i->"))
     assert s[0] == pytest.approx(0.25 + 2.25 + 6.25)
     assert partial(space, s, 1) == pytest.approx(3.0)
 
@@ -499,8 +521,9 @@ def test_tmul_commutes_with_truncation(sub, K, k):
                             *(AXIS_LENGTH[c] for c in sa)))
     b = RNG.uniform(-1, 1, (space.ncoeff, 3,
                             *(AXIS_LENGTH[c] for c in sb)))
-    _close(ttrunc(space, tmul(space, a, b, sub), k),
-           tmul(low, ttrunc(space, a, k), ttrunc(space, b, k), sub))
+    op = einsum_op(sub)
+    _close(ttrunc(space, tmul(space, a, b, op), k),
+           tmul(low, ttrunc(space, a, k), ttrunc(space, b, k), op))
 
 
 @pytest.mark.parametrize("K,k", ORDER_PAIRS)

@@ -4,8 +4,8 @@ few names listed in ``UNREACHED``.  Reference code that only tests
 compare against lives in ``tests/oracles.py``.
 
 The cases run in a fresh interpreter, so that no cache warmed by another
-test (``jet_space``, the ``tmul`` plans, ``keep_chunk_memory``) hides a
-function body, under ``sys.setprofile``, which sees every Python call.
+test (``jet_space``, ``keep_chunk_memory``) hides a function body, under
+``sys.setprofile``, which sees every Python call.
 
 No module of the package imports a name it never uses; a name listed
 in the module's ``__all__`` counts as used."""

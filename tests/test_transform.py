@@ -332,9 +332,9 @@ def test_soliton_chunk_makes_seven_tensor_products(monkeypatch):
     # product each)
     orders, tmul = [], jets.tmul
 
-    def counting(space, a, b, sub):
+    def counting(space, a, b, op):
         orders.append(space.order)
-        return tmul(space, a, b, sub)
+        return tmul(space, a, b, op)
     for mod in (jets, geometry, accr, tr, examples):
         for name, value in list(vars(mod).items()):
             if value is tmul:
