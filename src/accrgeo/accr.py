@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .geometry import (FrameEval, coordinate_bindings, cov_deriv_tensor11,
-                       cov_deriv_vector, eval_expr_table, signature)
+from .geometry import (FrameEval, _contract, coordinate_bindings,
+                       cov_deriv_tensor11, cov_deriv_vector, eval_expr_table,
+                       signature)
 from .jets import JetSpace, jet_space, tgrad0, tminv, tmul, tsym, tvalue
 
 # tolerance ladder: structural identities, first-derivative identities,
@@ -428,7 +429,10 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     gamma_v = (au - f[..., None] * u) / uu[..., None]
     gamma_form = gamma_v / vscale[..., None]
     fit = f[..., None, None] * np.eye(d) + _outer(gamma_v, u) - A
-    scale = _maxabs(A, 2)       # an exactly zero A fits exactly: f = 0
+    # relative to the larger term of nabla v = dv + Gamma v; an exactly
+    # zero A fits exactly, f = 0
+    scale = np.maximum(_maxabs(tgrad0(space, vf), 2),
+                       _maxabs(_contract(ev.frame.gamma[0], v0), 2))
     eta0, xi0, g0, phi0 = ev.eta0, ev.xi0, ev.g0, ev.phi0
     k_val = _dot(eta0, v0)
     verticality = _maxabs(v0 - k_val[..., None] * xi0, 1) / vscale

@@ -388,8 +388,7 @@ def cmd_soliton(cfg) -> Report:
     tstruct = TransformedStructure(provider, triple)
     checks, values = yamabe_check(
         tstruct, config_points(provider, cfg), sigma=cfg["sigma"],
-        fk=provider.fk, tol=tol(cfg, "soliton"),
-        class_tol=tol(cfg, "class"))
+        fk=provider.fk, class_tol=tol(cfg, "class"))
     rep = Report("soliton", cfg)
     for name, residual in checks.items():
         rep.add(name, residual, 0.5 if name == "is_F1" else tol(

@@ -220,7 +220,7 @@ def condition_residuals(d: Differentials, S: StructureJets, fk) -> dict:
 
 
 def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
-                 fk=None, tol: float = 1e-6, class_tol: float = TOL_CLASS):
+                 fk=None, class_tol: float = TOL_CLASS):
     """Verify the soliton identity (1/2) L_{xi_bar} g_bar
     = (tau_bar - sigma) g_bar over the sample points, chunk by chunk, on
     jets of order 2: tau_bar reads the second derivatives of g_bar and
@@ -231,19 +231,18 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     constancy check.  ``fk`` (a callable giving the f/k ratio of the
     base structure's vertical torse-forming field at each of a batch of
     points) adds the condition residuals; ``class_tol`` is the tolerance
-    of the F1 class verdict of the deformed structure.
+    of the F1 class verdict of the deformed structure.  Until sigma is
+    known, each chunk keeps copies of what the sigma-dependent residuals
+    read: tau, L_{xi_bar} g_bar, g_bar, eta_bar and dw o phi^2.
 
     Returns ``(checks, values)``: the worst residual of each check over
     the points, in report order (``is_F1`` as 0/1, the ``cond:`` checks
-    only with ``fk``), and the reported values.
+    only with ``fk``), and the values ``sigma``, ``sigma_given``,
+    ``tau_mean``, ``tau_std``, ``tau_values``, ``tsdw_residual``
+    (2(tau - sigma) eta_bar = dw o phi^2) and ``lie_formula_mismatch``.
     """
-    n, dim = tstruct.n, 2 * tstruct.n + 1
-    upper = np.triu_indices(dim)
-    # per chunk, what the sigma-dependent residuals read, one row a point:
-    # L_xi gbar and the right-hand side of its identity, the upper triangle
-    # of gbar (exactly symmetric), etabar and dw o phi^2
+    n = tstruct.n
     held = []
-    cut = np.cumsum([dim * dim, dim * dim, len(upper[0]), dim])
 
     def chunk(pts):
         S, ev_bar, d = tstruct.evaluate(pts, 2)
@@ -251,17 +250,13 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         lie0 = lie_metric_coord(space, Sb.g, Sb.xi)
         lie_v = lie_metric_cov(ev_bar.g0, cov_deriv_vector(
             space, ev_bar.frame.gamma, Sb.xi))
-        etab = ev_bar.eta0
-        gb0, phi0, tau = ev_bar.g0, ev_bar.phi0, ev_bar.frame.tau
+        gb0, phi0 = ev_bar.g0, ev_bar.phi0
         phi2 = phi0 @ phi0
         scale = np.maximum(1.0, _maxabs(gb0, 2))
         lscale = _lee_scale(ev_bar)
-        # with L = 2(tau-sigma){-gbar(phi.,phi.) + etabar (x) etabar}
-        held.append(np.concatenate([x.reshape(len(pts), -1) for x in (
-            lie0, -(_T(phi0) @ gb0 @ phi0) + _outer(etab, etab),
-            gb0[..., upper[0], upper[1]], etab, _vm(d.dw, phi2))], axis=1))
-        out = {"tau": tau,
-               "is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
+        held.append((ev_bar.frame.tau, lie0, gb0.copy(), ev_bar.eta0.copy(),
+                     _vm(d.dw, phi2)))
+        out = {"is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
                "residuals": {
                    "killing": _maxabs(lie0, 2) / scale,
                    "lie_formula_mismatch": _maxabs(lie0 - lie_v, 2),
@@ -279,38 +274,28 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
                                  "cond:dw_vertical": c["dw_vertical"]}
         return out
 
-    def sigma_residuals(tau, rows):
-        lie0, lrhs, gb_upper, etab, dwp2 = np.split(rows, cut, axis=1)
-        lie0, lrhs = (x.reshape(-1, dim, dim) for x in (lie0, lrhs))
-        # the scale of the chunk: gbar's largest entry is in its upper half
-        scale = np.maximum(1.0, _maxabs(gb_upper, 1))
-        gb0 = np.empty_like(lie0)
-        gb0[..., upper[0], upper[1]] = gb0[..., upper[1], upper[0]] = gb_upper
-        ts = (tau - sig)[:, None, None]
-        return (_maxabs(0.5 * lie0 - ts * gb0, 2) / scale,
-                _maxabs(2.0 * ts[:, 0] * etab - dwp2, 1),
-                _maxabs(lie0 - 2.0 * ts * lrhs, 2) / scale)
+    def sigma_residuals(tau, lie0, gb0, etab, dwp2):
+        ts = (tau - sig)[:, None]
+        scale = np.maximum(1.0, _maxabs(gb0, 2))
+        return (_maxabs(0.5 * lie0 - ts[..., None] * gb0, 2) / scale,
+                _maxabs(2.0 * ts * etab - dwp2, 1))
 
     r = over_chunks(chunk, np.asarray(points, dtype=float), 2)
-    taus = r["tau"]
+    taus = np.concatenate([h[0] for h in held])
     tau_mean = float(np.mean(taus))
     tau_std = float(np.std(taus))
     sigma_given = sigma is not None
     sig = float(sigma) if sigma_given else tau_mean
     try:
         with np.errstate(over="raise", invalid="raise"):
-            soliton, tsdw, lxi00 = map(np.concatenate, zip(
-                *map(sigma_residuals, np.split(taus, np.cumsum(
-                    [len(rows) for rows in held])[:-1]), held)))
+            soliton, tsdw = map(np.concatenate, zip(
+                *(sigma_residuals(*h) for h in held)))
     except FloatingPointError as err:
         raise FloatingPointError(
             f"sigma={sig!r} takes the soliton residuals out of the float "
             f"range ({err})")
-    # where tau = sigma a point counts only if the soliton identity holds
-    counted = (np.abs(taus - sig) > 1e-12) | (soliton <= tol)
     worst = worst_of({"soliton": soliton, **r["residuals"],
-                      "tsdw_residual": tsdw,
-                      "lxi00_residual": np.where(counted, lxi00, 0.0)})
+                      "tsdw_residual": tsdw})
     checks = {"soliton": worst["soliton"],
               "tau_constancy": tau_std / (1.0 + abs(tau_mean)),
               "killing": worst["killing"],
@@ -323,6 +308,5 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
               "tau_mean": tau_mean, "tau_std": tau_std,
               "tau_values": taus.tolist(),
               "tsdw_residual": worst["tsdw_residual"],
-              "lxi00_residual": worst["lxi00_residual"],
               "lie_formula_mismatch": worst["lie_formula_mismatch"]}
     return checks, values

@@ -50,7 +50,9 @@ CASES = [[cmd, "--example", model, "--n", "2", "--samples", "12",
              ("lee", "random", []), ("torse", "hypersurface-f5", []),
              ("torse", "random", []),
              ("transform", "random", ["--preset", "soliton"]),
-             ("soliton", "hypersurface-f5", ["--preset", "negative-dv"]))]
+             ("soliton", "hypersurface-f5", ["--preset", "negative-dv"]),
+             # sigma given, tau varying across chunks
+             ("soliton", "random", ["--preset", "soliton", "--sigma", "0.5"]))]
 
 
 @pytest.mark.parametrize("argv", CASES, ids=lambda a: f"{a[0]}-{a[2]}")

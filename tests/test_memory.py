@@ -31,10 +31,11 @@ def peak_bytes(argv) -> int:
         tracemalloc.stop()
 
 
-# the jet order each command evaluates (curvature from order 2), and the full chunks of the large run: 13 for check; 4 for
-# lee, whose report keeps a record per sample (from about 600 samples its
-# report outgrows the chunk); 16 for soliton, which keeps the value
-# matrices its sigma-dependent residuals read until sigma is known
+# the jet order each command evaluates (curvature from order 2), and the
+# full chunks of the large run: 13 for check; 4 for lee, whose report
+# keeps a record per sample (from about 600 samples its report outgrows
+# the chunk); 16 for soliton, which keeps copies of what its
+# sigma-dependent residuals read until sigma is known
 EVALUATED = {"check": (1, 13), "lee": (1, 4), "soliton": (2, 16)}
 
 
@@ -91,10 +92,9 @@ def test_point_bytes_is_safe_and_at_most_twice_the_growth(monkeypatch,
 
 
 def test_soliton_keeps_under_1_kb_a_sample_until_sigma_is_known():
-    # the sigma-dependent residuals read about 0.6 KB a sample at n = 2
-    # (L_xi gbar and the right-hand side of its identity, the upper
-    # triangle of gbar, etabar, dw o phi^2, tau and the metric scale);
-    # joined into sample-sized arrays they would take twice that
+    # the sigma-dependent residuals read about 0.5 KB a sample at n = 2
+    # (copies of tau, L_xi gbar, gbar, etabar and dw o phi^2); joined
+    # into sample-sized arrays they would take twice that
     argv = ["soliton", "--example", "hypersurface-f5", "--n", "2",
             "--preset", "soliton"]
     size = accr.CHUNK_BYTES // accr.point_bytes(5, 2)

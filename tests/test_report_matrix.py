@@ -92,7 +92,7 @@ def test_key_order_change_counts_as_infinite():
                      {"a": record(reordered, sort_keys=False)})
     assert counts["byte_identical"] == 0
     assert counts["max_float_deviation"] == math.inf
-    assert counts["max_float_deviation_at"] == "a: $.values (keys)"
+    assert counts["max_float_deviation_at"] == "a: $.values (keys: order)"
 
 
 def test_nan_against_nan_is_no_deviation():
@@ -112,7 +112,8 @@ def test_nan_against_a_number_is_infinite():
 @pytest.mark.parametrize("a, b, path", [
     ({"k": 1}, {"k": True}, "$.k"),                 # a bool for an int
     ({"k": 1.0}, {"k": 1}, "$.k"),                  # an int for a float
-    ({"k": 0.5, "m": 1.0}, {"m": 1.0, "k": 0.5}, "$ (keys)"),
+    ({"k": 0.5, "m": 1.0}, {"m": 1.0, "k": 0.5}, "$ (keys: order)"),
+    ({"k": 1, "a": 2}, {"k": 1, "b": 2}, "$ (keys: -a, +b)"),
 ])
 def test_a_structural_difference_is_infinite(a, b, path):
     assert deviation(a, b) == (math.inf, path)

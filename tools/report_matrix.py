@@ -107,10 +107,14 @@ def _verdicts(report) -> list:
 
 def deviation(a, b, path="$"):
     """(largest |a - b| / max(1, |a|) over the floats of two reports,
-    its path); a structural difference counts as infinite."""
+    its path); a structural difference counts as infinite, and a
+    difference of keys names those only one side has (``-`` the first,
+    ``+`` the second), or ``order`` when they differ only in order."""
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
-            return math.inf, path + " (keys)"
+            only = ([f"-{k}" for k in a if k not in b]
+                    + [f"+{k}" for k in b if k not in a])
+            return math.inf, f"{path} (keys: {', '.join(only) or 'order'})"
         parts = [deviation(a[k], b[k], f"{path}.{k}") for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
