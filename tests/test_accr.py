@@ -14,6 +14,7 @@ from accrgeo.accr import (ChartStructure, FrameStructure, check_axioms,
                           torse_forming_analyze)
 from accrgeo.examples import (build_flat_f0, build_hypersurface, coord_names,
                               random_structure, sample_points)
+from oracles import torse_analysis
 
 
 def flat(n=1):
@@ -182,7 +183,7 @@ def test_class_verdicts_invariant_under_frame_change():
 def test_constant_field_flat_chart_parallel():
     # a constant field in the flat model is parallel: f = 0, gamma = 0
     prov = flat(1)
-    res, rep = torse_forming_analyze(
+    res, rep = torse_analysis(
         prov, ex.expr_table(["0", "0", "1"], (3,)), [0.4, 0.8, 1.2])
     assert res["torse_fit"] <= 1e-7
     assert rep["f"] == pytest.approx(0.0, abs=1e-12)
@@ -194,7 +195,7 @@ def test_constant_field_flat_chart_parallel():
 def test_position_field_is_concircular():
     # the Euclidean position field has nabla v = id: f = 1, gamma = 0
     prov = flat(1)
-    res, rep = torse_forming_analyze(
+    res, rep = torse_analysis(
         prov, ex.expr_table(["x1", "x2", "t"], (3,)), [0.5, 0.7, 0.9])
     assert res["torse_fit"] <= 1e-7
     assert rep["f"] == pytest.approx(1.0, abs=1e-12)
@@ -204,19 +205,37 @@ def test_position_field_is_concircular():
 
 def test_general_field_has_only_the_general_residuals():
     # away from a vertical point the vertical-case identities are not
-    # computed at all: no key, and no NaN placeholder for one
+    # reported: no key, and no NaN placeholder for one
     prov = flat(1)
     field = ex.expr_table(["x1", "x2", "t"], (3,))
     for p in sample_points(3, 4, seed=5):
-        res, _ = torse_forming_analyze(prov, field, p)
+        res, _ = torse_analysis(prov, field, p)
         assert list(res) == ["torse_fit", "dk_identity", "verticality"]
         assert all(np.isfinite(v) for v in res.values())
         assert res["verticality"] > 1e-7
 
 
+def test_analysis_has_every_residual_where_the_field_is_horizontal():
+    # k = eta(v) = 0 exactly: f/k is read nowhere, and each of the eight
+    # residuals is finite at every point
+    prov = flat(1)
+    points = sample_points(3, 4, seed=5)
+    ev = structure_eval(prov, points)
+    vf = np.zeros((ev.S.space.ncoeff, 4, 3))
+    vf[0, :, 0] = 1.0
+    res, vertical, sample = torse_forming_analyze(ev, vf)
+    assert list(res) == ["torse_fit", "dk_identity", "verticality",
+                         "nabla_xi", "f_xyxi", "theta_star_xi", "theta_xi",
+                         "omega"]
+    assert all(r.shape == (4,) and np.isfinite(r).all()
+               for r in res.values())
+    assert not vertical.any() and (sample["k"] == 0.0).all()
+    assert list(sample) == ["point", "f", "k", "gamma", "length_sq"]
+
+
 def test_generic_field_is_not_torse_forming():
     prov = flat(1)
-    res, _ = torse_forming_analyze(
+    res, _ = torse_analysis(
         prov, ex.expr_table(["x2^2", "x1", "1"], (3,)), [0.8, 0.6, 1.0])
     assert not res["torse_fit"] <= 1e-7
     assert res["torse_fit"] > 1e-3
@@ -230,7 +249,7 @@ def test_least_squares_recovers_planted_f_and_gamma():
     body = "exp(%.1f * x1 + %.1f * x2 + %.1f * t)" % tuple(c)
     field = ex.expr_table([body + " * 2", body + " * -1", body + " * 3"],
                           (3,))
-    res, rep = torse_forming_analyze(prov, field, [0.4, 0.2, 0.6])
+    res, rep = torse_analysis(prov, field, [0.4, 0.2, 0.6])
     assert res["torse_fit"] <= 1e-7
     assert rep["f"] == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(rep["gamma"], c, atol=1e-10)
@@ -242,7 +261,7 @@ def test_hypersurface_reeb_is_vertical_torse_forming(n):
     d = prov.dim
     field = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
     for p in sample_points(d, 4, seed=3):
-        res, rep = torse_forming_analyze(prov, field, p)
+        res, rep = torse_analysis(prov, field, p)
         t = p[-1]
         assert res["torse_fit"] <= 1e-7
         assert "nabla_xi" in res
@@ -262,5 +281,5 @@ def test_hypersurface_reeb_is_vertical_torse_forming(n):
 def test_zero_field_rejected():
     prov = flat(1)
     with pytest.raises(ValueError):
-        torse_forming_analyze(prov, ex.expr_table(["0", "0", "0"], (3,)),
+        torse_analysis(prov, ex.expr_table(["0", "0", "0"], (3,)),
                               [1.0, 1.0, 1.0])

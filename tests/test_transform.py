@@ -16,7 +16,8 @@ from accrgeo.examples import (REGISTRY, build_flat_f0, build_hypersurface,
                               random_structure, sample_points, soliton_uvw)
 from accrgeo.geometry import coordinate_bindings
 from accrgeo.jets import jet_space, ttrunc
-from oracles import fbar_f5_closed_form, partial, shape_residuals, uvw
+from oracles import (fbar_f5_closed_form, partial, shape_residuals,
+                     torse_analysis, uvw)
 from report_matrix import run
 
 RNG = np.random.default_rng(1234)
@@ -308,7 +309,7 @@ def test_xi_bar_of_the_soliton_is_vertical_torse_forming(n):
     triple = soliton_uvw(n)
     xibar = ex.expr_table(["0"] * (2 * n) + [ex.func("exp", -triple.w)],
                           (2 * n + 1,))
-    res, _ = accr.torse_forming_analyze(
+    res, _ = torse_analysis(
         tr.TransformedStructure(prov, triple), xibar,
         sample_points(prov.dim, 8, seed=1))
     assert max(res["torse_fit"]) < 1e-15
