@@ -454,7 +454,5 @@ def torse_forming_analyze(ev: AccrEval, vf: np.ndarray):
                                    - 2.0 * ev.n * fk),
            "theta_xi": np.abs(_dot(ev.theta, xi0)),
            "omega": _maxabs(ev.omega, 1)}
-    sample = {"point": S.point, "f": f, "k": k_val,
-              "gamma": gamma_form,
-              "length_sq": np.einsum("...i,...ij,...j->...", v0, g0, v0)}
-    return res, vertical, sample
+    return res, vertical, {"point": S.point, "f": f, "k": k_val,
+                           "gamma": gamma_form}

@@ -230,7 +230,7 @@ def test_analysis_has_every_residual_where_the_field_is_horizontal():
     assert all(r.shape == (4,) and np.isfinite(r).all()
                for r in res.values())
     assert not vertical.any() and (sample["k"] == 0.0).all()
-    assert list(sample) == ["point", "f", "k", "gamma", "length_sq"]
+    assert list(sample) == ["point", "f", "k", "gamma"]
 
 
 def test_generic_field_is_not_torse_forming():

@@ -580,14 +580,23 @@ def test_torse_checks_do_not_depend_on_the_field_scale(capsys, example, c):
                                                            abs(residual))
 
 
-def test_non_finite_report_value_exits_3(capsys):
-    # g(v, v) of v = 1e200 xi is beyond the float range; JSON (RFC 8259)
-    # has no Infinity
-    code = main(["torse", "--example", "flat-f0", "--n", "1",
-                 "--field", "0;0;1e200", "--samples", "1"])
+def test_non_finite_report_value_exits_3(capsys, monkeypatch):
+    # JSON (RFC 8259) has no Infinity
+    monkeypatch.setitem(cli.COMMANDS, "example", lambda cfg: cli.Report(
+        "example", cfg, values={"value": np.inf}))
+    code = main(["example", "list"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err.startswith("numeric error:")
+
+
+def test_torse_reports_a_field_whose_square_is_beyond_the_float_range(
+        capsys):
+    # g(v, v) = 1e400 is not a float, but no reported value squares v
+    code, rep = run_json(capsys, "torse", "--example", "flat-f0", "--n", "1",
+                         "--field", "0;0;1e200", "--samples", "1")
+    assert code == 0 and rep["values"]["is_vertical"]
+    assert rep["values"]["samples"][0]["k"] == 1e200
 
 
 class Terminal(io.StringIO):
