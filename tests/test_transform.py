@@ -307,14 +307,23 @@ def test_xi_bar_of_the_soliton_is_vertical_torse_forming(n):
     # relative to max|nabla xi_bar| alone, torse_fit read 1.0
     prov = build_hypersurface(n)
     triple = soliton_uvw(n)
+    tstruct = tr.TransformedStructure(prov, triple)
+    points = sample_points(prov.dim, 8, seed=1)
     xibar = ex.expr_table(["0"] * (2 * n) + [ex.func("exp", -triple.w)],
                           (2 * n + 1,))
-    res, _ = torse_analysis(
-        tr.TransformedStructure(prov, triple), xibar,
-        sample_points(prov.dim, 8, seed=1))
+    res, rep = torse_analysis(tstruct, xibar, points)
     assert max(res["torse_fit"]) < 1e-15
     assert max(res["verticality"]) < 1e-15
     assert max(res["nabla_xi"]) < 1e-14
+    # the soliton's own route: xi_bar's jets of the order-2 evaluation the
+    # soliton check makes
+    _, ev_bar, _ = tstruct.evaluate(points, 2)
+    own, vertical, own_rep = accr.torse_forming_analyze(ev_bar, ev_bar.S.xi)
+    assert vertical.all() and "nabla_xi" in res
+    for r in (res, own):
+        assert max(accr.worst_of(r).values()) < accr.TOL_DERIVED
+    for key in ("f", "k"):
+        assert np.abs(own_rep[key] - rep[key]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
