@@ -405,10 +405,8 @@ def torse_forming_analyze(ev: AccrEval, vf: np.ndarray):
     verdict that the point is vertical (v = k xi, k away from 0); and the
     report's sample records.
     """
-    S = ev.S
-    space = S.space
-    d = S.g.shape[-1]
-    v0 = tvalue(vf)
+    S, space, v0 = ev.S, ev.S.space, tvalue(vf)
+    d = v0.shape[-1]
     vscale = _maxabs(v0, 1)
     if np.count_nonzero(vscale == 0.0):
         raise ValueError("torse-forming analysis needs a nonzero field")
@@ -439,16 +437,15 @@ def torse_forming_analyze(ev: AccrEval, vf: np.ndarray):
     # the vertical identities divide by k, so they need k away from 0
     vertical = (verticality <= 1e-7) & (np.abs(k_val) > 1e-12 * vscale)
     fk = np.divide(f, k_val, out=np.zeros_like(f), where=vertical)
-    nxi0 = cov_deriv_vector(space, ev.frame.gamma, S.xi)
-    fxi = np.einsum("...ija,...a->...ij", ev.F, xi0)
     res = {"torse_fit": _maxabs(fit, 2) / np.where(scale > 0.0, scale, 1.0),
            "dk_identity": _maxabs(terms[0] - terms[1] - terms[2], 1)
            / dk_scale,
            "verticality": verticality,
            # (nabla_i xi)^k = -fk (phi^2)^k_i, F(x,y,xi) = -fk g(x,phi y)
-           "nabla_xi": _maxabs(nxi0 + fk[..., None, None]
-                               * _T(phi0 @ phi0), 2),
-           "f_xyxi": _maxabs(fxi + fk[..., None, None] * (g0 @ phi0), 2),
+           "nabla_xi": _maxabs(cov_deriv_vector(space, ev.frame.gamma, S.xi)
+                               + fk[..., None, None] * _T(phi0 @ phi0), 2),
+           "f_xyxi": _maxabs(np.einsum("...ija,...a->...ij", ev.F, xi0)
+                             + fk[..., None, None] * (g0 @ phi0), 2),
            # theta*(xi) = 2n fk, theta(xi) = 0, omega = 0
            "theta_star_xi": np.abs(_dot(ev.theta_star, xi0)
                                    - 2.0 * ev.n * fk),

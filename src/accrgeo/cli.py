@@ -346,14 +346,12 @@ def cmd_torse(cfg) -> Report:
 
     r = over_evals(provider, cfg, chunk)
     # the vertical identities (verticality among them) are checks exactly
-    # when every sample is vertical, and only the reported ones are
-    # folded; verticality is a value either way
+    # when every sample is vertical; only what is reported is folded
     is_vertical = bool(r["vertical"].all())
-    worst = worst_of(r["res"] if is_vertical else {
-        k: r["res"][k] for k in ("torse_fit", "dk_identity", "verticality")})
+    names = list(r["res"]) if is_vertical else ["torse_fit", "dk_identity"]
+    worst = worst_of({k: r["res"][k] for k in names + ["verticality"]})
     rep = Report("torse", cfg)
-    rep.add_all({k: w for k, w in worst.items()
-                 if is_vertical or k != "verticality"}, tol(cfg, "derived"))
+    rep.add_all({k: worst[k] for k in names}, tol(cfg, "derived"))
     rep.values["is_vertical"] = is_vertical
     rep.values["verticality"] = worst["verticality"]
     rep.values["samples"] = records(r["samples"])
