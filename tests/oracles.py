@@ -193,7 +193,7 @@ def torse_analysis(provider, field, points):
     report holds them."""
     ev = structure_eval(provider, points)
     vf = eval_expr_table(ev.S.space, field, coordinate_bindings(
-        provider.coords, ev.S.point, 1))
+        provider.coords, ev.S.point, ev.S.space.order))
     res, vertical, sample = torse_forming_analyze(ev, vf)
     if not vertical.all():
         res = {k: res[k] for k in ("torse_fit", "dk_identity",

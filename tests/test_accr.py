@@ -282,4 +282,4 @@ def test_zero_field_rejected():
     prov = flat(1)
     with pytest.raises(ValueError):
         torse_analysis(prov, ex.expr_table(["0", "0", "0"], (3,)),
-                              [1.0, 1.0, 1.0])
+                       [1.0, 1.0, 1.0])
