@@ -17,17 +17,19 @@ and a domain error at any point fails the batch.  The tensor machinery
 (``tmul``, ``tgrad``, ``tminv`` ...) reads the tensor axes from the end.
 Every function takes the :class:`JetSpace` of its operands first.
 
-Scalar and tensor products read one table: the :class:`JetSpace`
-coefficient pairs, sorted by target coefficient.  A scalar product
-(:func:`jmul`) gathers both operands along it, multiplies them, and sums
-each target's segment by ``np.add.reduceat`` (:func:`_segment_sum`).  A
-tensor product (:func:`tmul`) takes the bilinear map of the values
-(``np.matmul``, or a module-level helper that broadcasts over leading
-axes) and calls it on blocks of coefficients, numpy broadcasting over
-the coefficient and batch axes: once each for the pairs with a value
-part, and once per block of degrees (di, dj) for the cross pairs, folded
-into the targets in pair-table order by gathers and adds, without
-``reduceat``, which is slow at tensor shapes.
+A :class:`JetSpace` reads every table off one integer array of its
+multi-indices and their degrees.  Scalar and tensor products read one
+table: the coefficient pairs, sorted by target coefficient.  A scalar
+product (:func:`jmul`) gathers both operands along it, multiplies them,
+and sums each target's segment by ``np.add.reduceat``.  A tensor product
+(:func:`tmul`) takes the bilinear map of the values (``np.matmul``, or a
+module-level helper that broadcasts over leading axes) and calls it on
+blocks of coefficients, numpy broadcasting over the coefficient and
+batch axes: once each for the pairs with a value part, and once per
+block of degrees (di, dj) for the cross pairs, folded into the targets
+in pair-table order by gathers and adds, without ``reduceat``, which is
+slow at tensor shapes.  The partials of every component (:func:`tgrad`)
+are one gather of coefficients, each times its factor b_v + 1.
 """
 
 from __future__ import annotations
@@ -75,34 +77,27 @@ class JetSpace:
         self.indices = _multi_indices(m, order)
         self.ncoeff = len(self.indices)
         self.index_of = {a: i for i, a in enumerate(self.indices)}
+        e = np.array(self.indices).reshape(self.ncoeff, m)
+        deg = e.sum(axis=1)
         # prefix length of the coefficient block up to each degree
-        self.degree_offsets = [0] * (order + 2)
-        for a in self.indices:
-            self.degree_offsets[sum(a) + 1] += 1
-        for d in range(order + 1):
-            self.degree_offsets[d + 1] += self.degree_offsets[d]
-        self._build_mul_table()
-        self._build_deriv_maps()
-
-    def _build_mul_table(self):
-        I, J, T = [], [], []
-        for i, a in enumerate(self.indices):
-            da = sum(a)
-            for j, b in enumerate(self.indices):
-                if da + sum(b) > self.order:
-                    continue
-                I.append(i)
-                J.append(j)
-                T.append(self.index_of[tuple(x + y for x, y in zip(a, b))])
-        by_target = np.argsort(T, kind="stable")
-        self._mul_i = np.array(I)[by_target]
-        self._mul_j = np.array(J)[by_target]
-        self._mul_t = np.array(T)[by_target]
+        self.degree_offsets = np.searchsorted(deg, range(order + 2)).tolist()
+        # the pairs (i, j) with deg i + deg j <= K in row order, each with
+        # its target coefficient, then sorted by target
+        i, j = np.nonzero(deg[:, None] + deg <= order)
+        t = np.array([self.index_of[tuple(x)] for x in (e[i] + e[j]).tolist()])
+        by_target = np.argsort(t, kind="stable")
+        self._mul_i, self._mul_j, self._mul_t = (
+            i[by_target], j[by_target], t[by_target])
         # every target t has the pair (0, t): segment k sums coefficient k
         self._mul_starts = np.searchsorted(self._mul_t, range(self.ncoeff))
-        self._build_fold()
+        # d/dx_v maps the coefficient at b + e_v to (b_v + 1) times it at b,
+        # b of degree < K: the target of the pair (b, 1 + v), which comes
+        # in row order as b's run of degree-1 partners
+        self._grad_src = t[(j >= 1) & (j <= m)].reshape(-1, m)
+        self._grad_fac = e[:len(self._grad_src)] + 1.0
+        self._build_fold(deg)
 
-    def _build_fold(self):
+    def _build_fold(self, deg):
         # the cross pairs (i, j > 0) reach the targets of degree 2 and up;
         # tmul computes them as the degree blocks (di, dj), each one
         # broadcast product of a's degree-di and b's degree-dj
@@ -114,7 +109,6 @@ class JetSpace:
         self._cross_first = off[min(2, self.order + 1)]
         cross = (self._mul_i > 0) & (self._mul_j > 0)
         i, j, t = self._mul_i[cross], self._mul_j[cross], self._mul_t[cross]
-        deg = np.array([sum(a) for a in self.indices])
         flat, base = np.zeros_like(i), 0
         for di, dj in self._blocks:
             sel = (deg[i] == di) & (deg[j] == dj)
@@ -124,25 +118,6 @@ class JetSpace:
         rank = np.arange(len(t)) - np.searchsorted(t, t)
         self._fold = [(t[rank == r] - self._cross_first, flat[rank == r])
                       for r in range(1 + rank.max(initial=-1))]
-
-    def _build_deriv_maps(self):
-        # d/dx_v maps coefficient at b+e_v to coefficient (b_v+1)*c at b
-        # in the space of order-1 lower.
-        self.deriv_maps = []
-        if self.order == 0:
-            return
-        child = jet_space(self.m, self.order - 1)
-        for v in range(self.m):
-            src, dst, fac = [], [], []
-            for j, b in enumerate(child.indices):
-                a = list(b)
-                a[v] += 1
-                src.append(self.index_of[tuple(a)])
-                dst.append(j)
-                fac.append(float(b[v] + 1))
-            self.deriv_maps.append(
-                (np.array(src), np.array(dst), np.array(fac))
-            )
 
     @property
     def child(self) -> "JetSpace":
@@ -156,8 +131,9 @@ class JetSpace:
 
 def jmul(space: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of two scalar jets: every pair of the table."""
-    return _segment_sum(space, a.take(space._mul_i, axis=0)
-                        * b.take(space._mul_j, axis=0))
+    return np.add.reduceat(a.take(space._mul_i, axis=0)
+                           * b.take(space._mul_j, axis=0),
+                           space._mul_starts, axis=0)
 
 
 def _compose(space: JetSpace, a: np.ndarray, derivs) -> np.ndarray:
@@ -301,13 +277,6 @@ def ttrunc(space: JetSpace, a: np.ndarray, new_order: int) -> np.ndarray:
     return a[: space.degree_offsets[new_order + 1]]
 
 
-def _segment_sum(space: JetSpace, prod: np.ndarray):
-    """Sum the pair products of a scalar truncated product, one row per
-    entry of the pair table, into their targets by ``np.add.reduceat``:
-    at scalar shapes faster than :func:`tmul`'s gathers and adds."""
-    return np.add.reduceat(prod, space._mul_starts, axis=0)
-
-
 def tmul(space: JetSpace, a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
     """Truncated jet product of the bilinear value map ``op``: coefficient
     t of the result is the sum of ``op(a[i], b[j])`` over the pairs (i, j)
@@ -354,12 +323,9 @@ def tgrad(space: JetSpace, a: np.ndarray) -> np.ndarray:
     trailing axis of length m and lives in the order-(K-1) space."""
     if space.order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
-    child = space.child
-    out = np.zeros((child.ncoeff,) + a.shape[1:] + (space.m,))
-    for v, (src, dst, fac) in enumerate(space.deriv_maps):
-        facr = fac.reshape((-1,) + (1,) * (a.ndim - 1))
-        out[dst, ..., v] = a[src] * facr
-    return out
+    da = a[space._grad_src]                 # da[b, v] = a[b + e_v]
+    da *= space._grad_fac.reshape(da.shape[:2] + (1,) * (a.ndim - 1))
+    return np.moveaxis(da, 1, -1)
 
 
 def tgrad0(space: JetSpace, a: np.ndarray) -> np.ndarray:

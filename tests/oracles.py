@@ -4,12 +4,13 @@ Nothing here runs on a command's path.  Each helper either computes a
 quantity by a route independent of the one it checks (a plain float
 evaluation of an expression, the closed forms of a deformed F, the
 ambient data of an embedding), or reads jets through the public data of
-a ``JetSpace`` (its ``index_of`` and the factorials), so that a test of a
-kernel such as ``tgrad`` does not go through that kernel.  The metric
-helpers build a chart metric on the path the commands use:
-``eval_expr_table`` over ``coordinate_bindings``, then
-``FrameEval.from_metric``; ``torse_analysis`` evaluates a field table and
-its structure the way the torse command does.
+a ``JetSpace`` (its ``indices``, ``index_of`` and the factorials), so
+that a test of a kernel such as ``tgrad``, or of the tables the kernels
+read, does not go through that kernel.  The metric helpers build a
+chart metric on the path the commands use: ``eval_expr_table`` over
+``coordinate_bindings``, then ``FrameEval.from_metric``;
+``torse_analysis`` evaluates a field table and its structure the way the
+torse command does.
 """
 
 import math
@@ -51,6 +52,70 @@ def partial(space, a: np.ndarray, *vars_: int) -> float:
     for k in e:
         fact *= math.factorial(k)
     return float(a[space.index_of[tuple(e)]] * fact)
+
+
+def loop_tables(space) -> dict:
+    """The product tables of ``space``, built by loops over its
+    multi-indices: the degree offsets; the pairs (i, j) with deg i +
+    deg j <= K, in row order, stably sorted by target, and the first
+    pair of each target; the cross-pair blocks (di, dj), the first
+    coefficient of degree 2, and the fold: for each rank r, the targets
+    (less the first of degree 2) that have an r-th cross pair and its
+    position in the blocks flattened one after another."""
+    order, idx = space.order, space.indices
+    deg = [sum(a) for a in idx]
+    off = [0] * (order + 2)
+    for d in deg:
+        off[d + 1] += 1
+    for d in range(order + 1):
+        off[d + 1] += off[d]
+    pairs = []
+    for i, a in enumerate(idx):
+        for j, b in enumerate(idx):
+            if deg[i] + deg[j] <= order:
+                t = space.index_of[tuple(x + y for x, y in zip(a, b))]
+                pairs.append((t, i, j))
+    pairs.sort(key=lambda p: p[0])
+    starts = [0] * len(idx)
+    for k in reversed(range(len(pairs))):
+        starts[pairs[k][0]] = k
+    blocks, block_start, size = [], {}, 0
+    for di in range(1, order + 1):
+        for dj in range(1, order + 1):
+            if di + dj <= order:
+                blocks.append((di, dj))
+                block_start[di, dj] = size
+                size += (off[di + 1] - off[di]) * (off[dj + 1] - off[dj])
+    cross_first = sum(d < 2 for d in deg)
+    fold, rank = [], {}
+    for t, i, j in pairs:
+        if i and j:
+            r = rank[t] = rank.get(t, -1) + 1
+            if r == len(fold):
+                fold.append(([], []))
+            di, dj = deg[i], deg[j]
+            fold[r][0].append(t - cross_first)
+            fold[r][1].append(block_start[di, dj] + j - off[dj]
+                              + (i - off[di]) * (off[dj + 1] - off[dj]))
+    t, i, j = (np.array(c) for c in zip(*pairs))
+    return {"degree_offsets": off, "_mul_i": i, "_mul_j": j, "_mul_t": t,
+            "_mul_starts": np.array(starts), "_blocks": blocks,
+            "_cross_first": cross_first,
+            "_fold": [tuple(map(np.array, f)) for f in fold]}
+
+
+def loop_tgrad(space, a: np.ndarray) -> np.ndarray:
+    """:func:`accrgeo.jets.tgrad` by a loop over the child coefficients b
+    and the variables v: d/dx_v takes the coefficient at b + e_v times
+    b_v + 1 to b."""
+    child = space.child
+    out = np.zeros((child.ncoeff,) + a.shape[1:] + (space.m,))
+    for k, b in enumerate(child.indices):
+        for v in range(space.m):
+            e = list(b)
+            e[v] += 1
+            out[k, ..., v] = a[space.index_of[tuple(e)]] * (b[v] + 1)
+    return out
 
 
 def uvw(u, v, w) -> TransformTriple:

@@ -15,7 +15,7 @@ from accrgeo.jets import (FUNCTION_TABLE, JetDomainError, SingularMetricError,
                           jet_space, tconst, tgrad, tgrad0, tminv, tmul,
                           tscale, ttrunc, tvalue)
 from accrgeo.transform import _combine
-from oracles import einsum_op, partial
+from oracles import einsum_op, loop_tables, loop_tgrad, partial
 
 RNG = np.random.default_rng(42)
 
@@ -39,6 +39,25 @@ def mul(space, *factors):
 # ---------------------------------------------------------------------------
 # Coefficient semantics
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_tables_and_tgrad_equal_the_loop_reference(m, order):
+    space = jet_space(m, order)
+    for name, want in loop_tables(space).items():
+        got = getattr(space, name)
+        if name == "_fold":
+            assert len(got) == len(want)
+            for (t, x), (t_want, x_want) in zip(got, want):
+                assert np.array_equal(t, t_want)
+                assert np.array_equal(x, x_want)
+        else:
+            assert np.array_equal(got, want), name
+    if order:
+        for shape in [(), (2,), (2, 3, 3)]:
+            a = RNG.uniform(-1, 1, (space.ncoeff, *shape))
+            assert np.array_equal(tgrad(space, a), loop_tgrad(space, a))
+
 
 def test_variable_jet_coefficients():
     space = jet_space(2, 3)
@@ -235,14 +254,13 @@ def test_large_integer_power_takes_logarithmically_many_products(
         monkeypatch):
     n = 1_000_000
     products = 0
-    segment_sum = jets._segment_sum
 
-    def counting(space, prod):
+    def counting(space, a, b):
         nonlocal products
         products += 1
-        return segment_sum(space, prod)
+        return jmul(space, a, b)
 
-    monkeypatch.setattr(jets, "_segment_sum", counting)
+    monkeypatch.setattr(jets, "jmul", counting)
     space = jet_space(1, 3)
     got = jpow(space, var(space, 0, 1.0), n)
     assert products <= 2 * math.ceil(math.log2(n))
