@@ -39,7 +39,6 @@ from .accr import (CHUNK_BYTES, TOL_CLASS, TOL_DERIVED, TOL_STRUCT,
 from .examples import (DEFAULT_BOX, REGISTRY, get_example, sample_points,
                        soliton_uvw, holomorphic_pair_uvw)
 from .geometry import coordinate_bindings, eval_expr_table
-from .jets import JetDomainError, SingularMetricError
 from .transform import (TransformTriple, TransformedStructure,
                         alpha_beta_residuals, lee_transformation_residuals,
                         metric_roundtrip_residual, yamabe_check)
@@ -238,7 +237,7 @@ def parse_exprs(texts, coords, what: str) -> list:
 
 
 def make_triple(cfg, coords) -> TransformTriple:
-    if cfg["preset"]:
+    if cfg["preset"] is not None:
         if cfg["preset"] not in PRESETS:
             raise ConfigError(f"unknown preset {cfg['preset']!r}; "
                               f"choose from {sorted(PRESETS)}")
@@ -246,7 +245,13 @@ def make_triple(cfg, coords) -> TransformTriple:
     if cfg["u"] is None and cfg["v"] is None and cfg["w"] is None:
         raise ConfigError("need --preset or a (u, v, w) triple")
     return TransformTriple(*parse_exprs(
-        [cfg[k] or "0" for k in ("u", "v", "w")], coords, "transformation"))
+        ["0" if cfg[k] is None else cfg[k] for k in ("u", "v", "w")],
+        coords, "transformation"))
+
+
+def triple_echo(triple: TransformTriple) -> dict:
+    """The report's echo of the triple: each of u, v, w as text."""
+    return {"u": str(triple.u), "v": str(triple.v), "w": str(triple.w)}
 
 
 def config_points(provider, cfg) -> np.ndarray:
@@ -326,7 +331,7 @@ def cmd_lee(cfg) -> Report:
 def cmd_torse(cfg) -> Report:
     provider = make_provider(cfg)
     d = provider.dim
-    if cfg["field"]:
+    if cfg["field"] is not None:
         texts = [s.strip() for s in cfg["field"].split(";")]
         if len(texts) != d:
             raise ConfigError(f"--field needs {d} components separated "
@@ -377,8 +382,7 @@ def cmd_transform(cfg) -> Report:
     rep = Report("transform", cfg)
     rep.add_all(worst_of({"axioms": r["axioms"]}), tol(cfg, "struct"))
     rep.add_all(worst_of(r["laws"]), tol(cfg, "derived"))
-    rep.values["triple"] = {"u": str(triple.u), "v": str(triple.v),
-                            "w": str(triple.w)}
+    rep.values["triple"] = triple_echo(triple)
     rep.values["class_verdicts"] = all_of(r["verdicts"])
     return rep
 
@@ -389,13 +393,12 @@ def cmd_soliton(cfg) -> Report:
     tstruct = TransformedStructure(provider, triple)
     checks, values = yamabe_check(
         tstruct, config_points(provider, cfg), sigma=cfg["sigma"],
-        fk=provider.fk, class_tol=tol(cfg, "class"))
+        class_tol=tol(cfg, "class"))
     rep = Report("soliton", cfg)
     for name, residual in checks.items():
         rep.add(name, residual, 0.5 if name == "is_F1" else tol(
             cfg, "derived" if name.startswith("cond:") else "soliton"))
-    rep.values.update(values, triple={"u": str(triple.u), "v": str(triple.v),
-                                      "w": str(triple.w)})
+    rep.values.update(values, triple=triple_echo(triple))
     return rep
 
 
@@ -494,9 +497,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         error_line(f"error: {err}")
         return 2
-    except (ex.EvalError, JetDomainError, SingularMetricError,
-            np.linalg.LinAlgError, FloatingPointError, OverflowError,
-            ValueError) as err:
+    except (ArithmeticError, ValueError) as err:
         error_line(f"numeric error: {err}")
         return 3
     try:

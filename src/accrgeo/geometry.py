@@ -59,17 +59,16 @@ def eval_expr_table(space: JetSpace, table,
 
 
 def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
-    """Levi-Civita symbols Gamma^k_ij as jets of order K-1, from the
-    metric jets g of order K and the inverse jets of order K-1.
-
-    Returns (child_space, gamma)."""
-    child = space.child
+    """Levi-Civita symbols Gamma^k_ij as jets in ``space.child`` (order
+    K-1), from the metric jets g of order K and the inverse jets of order
+    K-1."""
     dg = tgrad(space, g)                      # dg[i,j,l] = d_l g_ij
     # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, a matrix in l, (i, j)
     t = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
          - np.einsum("...ijl->...lij", dg))
-    gamma = tmul(child, ginv, t.reshape(t.shape[:-2] + (-1,)), np.matmul)
-    return child, 0.5 * gamma.reshape(gamma.shape[:-1] + t.shape[-2:])
+    gamma = tmul(space.child, ginv, t.reshape(t.shape[:-2] + (-1,)),
+                 np.matmul)
+    return 0.5 * gamma.reshape(gamma.shape[:-1] + t.shape[-2:])
 
 
 def _contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -164,9 +163,9 @@ class FrameEval:
         ginv = tminv(low, ttrunc(space, g, low.order))
         ev = cls(ginv)
         if space.order >= 1:
-            gamma_space, ev.gamma = christoffels(space, g, ginv)
+            ev.gamma = christoffels(space, g, ginv)
         if space.order >= 2:
-            ric = ricci_from_riemann(riemann(gamma_space, ev.gamma))
+            ric = ricci_from_riemann(riemann(low, ev.gamma))
             ev.tau = (ginv[0].reshape(*ric.shape[:-2], 1, -1)
                       @ ric.reshape(*ric.shape[:-2], -1, 1))[..., 0, 0]
         return ev

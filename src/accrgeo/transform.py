@@ -220,7 +220,7 @@ def condition_residuals(d: Differentials, S: StructureJets, fk) -> dict:
 
 
 def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
-                 fk=None, class_tol: float = TOL_CLASS):
+                 class_tol: float = TOL_CLASS):
     """Verify the soliton identity (1/2) L_{xi_bar} g_bar
     = (tau_bar - sigma) g_bar over the sample points, chunk by chunk, on
     jets of order 2: tau_bar reads the second derivatives of g_bar and
@@ -228,20 +228,22 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
 
     If ``sigma`` is None it is set to the mean of the sampled scalar
     curvatures, so the reported standard deviation doubles as the
-    constancy check.  ``fk`` (a callable giving the f/k ratio of the
-    base structure's vertical torse-forming field at each of a batch of
-    points) adds the condition residuals; ``class_tol`` is the tolerance
-    of the F1 class verdict of the deformed structure.  Until sigma is
-    known, each chunk keeps copies of what the sigma-dependent residuals
-    read: tau, L_{xi_bar} g_bar, g_bar, eta_bar and dw o phi^2.
+    constancy check.  The base structure's ``fk`` (a callable giving the
+    f/k ratio of its vertical torse-forming field at each of a batch of
+    points), where it declares one, adds the condition residuals;
+    ``class_tol`` is the tolerance of the F1 class verdict of the
+    deformed structure.  Until sigma is known, each chunk keeps copies of
+    what the sigma-dependent residuals read: tau, L_{xi_bar} g_bar,
+    g_bar, eta_bar and dw o phi^2.
 
     Returns ``(checks, values)``: the worst residual of each check over
     the points, in report order (``is_F1`` as 0/1, the ``cond:`` checks
-    only with ``fk``), and the values ``sigma``, ``sigma_given``,
-    ``tau_mean``, ``tau_std``, ``tau_values``, ``tsdw_residual``
-    (2(tau - sigma) eta_bar = dw o phi^2) and ``lie_formula_mismatch``.
+    only with the base's ``fk``), and the values ``sigma``,
+    ``sigma_given``, ``tau_mean``, ``tau_std``, ``tau_values``,
+    ``tsdw_residual`` (2(tau - sigma) eta_bar = dw o phi^2) and
+    ``lie_formula_mismatch``.
     """
-    n = tstruct.n
+    n, fk = tstruct.n, tstruct.base.fk
     held = []
 
     def chunk(pts):

@@ -93,7 +93,7 @@ def test_acceptance_4_soliton_forward():
     triple = soliton_uvw(n, ell="-arctan(sinh(t))", h="t^2")
     ts = TransformedStructure(prov, triple)
     points = sample_points(prov.dim, 16, seed=0)
-    checks, _ = yamabe_check(ts, points, fk=prov.fk)
+    checks, _ = yamabe_check(ts, points)
     assert checks["soliton"] < 1e-6
     assert checks["tau_constancy"] < 1e-6
     assert checks["killing"] < 1e-6
@@ -129,7 +129,7 @@ def test_acceptance_5_negative_controls(mutation):
         triple = soliton_uvw(n, h="t^2 + x1")
     ts = TransformedStructure(prov, triple)
     points = sample_points(prov.dim, 8, seed=0)
-    checks, _ = yamabe_check(ts, points, fk=prov.fk)
+    checks, _ = yamabe_check(ts, points)
     assert checks["soliton"] > 1e-3
     # the verdict on the soliton, the tau constancy, the Killing
     # residual (at 1e-6) and the F1 class

@@ -17,6 +17,7 @@ from accrgeo import cli
 from accrgeo import expr as ex
 from accrgeo.cli import main
 from accrgeo.examples import REGISTRY
+from accrgeo.jets import JetDomainError, SingularMetricError
 
 
 def run(capsys, *argv):
@@ -344,6 +345,55 @@ def test_numeric_domain_errors_exit_3(capsys):
                  "--samples", "8", "--box=-0.0001,0.0001"])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+NUMERIC_FAULTS = [ArithmeticError, ZeroDivisionError, OverflowError,
+                  FloatingPointError, ex.EvalError, JetDomainError,
+                  SingularMetricError, np.linalg.LinAlgError, ValueError]
+
+
+@pytest.mark.parametrize("fault", NUMERIC_FAULTS,
+                         ids=lambda c: c.__name__)
+def test_every_numeric_fault_exits_3(capsys, monkeypatch, fault):
+    # the boundary is ArithmeticError or ValueError, whatever the class
+    def raising(cfg):
+        raise fault("injected")
+
+    monkeypatch.setitem(cli.COMMANDS, "example", raising)
+    code = main(["example", "list"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "numeric error: injected\n"
+
+
+# an empty value is a value: no field, preset or expression, not the
+# default that an absent option stands for
+EMPTY_VALUES = {
+    "field": ("torse", {"field": ""}, "--field needs 3 components"),
+    "preset": ("transform", {"preset": "", "u": "x1"}, "unknown preset ''"),
+    "preset-alone": ("soliton", {"preset": ""}, "unknown preset ''"),
+    "u": ("transform", {"u": ""}, "bad transformation expression"),
+    "v": ("transform", {"u": "x1", "v": ""}, "bad transformation expression"),
+    "w": ("soliton", {"w": ""}, "bad transformation expression"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd,values,message", EMPTY_VALUES.values(),
+                         ids=EMPTY_VALUES)
+def test_an_empty_option_value_exits_2(tmp_path, capsys, cmd, values,
+                                       message, source):
+    argv = [cmd, "--example", "flat-f0", "--n", "1", "--samples", "1"]
+    if source == "flag":
+        argv += [f"--{key}={val}" for key, val in values.items()]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(values))
+        argv += ["--config", str(cfgfile)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_tolerance_override_can_force_failure(capsys):

@@ -244,7 +244,7 @@ def test_yamabe_soliton_positive(n):
     prov = build_hypersurface(n)
     ts = tr.TransformedStructure(prov, soliton_uvw(n))
     points = sample_points(prov.dim, 4, seed=23)
-    checks, values = tr.yamabe_check(ts, points, fk=prov.fk)
+    checks, values = tr.yamabe_check(ts, points)
     assert soliton_passed(checks)
     assert checks["soliton"] < 1e-9
     assert checks["tau_constancy"] < 1e-9
@@ -265,7 +265,7 @@ def test_sigma_override_changes_residual():
     prov = build_hypersurface(n)
     ts = tr.TransformedStructure(prov, soliton_uvw(n))
     points = sample_points(3, 3, seed=29)
-    _, values = tr.yamabe_check(ts, points, fk=prov.fk)
+    _, values = tr.yamabe_check(ts, points)
     off, off_values = tr.yamabe_check(ts, points,
                                       sigma=values["sigma"] + 1.0)
     assert off_values["sigma_given"]
@@ -296,7 +296,7 @@ def test_yamabe_soliton_negative_controls(kind):
                                     triple.w)
     ts = tr.TransformedStructure(prov, triple)
     points = sample_points(3, 3, seed=31)
-    checks, _ = tr.yamabe_check(ts, points, fk=prov.fk)
+    checks, _ = tr.yamabe_check(ts, points)
     assert not soliton_passed(checks)
     assert checks["soliton"] > 1e-3
 
@@ -345,7 +345,7 @@ def test_soliton_chunk_makes_seven_tensor_products(monkeypatch):
                 monkeypatch.setattr(mod, name, counting)
     prov = build_hypersurface(2)
     tstruct = tr.TransformedStructure(prov, soliton_uvw(2))
-    tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5), fk=prov.fk)
+    tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5))
     assert sorted(orders) == [1, 1, 1, 1, 2, 2, 2]
 
 
@@ -375,7 +375,7 @@ def test_soliton_chunk_sums_only_scalar_products_by_reduceat(monkeypatch):
     monkeypatch.setattr(jets, "np", Numpy())
     prov = build_hypersurface(2)
     tstruct = tr.TransformedStructure(prov, soliton_uvw(2))
-    tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5), fk=prov.fk)
+    tr.yamabe_check(tstruct, sample_points(prov.dim, 3, seed=5))
     assert any("jmul" in names for names in callers)
     assert not any("tmul" in names for names in callers)
 
