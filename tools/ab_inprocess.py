@@ -14,32 +14,31 @@ passes in one process do.
 Each pair runs one pass of a workload of ``perfbench/workloads.py``
 (by default ``soliton-k3``, 40 pairs, seed 7) on both trees, the side
 that runs first alternating from pair to pair; both sides of a pair run
-the same cases.  A pass's time is the sum of its
-``cli.main`` calls.  One warm-up pass of each side comes first and is not
-counted.  The ratio of a pair is base time over change time, so above 1
-means the change is faster.  The tool prints the median ratio, its
-quartiles, the pairs the change won and the cases whose stdout or exit
-code differ between the trees, then all of it as one JSON line.  BLAS and
-OpenMP threads are pinned to one in this process.
+the same cases.  A pass's time is the sum of its ``cli.main`` calls,
+each timed by ``run_case`` of ``perfbench/child.py``, as perfbench times
+a case.  One warm-up pass of each side comes first and is not counted.
+The ratio of a pair is base time over change time, so above 1 means the
+change is faster.  The tool prints the median ratio, its quartiles, the
+pairs the change won and the cases whose stdout or exit code differ
+between the trees, then all of it as one JSON line.  BLAS and OpenMP
+threads are pinned to one in this process.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import importlib.util
-import io
 import json
 import os
 import statistics
 import sys
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from child import run_case  # noqa: E402
 from workloads import WORKLOADS, make_pass  # noqa: E402
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -59,16 +58,8 @@ def load_cli(src, name: str):
 
 def run_pass(cli, cases) -> tuple:
     """(seconds, [(exit code, stdout) per case]) of one pass."""
-    seconds, results = 0.0, []
-    for case in cases:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            t0 = perf_counter()
-            code = cli.main(list(case.argv))
-            seconds += perf_counter() - t0
-        results.append((code, out.getvalue()))
-    return seconds, results
+    runs = [run_case(cli, case) for case in cases]
+    return sum(r[0] for r in runs), [r[1:3] for r in runs]
 
 
 def compare(base_cli, change_cli, workload: str, seed: int,
