@@ -138,7 +138,7 @@ def build_config(args) -> dict:
         "seed": 0, "box": list(DEFAULT_BOX), "tol": {}, "sigma": None,
         "u": None, "v": None, "w": None, "preset": None, "field": None,
     }
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:   # RFC 8259
                 data = json.load(fh)
@@ -160,7 +160,7 @@ def build_config(args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if getattr(args, "box", None):
+    if getattr(args, "box", None) is not None:
         try:
             parts = [float(s) for s in args.box.split(",")]
         except ValueError:

@@ -396,6 +396,18 @@ def test_an_empty_option_value_exits_2(tmp_path, capsys, cmd, values,
     assert message in err
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--box=", "--box expects lo,hi"),
+    ("--config=", "cannot read config file"),
+])
+def test_an_empty_box_or_config_flag_exits_2(capsys, flag, message):
+    code = main(["check", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", flag])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_tolerance_override_can_force_failure(capsys):
     code, rep = run_json(capsys, "check", "--example", "flat-f0",
                          "--n", "1", "--samples", "2",
