@@ -390,15 +390,19 @@ def cmd_transform(cfg) -> Report:
 def cmd_soliton(cfg) -> Report:
     provider = make_provider(cfg)
     triple = make_triple(cfg, provider.coords)
-    tstruct = TransformedStructure(provider, triple)
-    checks, values = yamabe_check(
-        tstruct, config_points(provider, cfg), sigma=cfg["sigma"],
-        class_tol=tol(cfg, "class"))
+    r = yamabe_check(TransformedStructure(provider, triple),
+                     config_points(provider, cfg), sigma=cfg["sigma"],
+                     class_tol=tol(cfg, "class"))
+    ts = tol(cfg, "soliton")
     rep = Report("soliton", cfg)
-    for name, residual in checks.items():
-        rep.add(name, residual, 0.5 if name == "is_F1" else tol(
-            cfg, "derived" if name.startswith("cond:") else "soliton"))
-    rep.values.update(values, triple=triple_echo(triple))
+    rep.add_all(worst_of(r["identity"]), ts)
+    # the class verdict as a 0/1 flag against 0.5
+    rep.add_all(worst_of({"is_F1": ~r["is_F1"]}), 0.5)
+    rep.add_all(worst_of(r["lee"]), ts)
+    if "conditions" in r:
+        rep.add_all(worst_of(r["conditions"]), tol(cfg, "derived"), "cond:")
+    rep.values.update(worst_of(r["values"]), **r["tau"],
+                      triple=triple_echo(triple))
     return rep
 
 

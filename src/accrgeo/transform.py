@@ -21,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from .accr import (TOL_CLASS, AccrEval, StructureJets, StructureProvider,
                    _dot, _maxabs, _outer, _T, _vm,
-                   class_residuals, over_chunks, worst_of)
+                   class_residuals, over_chunks)
 from .geometry import (coordinate_bindings, cov_deriv_vector, lie_metric_cov,
                        lie_metric_coord)
 from .jets import jet_space, tgrad0, tmul, tscale, tsym, ttrunc, tvalue
@@ -213,14 +213,14 @@ def condition_residuals(d: Differentials, S: StructureJets, fk) -> dict:
     ``S`` at each point: du(xi) = -f/k, dv(xi) = 0 and dw vertical."""
     xi0, eta0 = tvalue(S.xi), tvalue(S.eta)
     return {
-        "du_xi_plus_fk": np.abs(_dot(d.du, xi0) + fk),
+        "du_xi": np.abs(_dot(d.du, xi0) + fk),
         "dv_xi": np.abs(_dot(d.dv, xi0)),
         "dw_vertical": _maxabs(d.dw - _dot(d.dw, xi0)[..., None] * eta0, 1),
     }
 
 
 def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
-                 class_tol: float = TOL_CLASS):
+                 class_tol: float = TOL_CLASS) -> dict:
     """Verify the soliton identity (1/2) L_{xi_bar} g_bar
     = (tau_bar - sigma) g_bar over the sample points, chunk by chunk, on
     jets of order 2: tau_bar reads the second derivatives of g_bar and
@@ -236,12 +236,15 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     what the sigma-dependent residuals read: tau, L_{xi_bar} g_bar,
     g_bar, eta_bar and dw o phi^2.
 
-    Returns ``(checks, values)``: the worst residual of each check over
-    the points, in report order (``is_F1`` as 0/1, the ``cond:`` checks
-    only with the base's ``fk``), and the values ``sigma``,
-    ``sigma_given``, ``tau_mean``, ``tau_std``, ``tau_values``,
-    ``tsdw_residual`` (2(tau - sigma) eta_bar = dw o phi^2) and
-    ``lie_formula_mismatch``.
+    Returns per-point arrays keyed by the names the report prints, in a
+    dict by tolerance family: ``identity`` (``soliton``,
+    ``tau_constancy``, ``killing``), ``lee`` (``lee_theta``,
+    ``lee_theta_star``, ``omega_bar``) and, with the base's ``fk``,
+    ``conditions`` (those of :func:`condition_residuals`); beside them
+    ``is_F1``, the F1 verdict at each point, ``values``, the residuals
+    behind ``tsdw_residual`` (2(tau - sigma) eta_bar = dw o phi^2) and
+    ``lie_formula_mismatch``, and ``tau``: ``sigma``, ``tau_mean``,
+    ``tau_std`` and ``tau_values``.
     """
     n, fk = tstruct.n, tstruct.base.fk
     held = []
@@ -258,23 +261,26 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         lscale = _lee_scale(ev_bar)
         held.append((ev_bar.frame.tau, lie0, gb0.copy(), ev_bar.eta0.copy(),
                      _vm(d.dw, phi2)))
-        out = {"is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
-               "residuals": {
-                   "killing": _maxabs(lie0, 2) / scale,
-                   "lie_formula_mismatch": _maxabs(lie0 - lie_v, 2),
+        out = {"identity": {"killing": _maxabs(lie0, 2) / scale},
+               "is_F1": class_residuals(ev_bar, tol=class_tol)[1]["is_F1"],
+               "lee": {
                    # theta_bar = 2n(du o phi + dv)
                    "lee_theta": _maxabs(ev_bar.theta - 2 * n * d.alpha, 1)
                    / lscale,
                    # theta*_bar = -2n(du o phi^2 + dv o phi)
                    "lee_theta_star": _maxabs(ev_bar.theta_star + 2 * n * (
                        _vm(d.du, phi2) + _vm(d.dv, phi0)), 1) / lscale,
-                   "omega_bar": _maxabs(ev_bar.omega, 1) / lscale}}
+                   "omega_bar": _maxabs(ev_bar.omega, 1) / lscale},
+               "values": {"lie_formula_mismatch": _maxabs(lie0 - lie_v, 2)}}
         if fk is not None:
-            c = condition_residuals(d, S, fk(pts))
-            out["conditions"] = {"cond:du_xi": c["du_xi_plus_fk"],
-                                 "cond:dv_xi": c["dv_xi"],
-                                 "cond:dw_vertical": c["dw_vertical"]}
+            out["conditions"] = condition_residuals(d, S, fk(pts))
         return out
+
+    r = over_chunks(chunk, np.asarray(points, dtype=float), 2)
+    taus = np.concatenate([h[0] for h in held])
+    tau_mean = float(np.mean(taus))
+    tau_std = float(np.std(taus))
+    sig = tau_mean if sigma is None else float(sigma)
 
     def sigma_residuals(tau, lie0, gb0, etab, dwp2):
         ts = (tau - sig)[:, None]
@@ -282,12 +288,6 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         return (_maxabs(0.5 * lie0 - ts[..., None] * gb0, 2) / scale,
                 _maxabs(2.0 * ts * etab - dwp2, 1))
 
-    r = over_chunks(chunk, np.asarray(points, dtype=float), 2)
-    taus = np.concatenate([h[0] for h in held])
-    tau_mean = float(np.mean(taus))
-    tau_std = float(np.std(taus))
-    sigma_given = sigma is not None
-    sig = float(sigma) if sigma_given else tau_mean
     try:
         with np.errstate(over="raise", invalid="raise"):
             soliton, tsdw = map(np.concatenate, zip(
@@ -296,19 +296,10 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
         raise FloatingPointError(
             f"sigma={sig!r} takes the soliton residuals out of the float "
             f"range ({err})")
-    worst = worst_of({"soliton": soliton, **r["residuals"],
-                      "tsdw_residual": tsdw})
-    checks = {"soliton": worst["soliton"],
-              "tau_constancy": tau_std / (1.0 + abs(tau_mean)),
-              "killing": worst["killing"],
-              "is_F1": 0.0 if r["is_F1"].all() else 1.0,
-              **{k: worst[k] for k in ("lee_theta", "lee_theta_star",
-                                       "omega_bar")}}
-    if fk is not None:
-        checks.update(worst_of(r["conditions"]))
-    values = {"sigma": sig, "sigma_given": sigma_given,
-              "tau_mean": tau_mean, "tau_std": tau_std,
-              "tau_values": taus.tolist(),
-              "tsdw_residual": worst["tsdw_residual"],
-              "lie_formula_mismatch": worst["lie_formula_mismatch"]}
-    return checks, values
+    r["identity"] = {"soliton": soliton, "tau_constancy": np.full_like(
+        taus, tau_std / (1.0 + abs(tau_mean))), **r["identity"]}
+    r["values"]["tsdw_residual"] = tsdw
+    r["tau"] = {"sigma": sig, "sigma_given": sigma is not None,
+                "tau_mean": tau_mean, "tau_std": tau_std,
+                "tau_values": taus.tolist()}
+    return r

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from accrgeo import expr as ex
-from accrgeo.accr import check_axioms, class_residuals, structure_eval
+from accrgeo.accr import (check_axioms, class_residuals, structure_eval,
+                         worst_of)
 from accrgeo.cli import main
 from accrgeo.examples import (build_flat_f0, build_hypersurface,
                               holomorphic_pair_uvw, random_structure,
@@ -93,12 +94,13 @@ def test_acceptance_4_soliton_forward():
     triple = soliton_uvw(n, ell="-arctan(sinh(t))", h="t^2")
     ts = TransformedStructure(prov, triple)
     points = sample_points(prov.dim, 16, seed=0)
-    checks, _ = yamabe_check(ts, points)
-    assert checks["soliton"] < 1e-6
-    assert checks["tau_constancy"] < 1e-6
-    assert checks["killing"] < 1e-6
-    assert checks["is_F1"] == 0
-    assert checks["omega_bar"] < 1e-6
+    r = yamabe_check(ts, points)
+    identity = worst_of(r["identity"])
+    assert identity["soliton"] < 1e-6
+    assert identity["tau_constancy"] < 1e-6
+    assert identity["killing"] < 1e-6
+    assert r["is_F1"].all()
+    assert worst_of(r["lee"])["omega_bar"] < 1e-6
     # Lee forms in their reduced shape: theta_bar = 4n du o phi,
     # theta*_bar = -4n dv o phi
     for p in points:
@@ -129,12 +131,14 @@ def test_acceptance_5_negative_controls(mutation):
         triple = soliton_uvw(n, h="t^2 + x1")
     ts = TransformedStructure(prov, triple)
     points = sample_points(prov.dim, 8, seed=0)
-    checks, _ = yamabe_check(ts, points)
-    assert checks["soliton"] > 1e-3
+    r = yamabe_check(ts, points)
+    identity = worst_of(r["identity"])
+    assert identity["soliton"] > 1e-3
     # the verdict on the soliton, the tau constancy, the Killing
     # residual (at 1e-6) and the F1 class
-    assert not (checks["soliton"] < 1e-6 and checks["tau_constancy"] < 1e-6
-                and checks["killing"] < 1e-6 and checks["is_F1"] == 0)
+    assert not (identity["soliton"] < 1e-6
+                and identity["tau_constancy"] < 1e-6
+                and identity["killing"] < 1e-6 and r["is_F1"].all())
 
 
 # ---------------------------------------------------------------------------
