@@ -299,7 +299,6 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
     r["identity"] = {"soliton": soliton, "tau_constancy": np.full_like(
         taus, tau_std / (1.0 + abs(tau_mean))), **r["identity"]}
     r["values"]["tsdw_residual"] = tsdw
-    r["tau"] = {"sigma": sig, "sigma_given": sigma is not None,
-                "tau_mean": tau_mean, "tau_std": tau_std,
+    r["tau"] = {"sigma": sig, "tau_mean": tau_mean, "tau_std": tau_std,
                 "tau_values": taus.tolist()}
     return r

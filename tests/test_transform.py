@@ -272,7 +272,7 @@ def test_sigma_override_changes_residual():
     points = sample_points(3, 3, seed=29)
     sigma = tr.yamabe_check(ts, points)["tau"]["sigma"]
     off = tr.yamabe_check(ts, points, sigma=sigma + 1.0)
-    assert off["tau"]["sigma_given"]
+    assert off["tau"]["sigma"] == sigma + 1.0
     assert worst_of(off["identity"])["soliton"] > 1e-2
 
 
