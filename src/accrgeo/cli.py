@@ -219,7 +219,7 @@ def make_provider(cfg):
         return get_example(cfg["example"], n=int(cfg["n"]),
                            seed=int(cfg["seed"]))
     except KeyError as err:
-        raise ConfigError(str(err))
+        raise ConfigError(err.args[0])
 
 
 def parse_exprs(texts, coords, what: str) -> list:
@@ -241,6 +241,8 @@ def make_triple(cfg, coords) -> TransformTriple:
         if cfg["preset"] not in PRESETS:
             raise ConfigError(f"unknown preset {cfg['preset']!r}; "
                               f"choose from {sorted(PRESETS)}")
+        if any(cfg[k] is not None for k in "uvw"):
+            raise ConfigError("--preset excludes --u, --v and --w")
         return PRESETS[cfg["preset"]](int(cfg["n"]))
     if cfg["u"] is None and cfg["v"] is None and cfg["w"] is None:
         raise ConfigError("need --preset or a (u, v, w) triple")

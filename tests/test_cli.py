@@ -396,6 +396,32 @@ def test_an_empty_option_value_exits_2(tmp_path, capsys, cmd, values,
     assert message in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("cmd,key", [("transform", "u"), ("soliton", "v"),
+                                     ("transform", "w")])
+def test_a_preset_with_a_triple_expression_exits_2(tmp_path, capsys, cmd,
+                                                   key, source):
+    # the preset would be verified and the expression only echoed
+    argv = [cmd, "--example", "flat-f0", "--n", "1", "--samples", "1",
+            "--preset", "identity"]
+    if source == "flag":
+        argv += [f"--{key}", "x1"]
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: "x1"}))
+        argv += ["--config", str(cfgfile)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: --preset excludes --u, --v and --w\n"
+
+
+def test_unknown_example_prints_its_message_unquoted(capsys):
+    assert main(["check", "--example", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown example 'bogus'; choose from {sorted(REGISTRY)}\n")
+
+
 @pytest.mark.parametrize("flag,message", [
     ("--box=", "--box expects lo,hi"),
     ("--config=", "cannot read config file"),
@@ -581,6 +607,30 @@ def test_soliton_is_F1_follows_the_class_tolerance(capsys, flags):
     _, soliton = run_json(capsys, "soliton", *argv)
     is_f1, = (c["passed"] for c in soliton["checks"] if c["name"] == "is_F1")
     assert is_f1 == transform["values"]["class_verdicts"]["is_F1"]
+
+
+SOLITON_FAMILIES = {
+    "soliton": {"soliton", "tau_constancy", "killing", "lee_theta",
+                "lee_theta_star", "omega_bar"},
+    "derived": {"cond:du_xi", "cond:dv_xi", "cond:dw_vertical"},
+    "class": set(),
+}
+
+
+@pytest.mark.parametrize("family", SOLITON_FAMILIES)
+def test_each_soliton_check_is_judged_by_its_family_tolerance(capsys,
+                                                              family):
+    argv = ["soliton", "--example", "hypersurface-f5", "--n", "1",
+            "--preset", "soliton", "--samples", "2"]
+    _, base = run_json(capsys, *argv)
+    _, override = run_json(capsys, *argv, "--tol", f"{family}=0.125")
+    before = {c["name"]: c["tolerance"] for c in base["checks"]}
+    after = {c["name"]: c["tolerance"] for c in override["checks"]}
+    assert list(after) == list(before)
+    assert {k for k in after if after[k] != before[k]} == (
+        SOLITON_FAMILIES[family])
+    assert all(after[k] == 0.125 for k in SOLITON_FAMILIES[family])
+    assert after["is_F1"] == before["is_F1"] == 0.5
 
 
 @pytest.mark.parametrize("argv", [
