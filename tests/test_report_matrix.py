@@ -29,7 +29,7 @@ def test_byte_identical_records():
     assert counts == {"cases": 2, "only_in_first": 0, "only_in_second": 0,
                       "byte_identical": 2, "exit_changed": 0,
                       "verdict_changed": 0, "max_float_deviation": 0.0,
-                      "max_float_deviation_at": None}
+                      "max_float_deviation_at": None, "paths": {}}
 
 
 def test_cases_in_one_record_only_are_counted_not_compared():
@@ -103,6 +103,25 @@ def test_nan_against_a_number_is_infinite():
                      {"a": record(report(tau=1.0))})
     assert counts["max_float_deviation"] == math.inf
     assert counts["max_float_deviation_at"] == "a: $.values.tau"
+
+
+def test_differing_cases_are_counted_by_path(tmp_path, capsys):
+    # a value dropped on purpose from two reports, a float moved in a
+    # third, and an exit code changed alone in a fourth
+    rep, dropped = report(flag=False), report()
+    first = {name: record(rep) for name in "abcd"}
+    second = {"a": record(dropped), "b": record(dropped),
+              "c": record(report(value=0.75, flag=False)),
+              "d": record(rep, code=1)}
+    counts = compare(first, second)
+    assert counts["paths"] == {"$.values (keys: -flag)": 2,
+                               "$.values.sigma": 1, "(no deviation)": 1}
+    code = report_matrix.main(["--compare", write(tmp_path, "a.json", first),
+                               write(tmp_path, "b.json", second)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "$.values (keys: -flag): 2\n$.values.sigma: 1\n" in out
+    assert "paths" not in out
 
 
 @pytest.mark.parametrize("a, b, path", [

@@ -32,8 +32,11 @@ The comparison counts byte-identical reports, exit-code changes and
 verdict changes (the report's or any check's ``passed``), and names the
 largest float deviation, relative to max(1, |x|); a difference of keys,
 their order, a length or a type (a bool for an int, an int for a float)
-counts as infinite.  It exits 1 on any exit-code or verdict change, a
-deviation above ``MAX_DEVIATION``, or when the records share no case.
+counts as infinite.  It also counts the differing cases by the path of
+each one's largest deviation, so that a report change made on purpose
+reads as one line, e.g. ``$.values (keys: -sigma_given): 73``.  It exits
+1 on any exit-code or verdict change, a deviation above
+``MAX_DEVIATION``, or when the records share no case.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 
 COMMANDS = ("check", "classify", "lee", "torse", "transform", "soliton")
 NS = (1, 2, 3)
@@ -132,7 +136,7 @@ def deviation(a, b, path="$"):
 
 def compare(a: dict, b: dict) -> dict:
     shared = [name for name in a if name in b]
-    worst = (0.0, None)
+    worst, paths = (0.0, None), Counter()
     counts = {"cases": len(shared), "only_in_first": len(a) - len(shared),
               "only_in_second": len(b) - len(shared), "byte_identical": 0,
               "exit_changed": 0, "verdict_changed": 0}
@@ -146,10 +150,12 @@ def compare(a: dict, b: dict) -> dict:
         ry = json.loads(y["stdout"]) if y["stdout"] else None
         counts["verdict_changed"] += _verdicts(rx) != _verdicts(ry)
         dev, path = deviation(rx, ry)
+        paths[path if dev else "(no deviation)"] += 1
         if dev >= worst[0]:
             worst = (dev, f"{name}: {path}")
     counts["max_float_deviation"] = worst[0]
     counts["max_float_deviation_at"] = worst[1]
+    counts["paths"] = dict(paths.most_common())
     return counts
 
 
@@ -178,7 +184,8 @@ def main(argv=None) -> int:
         return 0
     first, second = (json.load(open(path)) for path in args.compare)
     counts = compare(first, second)
-    for key, value in counts.items():
+    paths = counts.pop("paths")
+    for key, value in {**counts, **paths}.items():
         print(f"{key}: {value}")
     return 1 if changed(counts) else 0
 
