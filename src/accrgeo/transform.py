@@ -278,8 +278,7 @@ def yamabe_check(tstruct: TransformedStructure, points, sigma: float = None,
 
     r = over_chunks(chunk, np.asarray(points, dtype=float), 2)
     taus = np.concatenate([h[0] for h in held])
-    tau_mean = float(np.mean(taus))
-    tau_std = float(np.std(taus))
+    tau_mean, tau_std = float(np.mean(taus)), float(np.std(taus))
     sig = tau_mean if sigma is None else float(sigma)
 
     def sigma_residuals(tau, lie0, gb0, etab, dwp2):

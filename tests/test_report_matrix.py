@@ -46,6 +46,7 @@ def test_exit_code_change():
     assert counts["exit_changed"] == 1
     assert counts["verdict_changed"] == 0
     assert counts["max_float_deviation"] == 0.0
+    assert counts["max_float_deviation_at"] is None     # no path deviates
 
 
 def test_exit_3_without_a_report_is_an_infinite_deviation():

@@ -151,7 +151,7 @@ def compare(a: dict, b: dict) -> dict:
         counts["verdict_changed"] += _verdicts(rx) != _verdicts(ry)
         dev, path = deviation(rx, ry)
         paths[path if dev else "(no deviation)"] += 1
-        if dev >= worst[0]:
+        if dev and dev >= worst[0]:
             worst = (dev, f"{name}: {path}")
     counts["max_float_deviation"] = worst[0]
     counts["max_float_deviation_at"] = worst[1]
