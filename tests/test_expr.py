@@ -42,16 +42,51 @@ def test_functions_require_parentheses():
         ex.parse("foo(x)")      # unknown function name
 
 
-def test_parse_error_reports_offset():
+# (text, offset, str(ParseError)): every rule of the tokenizer and the
+# parser that rejects text, with the offset and message it reports
+PARSE_ERRORS = [
+    ("", 0, "expected a number, name or '(', found end of input"),
+    ("   ", 3, "expected a number, name or '(', found end of input"),
+    ("1 + * 2", 4, "expected a number, name or '(', found '*'"),
+    ("sin(x", 5, "expected ')', found end of input"),
+    ("foo(x)", 0, "expected a known function name, found 'foo'"),
+    ("x^y", 2, "expected a numeric exponent, found 'y'"),
+    ("x^--2", 3, "expected a numeric exponent, found '-'"),
+    ("x^1e999", 2, "expected a finite number, found '1e999'"),
+    ("2 ^ 3 ^", 6, "expected end of input, found '^'"),
+    ("()", 1, "expected a number, name or '(', found ')'"),
+    ("x  @ y", 3, "expected a token, found '@'"),
+    ("sin x", 4, "expected end of input, found 'x'"),
+    ("((x)", 4, "expected ')', found end of input"),
+    ("1..2", 2, "expected end of input, found '.2'"),
+    ("x ^ (2)", 4, "expected a numeric exponent, found '('"),
+    ("x\n+\ty ^ -", 9, "expected a numeric exponent, found end of input"),
+    ("(" * (ex.MAX_DEPTH + 1) + "x" + ")" * (ex.MAX_DEPTH + 1), 101,
+     "expected parentheses nested at most 100 deep, found 'x'"),
+    ("x" + " + x" * (ex.MAX_DEPTH + 1), 0,
+     "expected at most 100 nested operations, found 101"),
+    ("\u00e9", 0, "expected a token, found '\u00e9'"),
+    ("1 + 2 $", 6, "expected a token, found '$'"),
+    ("x)", 1, "expected end of input, found ')'"),
+    ("1e999", 0, "expected a finite number, found '1e999'"),
+    ("x ^ -1e999", 5, "expected a finite number, found '1e999'"),
+    ("sin()", 4, "expected a number, name or '(', found ')'"),
+    ("x ^", 3, "expected a numeric exponent, found end of input"),
+    ("-", 1, "expected a number, name or '(', found end of input"),
+    ("x +  ", 5, "expected a number, name or '(', found end of input"),
+    ("- ^ 2", 2, "expected a number, name or '(', found '^'"),
+    ("1e5e5", 3, "expected end of input, found 'e5'"),
+    ("x_1 + 1_x", 7, "expected a token, found '_'"),
+    ("x\u00a0+ 1 #", 6, "expected a token, found '#'"),
+]
+
+
+@pytest.mark.parametrize("text, offset, message", PARSE_ERRORS)
+def test_parse_error_reports_offset(text, offset, message):
     with pytest.raises(ex.ParseError) as exc:
-        ex.parse("1 + * 2")
-    assert exc.value.offset == 4
-    with pytest.raises(ex.ParseError) as exc:
-        ex.parse("sin(x")
-    assert "')'" in exc.value.expected
-    with pytest.raises(ex.ParseError) as exc:
-        ex.parse("1 + 2 $")
-    assert exc.value.offset == 6
+        ex.parse(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"parse error at offset {offset}: {message}"
 
 
 AT_BOUND = [
