@@ -8,12 +8,14 @@ exit code and its stdout text.  The matrix is
   x n = 1..3;
 * transform and soliton x every preset of ``cli.PRESETS`` x every model
   x n = 1..3;
+* transform and soliton x flat-f0, random, hypersurface-f5 x n = 1, 2
+  with the triple ``OPERANDS`` in place of a preset;
 
 all at ``--order 2`` (hence the ``-k2`` of their names) with 4 samples,
 which fit one chunk of points, and a multi-chunk slice: every command on
 hypersurface-f5 at n = 4, order 1, with 70 samples, which span several
 chunks (at n = 4 a chunk holds at most 19 order-1 points, 4 chunks of 17
-or 18, and at most 3 order-2 points for soliton, 24 chunks).
+or 18, and at most 3 order-2 points for soliton, 24 chunks): 210 cases.
 
 ``tests/data/golden_reports.json`` holds 51 of the matrix's records,
 kept from earlier versions; ``tests/test_reports_golden.py`` judges
@@ -53,6 +55,12 @@ COMMANDS = ("check", "classify", "lee", "torse", "transform", "soliton")
 NS = (1, 2, 3)
 COMMON = ["--seed", "7", "--json"]
 MAX_DEVIATION = 1e-12
+# each of c + X, c - X, c * X, c / X and X + c, X - c, X * c, X / c with a
+# constant c, a chain of signs and negative exponents: every case of the
+# evaluator that reads a constant operand
+OPERANDS = ["--u=1 + 2 * x1 - x1 / 4 + (t - 1) ^ 2 / 3",
+            "--v=0.5 - x1 * 0.25 + 1 / (x2 + 2)",
+            "--w=-t ^ -2 + 1 + 3 * -(-x1) / 5"]
 
 
 def cases() -> dict:
@@ -71,6 +79,12 @@ def cases() -> dict:
                         "--order", "2",
                         *(["--preset", preset] if preset else []),
                         "--samples", "4"]
+    for cmd in ("transform", "soliton"):
+        for model in ("flat-f0", "random", "hypersurface-f5"):
+            for n in (1, 2):
+                out[f"{cmd}-operands-{model}-n{n}-k2"] = [
+                    cmd, "--example", model, "--n", str(n), "--order", "2",
+                    *OPERANDS, "--samples", "4"]
     for cmd in COMMANDS:
         preset = ["--preset", "soliton"] if cmd in ("transform",
                                                     "soliton") else []
