@@ -197,30 +197,21 @@ def func(name: str, arg) -> Func:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# every character starts a match: a run of white space, a token, or a
+# character no token starts with (``bad``)
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))")
+    r"(?P<space>\s+)|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>.)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
-            rest = text[pos:]
-            stripped = rest.lstrip()
-            if not stripped:
-                break
-            off = pos + len(rest) - len(stripped)
-            raise ParseError(off, "a token", repr(stripped[0]))
-        pos = m.end()
-        if m.lastgroup is None:
-            continue
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group(kind)
-        tokens.append((kind, value, m.start(kind)))
+        if kind == "bad":
+            raise ParseError(m.start(), "a token", repr(m.group()))
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
