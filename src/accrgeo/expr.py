@@ -3,16 +3,17 @@
 Used to define metric components, structure fields and transformation
 functions.  The grammar is standard precedence climbing:
 
-    expr    := term (("+" | "-") term)*
-    term    := unary (("*" | "/") unary)*
-    unary   := "-" unary | power
-    power   := primary ["^" exponent]
-    primary := NUMBER | NAME | NAME "(" expr ")" | "(" expr ")"
+    chain(0) := chain(1) (("+" | "-") chain(1))*
+    chain(1) := unary (("*" | "/") unary)*
+    unary    := "-"* primary ["^" ["-"] NUMBER]
+    primary  := NUMBER | NAME | NAME "(" chain(0) ")" | "(" chain(0) ")"
 
-``^`` binds tighter than unary minus and takes a (possibly negated)
-numeric literal exponent.  Function application requires parentheses;
-whitespace is insignificant.  Expression trees are immutable and
-evaluation is pure.
+One rule reads every binary level: ``chain(level)`` joins the
+expressions of the next level, left to right, by the operators of its
+own (``_LEVELS``, the loosest first).  ``^`` binds tighter than unary
+minus and takes a (possibly negated) numeric literal exponent.
+Function application requires parentheses; whitespace is
+insignificant.  Expression trees are immutable and evaluation is pure.
 
 One evaluator reads a tree: :func:`eval_jets` computes the truncated
 Taylor jets of a sequence of trees at a batch of points, under bindings
@@ -216,9 +217,12 @@ def _tokenize(text: str):
     return tokens
 
 
+# the binary operators of each precedence level, the loosest first
+_LEVELS = ("+-", "*/")
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
@@ -226,114 +230,85 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def take(self, ops: str) -> str:
+        """The operator at hand, consumed, if it is one of ``ops``; else
+        the empty string."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return ""
 
     def fail(self, expected: str):
         kind, value, offset = self.peek()
         found = "end of input" if kind == "eof" else repr(value)
         raise ParseError(offset, expected, found)
 
-    def expect_op(self, op: str):
-        kind, value, _ = self.peek()
-        if kind != "op" or value != op:
-            self.fail(repr(op))
-        self.advance()
-
     def parse(self) -> Expr:
-        e = self.expr()
+        e = self.chain()
         if self.peek()[0] != "eof":
             self.fail("end of input")
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                e = Bin(value, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                e = Bin(value, e, self.unary())
-            else:
-                return e
+    def chain(self, level: int = 0) -> Expr:
+        """The operands of a precedence level, the next level's
+        expressions, joined left to right by its operators."""
+        if level == len(_LEVELS):
+            return self.unary()
+        e = self.chain(level + 1)
+        while op := self.take(_LEVELS[level]):
+            e = Bin(op, e, self.chain(level + 1))
+        return e
 
     def unary(self) -> Expr:
         # a loop, not recursion: a long run of signs costs no stack
         signs = 0
-        while self.peek()[:2] == ("op", "-"):
-            self.advance()
+        while self.take("-"):
             signs += 1
-        e = self.power()
+        e = self.primary()
+        if self.take("^"):
+            sign = -1.0 if self.take("-") else 1.0
+            e = Pow(e, sign * self.number("a numeric exponent"))
         for _ in range(signs):
             e = Neg(e)
         return e
 
-    def power(self) -> Expr:
-        base = self.primary()
+    def number(self, expected: str) -> float:
+        """The number token at hand, consumed; it must be finite
+        (``1e999`` is not)."""
         kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
-
-    def exponent(self) -> float:
-        sign = 1.0
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            sign = -1.0
-        if self.peek()[0] != "number":
-            self.fail("a numeric exponent")
-        return sign * self.number()
-
-    def number(self) -> float:
-        """The number token at hand, which must be finite (``1e999`` is
-        not)."""
-        x = float(self.peek()[1])
+        if kind != "number":
+            self.fail(expected)
+        x = float(value)
         if not math.isfinite(x):
             self.fail("a finite number")
-        self.advance()
+        self.pos += 1
         return x
 
-    def nested_expr(self) -> Expr:
-        """The expression after an opening parenthesis."""
+    def nested(self) -> Expr:
+        """The expression after an opening parenthesis, and its closing
+        one."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             self.fail(f"parentheses nested at most {MAX_DEPTH} deep")
-        e = self.expr()
+        e = self.chain()
         self.nesting -= 1
-        self.expect_op(")")
+        if not self.take(")"):
+            self.fail("')'")
         return e
 
     def primary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "number":
-            return Const(self.number())
-        if kind == "name":
-            self.advance()
-            nk, nv, _ = self.peek()
-            if nk == "op" and nv == "(":
-                if value not in FUNCTIONS:
-                    self.pos -= 1
-                    self.fail("a known function name")
-                self.advance()
-                return Func(value, self.nested_expr())
+        if self.take("("):
+            return self.nested()
+        kind, value, offset = self.peek()
+        if kind != "name":
+            return Const(self.number("a number, name or '('"))
+        self.pos += 1
+        if not self.take("("):
             return Var(value)
-        if kind == "op" and value == "(":
-            self.advance()
-            return self.nested_expr()
-        self.fail("a number, name or '('")
+        if value not in FUNCTIONS:
+            raise ParseError(offset, "a known function name", repr(value))
+        return Func(value, self.nested())
 
 
 def parse(text: str) -> Expr:
