@@ -409,30 +409,28 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
                     raise EvalError(f"unbound variable {name!r}") from None
             case Neg(arg=arg):
                 jet = -_eval_node(arg, bindings, space, memo, batch)
-            case Bin(op=op, left=Const(value=c),
-                     right=right) if not isinstance(right, Const):
-                x = _eval_node(right, bindings, space, memo, batch)
-                if op in "+-":
-                    jet = x.copy() if op == "+" else -x
-                    jet[:1] = c + x[:1] if op == "+" else c - x[:1]
-                else:
-                    jet = c * (x if op == "*" else _reciprocal(space, x))
-            case Bin(op=op, left=left,
-                     right=Const(value=c) as right) if not isinstance(
-                    left, Const):
-                x = _eval_node(left, bindings, space, memo, batch)
+            case (Bin(op=op, left=Const(value=c), right=arg)
+                  | Bin(op=op, left=arg, right=Const(value=c))) if (
+                    not isinstance(arg, Const)):
+                # one shift of X's value row or one scale of X: c - X is
+                # -X + c, X - c is X + -c, c / X is 1/X times c and X / c
+                # is X times the number 1/c
+                x = _eval_node(arg, bindings, space, memo, batch)
+                if op == "-":
+                    x, c = (-x, c) if arg is node.right else (x, -c)
+                elif op == "/" and arg is node.right:
+                    x = _reciprocal(space, x)
+                elif op == "/":     # 1/c, which must be finite
+                    if c == 0.0:
+                        raise ZeroDivisionError("division by zero")
+                    c = 1.0 / c
+                    if not math.isfinite(c):
+                        raise OverflowError("math range error")
                 if op in "+-":
                     jet = x.copy()
-                    jet[:1] = x[:1] + c if op == "+" else x[:1] - c
-                elif op == "*":
+                    jet[:1] = x[:1] + c
+                else:
                     jet = x * c
-                elif c == 0.0:
-                    raise ZeroDivisionError("division by zero")
-                else:       # times the number 1/c, which must be finite
-                    inverse = 1.0 / c
-                    if not math.isfinite(inverse):
-                        raise OverflowError("math range error")
-                    jet = x * inverse
             case Bin(op=op, left=left, right=right):
                 a = _eval_node(left, bindings, space, memo, batch)
                 b = _eval_node(right, bindings, space, memo, batch)
