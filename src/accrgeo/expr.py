@@ -1,19 +1,18 @@
 """Small deterministic arithmetic expression language.
 
 Used to define metric components, structure fields and transformation
-functions.  The grammar is standard precedence climbing:
+functions.  The grammar is standard precedence climbing, with one
+left-associative rule, ``chain``, for each level of binary operators
+(``_LEVELS``, the loosest first):
 
     chain(0) := chain(1) (("+" | "-") chain(1))*
     chain(1) := unary (("*" | "/") unary)*
     unary    := "-"* primary ["^" ["-"] NUMBER]
     primary  := NUMBER | NAME | NAME "(" chain(0) ")" | "(" chain(0) ")"
 
-One rule reads every binary level: ``chain(level)`` joins the
-expressions of the next level, left to right, by the operators of its
-own (``_LEVELS``, the loosest first).  ``^`` binds tighter than unary
-minus and takes a (possibly negated) numeric literal exponent.
-Function application requires parentheses; whitespace is
-insignificant.  Expression trees are immutable and evaluation is pure.
+``^`` binds tighter than unary minus.  Function application requires
+parentheses; whitespace is insignificant.  Expression trees are
+immutable and evaluation is pure.
 
 One evaluator reads a tree: :func:`eval_jets` computes the truncated
 Taylor jets of a sequence of trees at a batch of points, under bindings
@@ -24,8 +23,8 @@ It is the one place where scalar jets (coefficient arrays of shape
 ``-`` and negation are array operations, ``*`` and ``/`` the truncated
 product ``jmul``.  A constant operand of ``+ - * /`` beside a
 non-constant one stays a number: it scales the other jet (``X / c`` by
-the value of the jet 1/c, domain checks included, ``c / X`` the
-reciprocal of X) or shifts its value row.  A node object that several
+the number 1/c, which must be finite, ``c / X`` the reciprocal of X by
+c) or shifts its value row.  A node object that several
 trees, or several places of one tree, share is evaluated once for the
 whole batch, through a memo keyed by node identity that lives for that
 one call.  :func:`eval_jet` is the same for a single tree.  Trees built
@@ -227,9 +226,6 @@ class _Parser:
         self.pos = 0
         self.nesting = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
     def take(self, ops: str) -> str:
         """The operator at hand, consumed, if it is one of ``ops``; else
         the empty string."""
@@ -240,15 +236,9 @@ class _Parser:
         return ""
 
     def fail(self, expected: str):
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         found = "end of input" if kind == "eof" else repr(value)
         raise ParseError(offset, expected, found)
-
-    def parse(self) -> Expr:
-        e = self.chain()
-        if self.peek()[0] != "eof":
-            self.fail("end of input")
-        return e
 
     def chain(self, level: int = 0) -> Expr:
         """The operands of a precedence level, the next level's
@@ -274,9 +264,8 @@ class _Parser:
         return e
 
     def number(self, expected: str) -> float:
-        """The number token at hand, consumed; it must be finite
-        (``1e999`` is not)."""
-        kind, value, _ = self.peek()
+        """The number token at hand, consumed; it must be finite."""
+        kind, value, _ = self.tokens[self.pos]
         if kind != "number":
             self.fail(expected)
         x = float(value)
@@ -286,8 +275,7 @@ class _Parser:
         return x
 
     def nested(self) -> Expr:
-        """The expression after an opening parenthesis, and its closing
-        one."""
+        """The expression after an opening parenthesis, and the ')'."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             self.fail(f"parentheses nested at most {MAX_DEPTH} deep")
@@ -300,7 +288,7 @@ class _Parser:
     def primary(self) -> Expr:
         if self.take("("):
             return self.nested()
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         if kind != "name":
             return Const(self.number("a number, name or '('"))
         self.pos += 1
@@ -315,7 +303,10 @@ def parse(text: str) -> Expr:
     """Parse expression text; raises :class:`ParseError` on malformed
     input, on a number that is not finite and on nesting deeper than
     ``MAX_DEPTH``."""
-    e = _Parser(text).parse()
+    parser = _Parser(text)
+    e = parser.chain()
+    if parser.tokens[parser.pos][0] != "eof":
+        parser.fail("end of input")
     if (levels := depth(e)) > MAX_DEPTH:
         raise ParseError(0, f"at most {MAX_DEPTH} nested operations",
                          str(levels))
@@ -412,9 +403,8 @@ def _eval_node(node: Expr, bindings, space, memo: dict,
             case (Bin(op=op, left=Const(value=c), right=arg)
                   | Bin(op=op, left=arg, right=Const(value=c))) if (
                     not isinstance(arg, Const)):
-                # one shift of X's value row or one scale of X: c - X is
-                # -X + c, X - c is X + -c, c / X is 1/X times c and X / c
-                # is X times the number 1/c
+                # a shift of X's value row or a scale of X: c - X is -X + c,
+                # X - c is X + -c, c / X is 1/X * c, X / c is X * (1/c)
                 x = _eval_node(arg, bindings, space, memo, batch)
                 if op == "-":
                     x, c = (-x, c) if arg is node.right else (x, -c)
