@@ -155,6 +155,11 @@ def build_config(args) -> dict:
         unknown = set(data) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # the parsed flags hold exactly the command's options
+        foreign = [key for key in data if not hasattr(args, key)]
+        if foreign:
+            raise ConfigError(f"config keys that {args.cmd} takes no flag "
+                              f"for: {sorted(foreign)}")
         cfg.update(data)
     for key in CONFIG_TYPES.keys() - {"box", "tol"}:    # same-named flags
         val = getattr(args, key, None)

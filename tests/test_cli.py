@@ -299,6 +299,22 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_key_for_an_option_the_command_lacks_exits_2(tmp_path, capsys):
+    # as the flag does: check --u x1 exits 2, and the config file's u was
+    # echoed in the report though nothing evaluated it
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"u": "x1", "sigma": 3.0,
+                                   "field": "1;0;0"}))
+    assert main(["check", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: config keys that check takes no flag "
+                            "for: ['field', 'sigma', 'u']\n")
+    cfgfile.write_text(json.dumps({"field": "0;0;1", "n": 1}))
+    assert main(["torse", "--config", str(cfgfile), "--example",
+                 "flat-f0", "--samples", "1"]) == 0
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["check", "--example", "no-such"]) == 2
     assert capsys.readouterr().err == (     # the message, not its repr
