@@ -81,22 +81,66 @@ def test_deformed_structure_satisfies_axioms(n):
         assert max(res.values()) < 1e-9
 
 
-def test_transforms_compose_additively():
-    prov = random_structure(1, seed=8)
-    t1 = uvw("0.2 * x1", "0.1 * x2 * t", "0.3 * t")
-    t2 = uvw("0.1 * x2", "0.2 * t", "0.1 * x1 * x1")
-    step = tr.TransformedStructure(tr.TransformedStructure(prov, t1), t2)
-    both = tr.TransformedStructure(prov, tr.TransformTriple(
+# the transformations form a group: (u, v, w) act additively, so t1 then
+# t2 is t1 + t2 and -t1 undoes t1; "sub" is in the subgroup v = 0, w = u
+T1 = ("0.3 * x1 * t + 0.1 * x2 ^ 2", "0.2 * sin(x1) + 0.1 * t",
+      "0.4 * t ^ 2 - 0.1 * x1")
+GROUP = {"t1": uvw(*T1),
+         "t2": uvw("0.2 * t - 0.1 * x1 ^ 2", "0.1 * cos(t) - 0.2 * x2",
+                   "0.1 * x1 * t"),
+         "sub": uvw(T1[0], 0, T1[0])}
+GROUP_MODELS = [(model, n) for model in ("hypersurface-f5", "random",
+                                         "flat-f0", "embedded-sphere")
+                for n in (1, 2)]
+
+
+def group_case(model, n):
+    """The model at seed 1 and 8 of its points at seed 1."""
+    base = get_example(model, n, seed=1)
+    return base, sample_points(2 * n + 1, 8, seed=1)
+
+
+def assert_same_evaluation(ev, ref):
+    """ev and ref agree in g, F, theta, theta*, omega, xi and eta within
+    1e-12 relative to max(1, max|ref|) of each, and in every class
+    verdict; g, xi and eta as order-1 jets."""
+    got, want = ({"g": e.S.g, "xi": e.S.xi, "eta": e.S.eta, "F": e.F,
+                  "theta": e.theta, "theta_star": e.theta_star,
+                  "omega": e.omega} for e in (ev, ref))
+    for key, x in want.items():
+        assert got[key].shape == x.shape, key
+        assert np.max(np.abs(got[key] - x)) <= 1e-12 * max(
+            1.0, np.max(np.abs(x))), key
+    assert class_residuals(ev)[1].keys() == class_residuals(ref)[1].keys()
+    for key, verdict in class_residuals(ref)[1].items():
+        assert np.array_equal(class_residuals(ev)[1][key], verdict), key
+
+
+@pytest.mark.parametrize("model, n", GROUP_MODELS)
+@pytest.mark.parametrize("first, second", [("t1", "t2"), ("t2", "t1"),
+                                           ("t1", "sub"), ("sub", "t2")])
+def test_transforms_compose_additively(model, n, first, second):
+    # order 1: above it a deformed structure keeps xi_bar and eta_bar at
+    # order 1, too low for the g_bar of another deformation; the inner
+    # provider's structure_at is the reference of deforming a deformation
+    base, pts = group_case(model, n)
+    t1, t2 = GROUP[first], GROUP[second]
+    step = tr.TransformedStructure(tr.TransformedStructure(base, t1), t2)
+    both = tr.TransformedStructure(base, tr.TransformTriple(
         t1.u + t2.u, t1.v + t2.v, t1.w + t2.w))
-    for p in sample_points(3, 3, seed=4):
-        # order 1: above it a deformed structure keeps xi_bar and eta_bar
-        # at order 1, too low for the g_bar of another deformation
-        Sa = step.structure_at(p, 1)
-        Sb = both.structure_at(p, 1)
-        assert np.max(np.abs(Sa.g - Sb.g)) < 1e-9
-        for xa, xb in ((Sa.xi, Sb.xi), (Sa.eta, Sb.eta)):
-            assert xa.shape == xb.shape == (jet_space(3, 1).ncoeff, 3)
-            assert np.max(np.abs(xa - xb)) < 1e-12
+    assert_same_evaluation(step.evaluate(pts, 1)[1],
+                           both.evaluate(pts, 1)[1])
+
+
+@pytest.mark.parametrize("model, n", GROUP_MODELS)
+@pytest.mark.parametrize("name", list(GROUP))
+def test_the_opposite_transform_restores_the_base(model, n, name):
+    base, pts = group_case(model, n)
+    t = GROUP[name]
+    back = tr.TransformedStructure(tr.TransformedStructure(base, t),
+                                   tr.TransformTriple(-t.u, -t.v, -t.w))
+    assert_same_evaluation(back.evaluate(pts, 1)[1],
+                           structure_eval(base, pts, 1))
 
 
 @pytest.mark.parametrize("order", [2, 3])
