@@ -111,9 +111,10 @@ def assert_same_evaluation(ev, ref):
         assert got[key].shape == x.shape, key
         assert np.max(np.abs(got[key] - x)) <= 1e-12 * max(
             1.0, np.max(np.abs(x))), key
-    assert class_residuals(ev)[1].keys() == class_residuals(ref)[1].keys()
-    for key, verdict in class_residuals(ref)[1].items():
-        assert np.array_equal(class_residuals(ev)[1][key], verdict), key
+    got, want = (class_residuals(e)[1] for e in (ev, ref))
+    assert got.keys() == want.keys()
+    for key, verdict in want.items():
+        assert np.array_equal(got[key], verdict), key
 
 
 @pytest.mark.parametrize("model, n", GROUP_MODELS)
