@@ -32,9 +32,10 @@ TOL_DERIVED = 1e-8
 TOL_CLASS = 1e-6
 CLASS_FLOOR = 1e-10
 # the working set of one chunk of sample points, as point_bytes counts it:
-# at most 404, 100, 39 and 19 order-1 points at n = 1..4, and 191, 30, 8
-# and 3 order-2 points
-CHUNK_BYTES = 2 * 2**20
+# at most 809, 201, 78 and 38 order-1 points at n = 1..4, and 383, 60, 17
+# and 6 order-2 points, so the 16 samples of a default soliton report make
+# one chunk at n <= 3
+CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass

@@ -10,9 +10,11 @@ left-associative rule, ``chain``, for each level of binary operators
     unary    := "-"* primary ["^" ["-"] NUMBER]
     primary  := NUMBER | NAME | NAME "(" chain(0) ")" | "(" chain(0) ")"
 
-``^`` binds tighter than unary minus.  Function application requires
-parentheses; whitespace is insignificant.  Expression trees are
-immutable and evaluation is pure.
+NUMBER is ASCII digits ``0-9`` with an optional point and exponent, and
+NAME an ASCII letter followed by ASCII letters, digits or ``_``; any
+other digit (``١``, ``２``) is a parse error.  ``^`` binds tighter than
+unary minus.  Function application requires parentheses; whitespace is
+insignificant.  Expression trees are immutable and evaluation is pure.
 
 One evaluator reads a tree: :func:`eval_jets` computes the truncated
 Taylor jets of a sequence of trees at a batch of points, under bindings
@@ -200,7 +202,8 @@ def func(name: str, arg) -> Func:
 # every character starts a match: a run of white space, a token, or a
 # character no token starts with (``bad``)
 _TOKEN_RE = re.compile(
-    r"(?P<space>\s+)|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<space>\s+)|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+    r"(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>.)")
 
 

@@ -64,11 +64,13 @@ def christoffels(space: JetSpace, g: np.ndarray, ginv: np.ndarray):
     K-1."""
     dg = tgrad(space, g)                      # dg[i,j,l] = d_l g_ij
     # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, a matrix in l, (i, j)
-    t = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
-         - np.einsum("...ijl->...lij", dg))
+    t = np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
+    t -= np.einsum("...ijl->...lij", dg)
+    del dg                                    # not held through the product
     gamma = tmul(space.child, ginv, t.reshape(t.shape[:-2] + (-1,)),
                  np.matmul)
-    return 0.5 * gamma.reshape(gamma.shape[:-1] + t.shape[-2:])
+    gamma *= 0.5
+    return gamma.reshape(gamma.shape[:-1] + t.shape[-2:])
 
 
 def _contract(t: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -262,7 +262,9 @@ def tconst(space: JetSpace, values: np.ndarray) -> np.ndarray:
 
 def tsym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of a jet-valued matrix."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    s = a + np.swapaxes(a, -1, -2)
+    s *= 0.5
+    return s
 
 
 def tvalue(a: np.ndarray) -> np.ndarray:

@@ -80,10 +80,16 @@ def deform(S: StructureJets, a, b, c, e_minus_w, e_w) -> StructureJets:
         raise ValueError(f"xi and eta of the base are below order "
                          f"{space.order}: a deformed structure is no base "
                          f"for another deformation above order 1")
+    # each temporary is updated in place and dropped once read, as they
+    # set a chunk's peak memory
     eta_eta = tmul(space, S.eta, S.eta, _outer)
-    gtilde = tmul(space, S.g, S.phi, np.matmul) + eta_eta
-    gbar = tsym(tmul(space, np.stack((a, b, c), axis=-1),
-                     np.stack((S.g, gtilde, eta_eta), axis=-3), _combine))
+    gtilde = tmul(space, S.g, S.phi, np.matmul)
+    gtilde += eta_eta
+    stack = np.stack((S.g, gtilde, eta_eta), axis=-3)
+    del gtilde, eta_eta
+    gbar = tmul(space, np.stack((a, b, c), axis=-1), stack, _combine)
+    del stack
+    gbar = tsym(gbar)
     k = min(space.order, 1)
     low = jet_space(space.m, k)
     xibar, etabar = (tscale(low, ttrunc(space, f, k), ttrunc(space, x, k))

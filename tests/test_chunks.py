@@ -20,8 +20,8 @@ def one_point_chunks(monkeypatch):
     monkeypatch.setattr(accr, "CHUNK_BYTES", 1)
 
 
-@pytest.mark.parametrize("order, sizes", [(1, [404, 100, 39, 19]),
-                                          (2, [191, 30, 8, 3])])
+@pytest.mark.parametrize("order, sizes", [(1, [809, 201, 78, 38]),
+                                          (2, [383, 60, 17, 6])])
 def test_chunk_sizes_at_n_1_to_4(order, sizes):
     # the most points one chunk holds; one point more makes two halves
     for n, size in zip((1, 2, 3, 4), sizes):
@@ -32,9 +32,9 @@ def test_chunk_sizes_at_n_1_to_4(order, sizes):
 
 
 @pytest.mark.parametrize("n, order, samples, sizes", [
-    (2, 2, 16, [16]), (3, 2, 16, [8, 8]),      # soliton-k3's cases
+    (2, 2, 16, [16]), (3, 2, 16, [16]),        # soliton-k3's cases
     (1, 1, 32, [32]), (3, 1, 32, [32]),        # sweep-k1's cases
-    (4, 1, 70, [18, 18, 17, 17]),              # the report matrix's slice
+    (4, 1, 70, [35, 35]),                      # the report matrix's slice
     (3, 1, 1, [1])])
 def test_chunks_split_the_points_evenly(n, order, samples, sizes):
     points = sample_points(2 * n + 1, samples)
@@ -112,8 +112,9 @@ def test_torse_field_vertical_at_some_chunks_only(monkeypatch, sign):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="tunes glibc's malloc only")
 def test_order3_chunks_reuse_their_memory():
-    # two chunks of 8 points at n = 3: with glibc's adaptive thresholds
-    # every chunk faulted its working set in anew (about 600 pages a point)
+    # one chunk of 16 points at n = 3 (two of 8 under a 2 MiB budget): with
+    # glibc's adaptive thresholds every chunk faulted its working set in
+    # anew (about 600 pages a point)
     argv = ["soliton", "--example", "hypersurface-f5", "--n", "3",
             "--preset", "soliton", "--samples", "16"]
     run(argv)

@@ -481,6 +481,16 @@ def test_malformed_field_exits_2(capsys):
     assert "bad --field expression" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_in_triple_exits_2(capsys):
+    # an Arabic-Indic one parsed as the number 1 and the report ran
+    assert main(["transform", "--example", "flat-f0", "--n", "1",
+                 "--samples", "1", "--u", "\u0661 * x1", "--v", "0",
+                 "--w", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad transformation expression: parse error at offset 0: "
+        "expected a token, found '\u0661'\n")
+
+
 def test_overflow_in_triple_exits_3(capsys):
     assert main(["transform", "--example", "flat-f0", "--n", "1",
                  "--samples", "1", "--u", "exp(exp(10))"]) == 3

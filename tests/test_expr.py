@@ -78,6 +78,10 @@ PARSE_ERRORS = [
     ("1e5e5", 3, "expected end of input, found 'e5'"),
     ("x_1 + 1_x", 7, "expected a token, found '_'"),
     ("x\u00a0+ 1 #", 6, "expected a token, found '#'"),
+    # digits are ASCII only: these parsed as 12, 2 and 1e3
+    ("x1 + \u0661\u0662", 5, "expected a token, found '\u0661'"),
+    ("\uff12 * t", 0, "expected a token, found '\uff12'"),
+    ("1e\u0663", 2, "expected a token, found '\u0663'"),
 ]
 
 

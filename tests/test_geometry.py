@@ -5,8 +5,9 @@ import pytest
 
 from accrgeo import expr as ex
 from accrgeo import geometry as geo
-from accrgeo.examples import REGISTRY, get_example, sample_points
+from accrgeo.examples import REGISTRY, get_example, sample_points, soliton_uvw
 from accrgeo.jets import jet_space, tminv, ttrunc, tvalue
+from accrgeo.transform import TransformedStructure
 from oracles import (curvature, einsum_op, metric_frame, metric_jets,
                      scalar_curvature)
 
@@ -321,3 +322,55 @@ def test_inverse_metric_is_the_truncated_full_inverse_bit_for_bit(model,
         # the trace g^ik R_ik as from_metric sums it, on the full inverse
         tau = (full[0].reshape(3, 1, -1) @ ric.reshape(3, -1, 1))[:, 0, 0]
         assert np.array_equal(ev.tau, tau)
+
+
+# The curvature of a vertical torse-forming field: nabla_x xi = f xbar,
+# xbar = x - eta(x) xi, forces R(x, y) xi = beta(x) ybar - beta(y) xbar
+# with beta = df + f^2 eta, xi in the first lower slot of R^l_ijk.
+
+def curvature_at_xi(S, xi):
+    """R(e_j, e_k) xi as ``[..., j, k, l]``, from order-2 structure jets."""
+    gamma = geo.FrameEval.from_metric(S.space, S.g).gamma
+    return np.einsum("...lijk,...i->...jkl",
+                     geo.riemann(S.space.child, gamma), xi)
+
+
+def fit_beta(r_xi, xi, eta):
+    """beta of the least-squares fit of beta(e_j) ebar_k - beta(e_k) ebar_j
+    to ``r_xi``, and the fit's residual relative to max(1, |R xi|)."""
+    d = xi.shape[-1]
+    ebar = np.eye(d) - eta[..., :, None] * xi[..., None, :]   # [k, l]
+    design = (np.einsum("jm,...kl->...jklm", np.eye(d), ebar)
+              - np.einsum("km,...jl->...jklm", np.eye(d), ebar))
+    design = design.reshape(*design.shape[:-4], -1, d)
+    rhs = r_xi.reshape(*r_xi.shape[:-3], -1, 1)
+    beta = np.linalg.pinv(design) @ rhs
+    worst = np.max(np.abs(design @ beta - rhs), axis=(-2, -1))
+    return beta[..., 0], worst / np.maximum(1.0, np.max(np.abs(rhs),
+                                                        axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_curvature_of_a_vertical_torse_forming_field(n):
+    points = sample_points(2 * n + 1, 8, seed=1)
+    base = get_example("hypersurface-f5", n)
+    S = base.structure_at(points, 2)
+    xi = S.xi[0]
+    beta, residual = fit_beta(curvature_at_xi(S, xi), xi, S.eta[0])
+    assert np.max(residual) <= 1e-12
+    # beta(xi) = xi(f) + f^2, xi(f) by a central difference of f along xi
+    h = 1e-5
+    xi_f = (base.fk(points + h * xi) - base.fk(points - h * xi)) / (2 * h)
+    assert np.allclose(np.einsum("...i,...i", beta, xi),
+                       xi_f + base.fk(points) ** 2, rtol=0.0, atol=1e-8)
+    # the deformed soliton's parallel xi_bar: R_bar(x, xi_bar) xi_bar = 0
+    _, ev, _ = TransformedStructure(base, soliton_uvw(n)).evaluate(points, 2)
+    xibar = ev.xi0
+    rbar = geo.riemann(ev.S.space.child, ev.frame.gamma)
+    assert np.max(np.abs(np.einsum("...lijk,...i,...k->...jl", rbar, xibar,
+                                   xibar))) <= 1e-12
+    # negative control: the Reeb field of a random frame is not
+    # torse-forming, and no beta fits
+    S = get_example("random", n, seed=1).structure_at(points, 2)
+    _, residual = fit_beta(curvature_at_xi(S, S.xi[0]), S.xi[0], S.eta[0])
+    assert np.min(residual) >= 1e-3

@@ -18,10 +18,22 @@ the same cases.  A pass's time is the sum of its ``cli.main`` calls,
 each timed by ``run_case`` of ``perfbench/child.py``, as perfbench times
 a case.  One warm-up pass of each side comes first and is not counted.
 The ratio of a pair is base time over change time, so above 1 means the
-change is faster.  The tool prints the median ratio, its quartiles, the
-pairs the change won and the cases whose stdout or exit code differ
-between the trees, then all of it as one JSON line.  BLAS and OpenMP
-threads are pinned to one in this process.
+change is faster.  Each side also gets perfbench's end-to-end metrics
+over its passes, computed as ``perfbench/run.py`` computes them: a
+case's sustained latency (``run.sustained_latency`` of its timed
+reports), ``case_ms.p50`` and ``case_ms.p90`` as deciles of those over
+the cases, and ``points_per_s`` as the points of the cases over the sum
+of their sustained latencies.  The tool prints the median ratio, its
+quartiles, the pairs the change won, both sides' metrics and the cases
+whose stdout or exit code differ between the trees, then all of it as
+one JSON line.  BLAS and OpenMP threads are pinned to one in this
+process.
+
+glibc's malloc thresholds are process-wide: each tree's
+``cli.keep_chunk_memory`` sets them once, from its own ``CHUNK_BYTES``,
+so both trees run under the thresholds of the one that set them last
+(the change, whose warm-up pass runs second).  A change of the chunk
+budget is therefore measured with both sides under its thresholds.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from child import run_case  # noqa: E402
+from run import sustained_latency  # noqa: E402
 from workloads import WORKLOADS, make_pass  # noqa: E402
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -56,15 +69,31 @@ def load_cli(src, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, cases) -> tuple:
-    """(seconds, [(exit code, stdout) per case]) of one pass."""
-    runs = [run_case(cli, case) for case in cases]
-    return sum(r[0] for r in runs), [r[1:3] for r in runs]
+def run_pass(cli, cases) -> list:
+    """[(seconds, exit code, stdout) per case] of one pass."""
+    return [run_case(cli, case)[:3] for case in cases]
+
+
+def sustained_metrics(passes, cases) -> dict:
+    """perfbench's end-to-end metrics of one side's passes (each a
+    :func:`run_pass` list over ``cases``): only a report, exit 0 or 1,
+    is a timed sample."""
+    sustained, points = [], 0
+    for case, runs in zip(cases, zip(*passes)):
+        done = [1000.0 * dt for dt, code, _ in runs if code in (0, 1)]
+        if done:
+            sustained.append(sustained_latency(done))
+            points += case.points
+    deciles = statistics.quantiles(sustained, n=10, method="inclusive")
+    return {"points_per_s": round(points / (sum(sustained) / 1000.0), 1),
+            "case_ms.p50": round(deciles[4], 3),
+            "case_ms.p90": round(deciles[8], 3)}
 
 
 def compare(base_cli, change_cli, workload: str, seed: int,
             pairs: int) -> dict:
     ratios, differ = [], set()
+    passes = {"base": [], "change": []}
     for cli in (base_cli, change_cli):
         run_pass(cli, make_pass(workload, seed, 0))
     for index in range(pairs):
@@ -73,15 +102,20 @@ def compare(base_cli, change_cli, workload: str, seed: int,
         if index % 2:
             sides.reverse()
         timed = {side: run_pass(cli, cases) for side, cli in sides}
-        ratios.append(timed["base"][0] / timed["change"][0])
+        ratios.append(sum(r[0] for r in timed["base"])
+                      / sum(r[0] for r in timed["change"]))
         differ.update(" ".join(case.argv) for case, a, b in zip(
-            cases, timed["base"][1], timed["change"][1]) if a != b)
+            cases, timed["base"], timed["change"]) if a[1:] != b[1:])
+        for side, runs in timed.items():
+            passes[side].append(runs)
     q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                       else ratios * 3)
     return {"workload": workload, "seed": seed, "pairs": pairs,
             "median_ratio": round(median, 4), "q1": round(q1, 4),
             "q3": round(q3, 4),
             "pairs_won_by_change": sum(r > 1.0 for r in ratios),
+            **{side: sustained_metrics(runs, cases)
+               for side, runs in passes.items()},
             "reports_differ": sorted(differ)}
 
 
@@ -106,6 +140,10 @@ def main(argv=None) -> int:
           f"{result['q3']:.3f}), change won {result['pairs_won_by_change']} "
           f"of {result['pairs']} pairs; {len(result['reports_differ'])} "
           f"cases differ")
+    for side in ("base", "change"):
+        m = result[side]
+        print(f"  {side}: points_per_s {m['points_per_s']:.1f}, case_ms "
+              f"p50 {m['case_ms.p50']:.3f}, p90 {m['case_ms.p90']:.3f}")
     for case in result["reports_differ"]:
         print(f"  differs: {case}")
     print(json.dumps(result))

@@ -14,8 +14,8 @@ exit code and its stdout text.  The matrix is
 all at ``--order 2`` (hence the ``-k2`` of their names) with 4 samples,
 which fit one chunk of points, and a multi-chunk slice: every command on
 hypersurface-f5 at n = 4, order 1, with 70 samples, which span several
-chunks (at n = 4 a chunk holds at most 19 order-1 points, 4 chunks of 17
-or 18, and at most 3 order-2 points for soliton, 24 chunks): 210 cases.
+chunks (at n = 4 a chunk holds at most 38 order-1 points, 2 chunks of 35,
+and at most 6 order-2 points for soliton, 12 chunks): 210 cases.
 
 ``tests/data/golden_reports.json`` holds 51 of the matrix's records,
 kept from earlier versions; ``tests/test_reports_golden.py`` judges
