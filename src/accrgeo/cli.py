@@ -21,10 +21,13 @@ echoed in the report's config.
 from __future__ import annotations
 
 import argparse
+import copy
 import ctypes
 import json
+import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -109,14 +112,38 @@ def _shifted(tr: TransformTriple, **shift) -> TransformTriple:
     return replace(tr, **{k: getattr(tr, k) + e for k, e in shift.items()})
 
 
-_OPTIONAL_EXPR = (str, int, float, type(None))
-# every config key with the types its value may take (bool is rejected
-# wherever a number is expected)
-CONFIG_TYPES = {
-    "example": str, "n": int, "order": int, "samples": int, "seed": int,
-    "box": list, "tol": dict, "sigma": (int, float, type(None)),
-    "u": _OPTIONAL_EXPR, "v": _OPTIONAL_EXPR, "w": _OPTIONAL_EXPR,
-    "preset": (str, type(None)), "field": (str, type(None)),
+# an option: its default, its config value's types (bool is rejected where
+# a number is expected), the commands that take it and its flag's keywords
+Option = namedtuple("Option", "default types commands flag")
+REPORTS = ("check", "classify", "lee", "torse", "transform", "soliton")
+TRIPLE = ("transform", "soliton")
+# every option of every command, in the order of each command's help
+OPTIONS = {
+    "example": Option("hypersurface-f5", str, REPORTS,
+                      {"help": "registry name of the structure"}),
+    "n": Option(2, int, REPORTS,
+                {"type": int, "help": "structure parameter n"}),
+    "order": Option(2, int, REPORTS, {
+        "type": int, "help": "jet order (1-3), echoed in the report; each "
+                             "command evaluates the order its checks read"}),
+    "samples": Option(16, int, REPORTS,
+                      {"type": int, "help": "sample point count"}),
+    "seed": Option(0, int, REPORTS, {"type": int, "help": "sampling seed"}),
+    "box": Option(list(DEFAULT_BOX), list, REPORTS,
+                  {"help": "sample box lo,hi"}),
+    "tol": Option({}, dict, REPORTS, {
+        "action": "append", "metavar": "NAME=VALUE",
+        "help": "tolerance override (repeatable)"}),
+    "field": Option(None, (str, type(None)), ("torse",), {
+        "help": "candidate field components joined by ';' (default: d/dt, "
+                "0;...;0;1; one that starts with '-' as --field=-1;0;0)"}),
+    "preset": Option(None, (str, type(None)), TRIPLE, {
+        "help": "named transformation triple: " + ", ".join(sorted(PRESETS))}),
+    **{k: Option(None, (str, int, float, type(None)), TRIPLE, {
+        "help": f"expression for {k} (one that starts with '-' as --{k}=-t)"})
+       for k in "uvw"},
+    "sigma": Option(None, (int, float, type(None)), ("soliton",),
+                    {"type": float, "help": "pin the soliton constant"}),
 }
 # the tolerance families --tol can override, with their defaults
 TOLERANCES = {"struct": TOL_STRUCT, "derived": TOL_DERIVED,
@@ -128,17 +155,21 @@ MAX_N = 4
 MAX_SAMPLES = 1024
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _finite(x) -> bool:
+    """A number, not a bool, that is finite (an int beyond the float range
+    is not)."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (OverflowError, TypeError):             # or not a number
+        return False
 
 
 def build_config(args) -> dict:
-    cfg = {
-        "example": "hypersurface-f5", "n": 2, "order": 2, "samples": 16,
-        "seed": 0, "box": list(DEFAULT_BOX), "tol": {}, "sigma": None,
-        "u": None, "v": None, "w": None, "preset": None, "field": None,
-    }
-    if getattr(args, "config", None) is not None:
+    """Each option's default, then its config file value, then its flag."""
+    flags = {key: getattr(args, key) for key, opt in OPTIONS.items()
+             if args.cmd in opt.commands}
+    cfg = {key: copy.copy(opt.default) for key, opt in OPTIONS.items()}
+    if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:   # RFC 8259
                 data = json.load(fh)
@@ -152,27 +183,23 @@ def build_config(args) -> dict:
                 f"column {err.colno}: {err.msg}")
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - set(cfg)
+        unknown = set(data) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # the parsed flags hold exactly the command's options
-        foreign = [key for key in data if not hasattr(args, key)]
+        foreign = set(data) - set(flags)
         if foreign:
             raise ConfigError(f"config keys that {args.cmd} takes no flag "
                               f"for: {sorted(foreign)}")
         cfg.update(data)
-    for key in CONFIG_TYPES.keys() - {"box", "tol"}:    # same-named flags
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "box", None) is not None:
+    cfg.update((key, val) for key, val in flags.items()
+               if val is not None and key not in ("box", "tol"))
+    if flags.get("box") is not None:
         try:
-            parts = [float(s) for s in args.box.split(",")]
+            cfg["box"] = [float(s) for s in flags["box"].split(",")]
         except ValueError:
             raise ConfigError("--box expects lo,hi")
-        cfg["box"] = parts
     tol_flags = {}
-    for item in getattr(args, "tol", None) or []:
+    for item in flags.get("tol") or []:
         if "=" not in item:
             raise ConfigError("--tol expects name=value")
         name, _, val = item.partition("=")
@@ -180,21 +207,21 @@ def build_config(args) -> dict:
             tol_flags[name] = float(val)
         except ValueError:
             raise ConfigError(f"bad tolerance value {val!r}")
-    for key, types in CONFIG_TYPES.items():
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], types):
+    for key, opt in OPTIONS.items():
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], opt.types):
             raise ConfigError(f"config value {key}={cfg[key]!r} has the "
                               f"wrong type")
     cfg["tol"] = {**cfg["tol"], **tol_flags}
-    if len(cfg["box"]) != 2 or not all(map(_is_number, cfg["box"])):
+    if len(cfg["box"]) != 2 or not all(map(_finite, cfg["box"])):
         raise ConfigError("box expects two numbers lo, hi")
     for name, val in cfg["tol"].items():
         if name not in TOLERANCES:
             raise ConfigError(f"unknown tolerance family {name!r}; "
                               f"choose from {list(TOLERANCES)}")
-        if not (_is_number(val) and np.isfinite(val) and val > 0):
+        if not (_finite(val) and val > 0):
             raise ConfigError(f"tolerance {name}={val!r} is not a finite "
                               "number > 0")
-    if cfg["sigma"] is not None and not np.isfinite(cfg["sigma"]):
+    if cfg["sigma"] is not None and not _finite(cfg["sigma"]):
         raise ConfigError(f"sigma={cfg['sigma']!r} is not finite")
     if not 1 <= cfg["n"] <= MAX_N:
         raise ConfigError(f"n must be in 1..{MAX_N}")
@@ -205,11 +232,7 @@ def build_config(args) -> dict:
     if cfg["seed"] < 0:
         raise ConfigError("seed must be a non-negative integer")
     lo, hi = cfg["box"]
-    try:
-        width = float(hi) - float(lo)
-    except OverflowError:               # an integer beyond the float range
-        width = np.inf
-    if not (np.isfinite(width) and lo < hi):
+    if not (_finite(hi - lo) and lo < hi):
         raise ConfigError("box bounds must be finite with lo < hi and a "
                           "finite width hi - lo")
     return cfg
@@ -423,55 +446,32 @@ def cmd_example(cfg) -> Report:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--example", help="registry name of the structure")
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--n", type=int, help="structure parameter n")
-    common.add_argument("--order", type=int,
-                        help="jet order (1-3), echoed in the report; each "
-                        "command evaluates the order its checks read")
-    common.add_argument("--samples", type=int, help="sample point count")
-    common.add_argument("--seed", type=int, help="sampling seed")
-    common.add_argument("--box", help="sample box lo,hi")
-    common.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="tolerance override (repeatable)")
-    common.add_argument("--json", action="store_true",
-                        help="suppress the stderr table")
-    triple = argparse.ArgumentParser(add_help=False)
-    triple.add_argument("--preset", help="named transformation triple: "
-                        + ", ".join(sorted(PRESETS)))
-    for name in "uvw":
-        triple.add_argument(f"--{name}", help=f"expression for {name} (one "
-                            f"that starts with '-' as --{name}=-t)")
-
-    parser = argparse.ArgumentParser(
-        prog="accrgeo",
-        description="Numerical structure checks, classification and "
-                    "soliton verification for B-metric contact charts.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    sub.add_parser("check", parents=[common])
-    sub.add_parser("classify", parents=[common])
-    sub.add_parser("lee", parents=[common])
-    pt = sub.add_parser("torse", parents=[common])
-    pt.add_argument("--field", help="candidate field components joined "
-                    "by ';' (default: d/dt, 0;...;0;1; one that starts "
-                    "with '-' as --field=-1;0;0)")
-    sub.add_parser("transform", parents=[common, triple])
-    ps = sub.add_parser("soliton", parents=[common, triple])
-    ps.add_argument("--sigma", type=float, help="pin the soliton constant")
-    pe = sub.add_parser("example", parents=[common])
-    pe.add_argument("action", choices=["list"])
-    return parser
-
-
-PARSER = build_parser()
-
 COMMANDS = {
     "check": cmd_check, "classify": cmd_classify, "lee": cmd_lee,
     "torse": cmd_torse, "transform": cmd_transform, "soliton": cmd_soliton,
     "example": cmd_example,
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="accrgeo",
+        description="Numerical structure checks, classification and "
+                    "soliton verification for B-metric contact charts.")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd)
+        for key, opt in OPTIONS.items():
+            if cmd in opt.commands:
+                p.add_argument(f"--{key}", **opt.flag)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--json", action="store_true",
+                       help="suppress the stderr table")
+    sub.choices["example"].add_argument("action", choices=["list"])
+    return parser
+
+
+PARSER = build_parser()
 
 
 @cache

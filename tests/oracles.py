@@ -14,6 +14,7 @@ torse command does.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from accrgeo.accr import (AccrEval, _maxabs, _outer, _sym_yz, _T, _vm,
 from accrgeo.expr import Bin, Const, EvalError, Func, Neg, Pow, Var
 from accrgeo.geometry import (FrameEval, coordinate_bindings, eval_expr_table,
                                ricci_from_riemann, riemann)
-from accrgeo.jets import jet_space, tgrad, tsym, tvalue
-from accrgeo.transform import Differentials, TransformTriple
+from accrgeo.jets import jet_space, tgrad, tscale, tsym, tvalue
+from accrgeo.transform import Differentials, TransformTriple, deform
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +122,16 @@ def loop_tgrad(space, a: np.ndarray) -> np.ndarray:
 def uvw(u, v, w) -> TransformTriple:
     """The triple of three expressions, texts or numbers."""
     return TransformTriple(*map(ex.as_expr, (u, v, w)))
+
+
+def deform_full_order(S, a, b, c, e_minus_w, e_w):
+    """:func:`accrgeo.transform.deform` with xi_bar = e^-w xi and eta_bar
+    = e^w eta kept at the base's order, each one ``tscale`` in the base
+    space: a deformed structure that is a base for another deformation
+    above order 1."""
+    return replace(deform(S, a, b, c, e_minus_w, e_w),
+                   xi=tscale(S.space, e_minus_w, S.xi),
+                   eta=tscale(S.space, e_w, S.eta))
 
 
 def metric_jets(coords, g, points, order: int):

@@ -315,6 +315,20 @@ def test_config_key_for_an_option_the_command_lacks_exits_2(tmp_path, capsys):
                  "flat-f0", "--samples", "1"]) == 0
 
 
+def test_example_list_takes_no_option_it_would_ignore(tmp_path, capsys):
+    # it took the seven options of the report commands and read none
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "list", "--n", "1"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"n": 1}')
+    assert main(["example", "list", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: config keys that example takes no "
+                                 "flag for: ['n']\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["check", "--example", "no-such"]) == 2
     assert capsys.readouterr().err == (     # the message, not its repr
@@ -586,6 +600,29 @@ def test_non_finite_config_file_values_exit_2(tmp_path, capsys, text):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, code", [
+    ('{"sigma": %d}' % 2 ** 70, 1),
+    ('{"sigma": 1%s}' % ("0" * 400), 2),
+    ('{"tol": {"class": %d}}' % 2 ** 70, 0),
+    ('{"tol": {"class": 1%s}}' % ("0" * 400), 2),
+], ids=["sigma-2^70", "sigma-10^400", "tol-2^70", "tol-10^400"])
+def test_an_integer_config_value_of_2_to_the_64_or_more_is_a_number(
+        tmp_path, capsys, text, code):
+    # np.isfinite raised TypeError on such an int: a traceback, exit 1;
+    # one beyond the float range is not finite
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    got = main(["soliton", "--example", "hypersurface-f5", "--n", "1",
+                "--samples", "1", "--preset", "soliton",
+                "--config", str(cfgfile)])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert out == "" and "finite" in err
+    else:
+        assert json.loads(out)["passed"] == (code == 0)
+
+
 def test_finite_sigma_is_admitted(capsys):
     code, rep = run_json(capsys, "soliton", "--example", "hypersurface-f5",
                          "--n", "1", "--samples", "2", "--preset",
@@ -850,16 +887,51 @@ def test_one_process_reports_as_a_fresh_one(tmp_path, capsys):
     assert (code, out.encode()) == (proc.returncode, fresh)
 
 
-def subcommand_helps(parser) -> dict:
+def subcommands(parser) -> dict:
+    """The parser of each subcommand, by name."""
     sub, = (a for a in parser._actions
             if isinstance(a, argparse._SubParsersAction))
-    return {name: p.format_help() for name, p in sub.choices.items()}
+    return sub.choices
+
+
+def subcommand_helps(parser) -> dict:
+    return {name: p.format_help() for name, p in subcommands(parser).items()}
+
+
+def options_taken(cmd) -> set:
+    """The options that ``cmd`` takes, read off its parser."""
+    return {a.dest for a in subcommands(cli.PARSER)[cmd]._actions} - {
+        "help", "config", "json", "action"}
 
 
 def test_shared_parser_is_a_fresh_build():
     fresh = cli.build_parser()
     assert cli.PARSER.format_help() == fresh.format_help()
     assert subcommand_helps(cli.PARSER) == subcommand_helps(fresh)
+
+
+class ReadKeys(dict):
+    """A config that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_every_command_reads_every_option_it_takes(cmd):
+    # --order is only validated and echoed (ROADMAP item 2)
+    taken = options_taken(cmd)
+    argv = [cmd, "list"] if cmd == "example" else [
+        cmd, "--n", "1", "--samples", "1",
+        *(["--preset", "soliton"] if "preset" in taken else [])]
+    cfg = ReadKeys(cli.build_config(cli.PARSER.parse_args(argv)))
+    cli.COMMANDS[cmd](cfg)
+    assert taken - cfg.read == (set() if cmd == "example" else {"order"})
 
 
 @pytest.mark.parametrize("samples", ["1", "64"],

@@ -17,8 +17,8 @@ from accrgeo.examples import (REGISTRY, build_flat_f0, build_hypersurface,
                               random_structure, sample_points, soliton_uvw)
 from accrgeo.geometry import coordinate_bindings
 from accrgeo.jets import jet_space, ttrunc
-from oracles import (fbar_f5_closed_form, partial, shape_residuals,
-                     torse_analysis, uvw)
+from oracles import (deform_full_order, fbar_f5_closed_form, partial,
+                     shape_residuals, torse_analysis, uvw)
 from report_matrix import run
 
 RNG = np.random.default_rng(1234)
@@ -142,6 +142,57 @@ def test_the_opposite_transform_restores_the_base(model, n, name):
                                    tr.TransformTriple(-t.u, -t.v, -t.w))
     assert_same_evaluation(back.evaluate(pts, 1)[1],
                            structure_eval(base, pts, 1))
+
+
+class FullOrderDeformation(tr.TransformedStructure):
+    """A deformation that is a base for another one at order 2: xi_bar and
+    eta_bar keep the base's order (``oracles.deform_full_order``)."""
+
+    def structure_at(self, points, order: int):
+        S = self.base.structure_at(points, order)
+        return deform_full_order(
+            S, *self.triple.jets(self.base, points, order)[3:])
+
+
+def assert_same_order_2(step, ref, pts):
+    """tau_bar, and the soliton and killing residuals of ``yamabe_check``
+    with sigma the mean tau_bar of ``ref``, agree at every point within
+    1e-12 of max(1, |ref|)."""
+    want = tr.yamabe_check(ref, pts)          # sigma: the mean tau_bar
+    got = tr.yamabe_check(step, pts, sigma=want["tau"]["sigma"])
+    pairs = {"tau": (got["tau"]["tau_values"], want["tau"]["tau_values"]),
+             **{k: (got["identity"][k], want["identity"][k])
+                for k in ("soliton", "killing")}}
+    for key, (x, x_ref) in pairs.items():
+        x, x_ref = np.asarray(x), np.asarray(x_ref)
+        assert np.all(np.abs(x - x_ref)
+                      <= 1e-12 * np.maximum(1.0, np.abs(x_ref))), key
+
+
+@pytest.mark.parametrize("model, n", GROUP_MODELS)
+@pytest.mark.parametrize("first, second", [("t1", "t2"), ("t2", "t1"),
+                                           ("t1", "sub"), ("sub", "t2")])
+def test_transforms_compose_additively_at_order_2(model, n, first, second):
+    # tau_bar reads second derivatives of g_bar; the inner deformation
+    # keeps xi_bar and eta_bar at order 2 so that the outer one can run
+    base, pts = group_case(model, n)
+    t1, t2 = GROUP[first], GROUP[second]
+    step = tr.TransformedStructure(FullOrderDeformation(base, t1), t2)
+    both = tr.TransformedStructure(base, tr.TransformTriple(
+        t1.u + t2.u, t1.v + t2.v, t1.w + t2.w))
+    assert_same_order_2(step, both, pts)
+
+
+@pytest.mark.parametrize("model, n", GROUP_MODELS)
+@pytest.mark.parametrize("name", list(GROUP))
+def test_the_opposite_transform_restores_the_base_at_order_2(model, n,
+                                                              name):
+    base, pts = group_case(model, n)
+    t = GROUP[name]
+    back = tr.TransformedStructure(FullOrderDeformation(base, t),
+                                   tr.TransformTriple(-t.u, -t.v, -t.w))
+    assert_same_order_2(back, tr.TransformedStructure(
+        base, tr.TransformTriple.identity()), pts)
 
 
 @pytest.mark.parametrize("order", [2, 3])
